@@ -238,30 +238,40 @@ def clebsch_gordan(j1, m1, j2, m2, J, M) -> SignedSqrtRational:
     return SignedSqrtRational.from_fraction(sign, r * r * f * g)
 
 
-def _small_d_element(tj: int, tmp: int, tm: int, cos_hb: float, sin_hb: float) -> float:
-    pref = math.sqrt(float(
-        _fact((tj + tmp) // 2) * _fact((tj - tmp) // 2)
-        * _fact((tj + tm) // 2) * _fact((tj - tm) // 2)
-    ))
-    smin = max(0, (tm - tmp) // 2)
-    smax = min((tj + tm) // 2, (tj - tmp) // 2)
-    terms = []
-    for s in range(smin, smax + 1):
-        k = (tmp - tm) // 2 + s
-        denom = (
-            _fact((tj + tm) // 2 - s) * _fact(s) * _fact(k)
-            * _fact((tj - tmp) // 2 - s)
-        )
-        terms.append(
-            (-1) ** k * cos_hb ** ((2 * tj + tm - tmp) // 2 - 2 * s)
-            * sin_hb ** (k + s) / denom
-        )
-    return pref * math.fsum(terms)
+@lru_cache(maxsize=None)
+def _spin_arrays(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only spin matrices (Jx, Jy, Jz) of the spin-j representation."""
+    j = twice_j / 2.0
+    ms = np.arange(twice_j, -twice_j - 1, -2) / 2.0  # m descending
+    jz = np.diag(ms.astype(complex))
+    jp = np.zeros((twice_j + 1, twice_j + 1), dtype=complex)
+    for i in range(1, twice_j + 1):
+        m = ms[i]  # J+ |j,m> = sqrt(j(j+1) - m(m+1)) |j,m+1>
+        jp[i - 1, i] = math.sqrt(j * (j + 1) - m * (m + 1))
+    jm = jp.conj().T
+    jx = 0.5 * (jp + jm)
+    jy = -0.5j * (jp - jm)
+    for a in (jx, jy, jz):
+        a.setflags(write=False)
+    return jx, jy, jz
+
+
+@lru_cache(maxsize=None)
+def _jy_eigen(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
+    # the spectrum of Jy is exactly -j..j (ascending, as eigh orders it); the
+    # exact values keep the phases exp(-i beta m) free of eigenvalue rounding
+    lam = np.arange(-twice_j, twice_j + 1, 2) / 2.0
+    vecs = np.linalg.eigh(_spin_arrays(twice_j)[1])[1]
+    for a in (lam, vecs):
+        a.setflags(write=False)
+    return lam, vecs
 
 
 def wigner_small_d(j, beta: float) -> np.ndarray:
-    """Wigner small-d matrix d^j_{m'm}(beta) by the factorial sum formula.
+    """Wigner small-d matrix d^j_{m'm}(beta) = exp(-i beta Jy).
 
+    Evaluated as V exp(-i beta Lambda) V^dagger from the eigendecomposition
+    Jy = V Lambda V^dagger, which stays orthogonal to rounding at every spin.
     Real orthogonal (2j+1)x(2j+1) array, rows/columns indexed by m', m
     descending from +j.
     """
@@ -271,14 +281,8 @@ def wigner_small_d(j, beta: float) -> np.ndarray:
     beta = float(beta)
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
-    cos_hb, sin_hb = math.cos(beta / 2.0), math.sin(beta / 2.0)
-    n = j.twice + 1
-    out = np.empty((n, n))
-    tms = [m.twice for m in m_range(j)]
-    for a, tmp in enumerate(tms):
-        for b, tm in enumerate(tms):
-            out[a, b] = _small_d_element(j.twice, tmp, tm, cos_hb, sin_hb)
-    return out
+    lam, vecs = _jy_eigen(j.twice)
+    return ((vecs * np.exp(-1j * beta * lam)) @ vecs.conj().T).real
 
 
 @dataclass(frozen=True)

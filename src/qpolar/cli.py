@@ -8,6 +8,7 @@ inputs and seed, and every report records the tolerance and seed used.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -312,8 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "tol", 1.0) <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
+    tol = getattr(args, "tol", 1.0)
+    if not (math.isfinite(tol) and tol > 0):
+        print(f"error: --tol must be a positive finite number, got {tol!r}", file=sys.stderr)
         return EXIT_INVALID
     try:
         return args.func(args)

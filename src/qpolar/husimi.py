@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angmom import HalfInt, half, m_range
-from .states import Direction, SpinSector
+from .angmom import HalfInt, half
+from .states import Direction, SpinSector, coherent_amplitudes
 
 __all__ = ["QGrid", "q_function", "q_values", "export_qgrid", "read_qgrid"]
 
@@ -63,32 +63,16 @@ class QGrid:
                 yield Direction(float(th), float(ph)), float(wt), float(self.values[i, j])
 
 
-def _amplitude_matrix(S, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Coherent-state amplitudes c_m(theta, phi) as an array (n_theta, n_phi, 2S+1)."""
-    S = half(S)
-    t = S.twice
-    ch = np.cos(thetas / 2.0)[:, None]
-    sh = np.sin(thetas / 2.0)[:, None]
-    ks = np.array([(t + m.twice) // 2 for m in m_range(S)])  # S+m per basis column
-    binom = np.sqrt([math.comb(t, int(k)) for k in ks])
-    mags = binom[None, :] * ch ** ks[None, :] * sh ** (t - ks[None, :])  # (n_theta, d)
-    ms = (ks - t / 2.0)
-    phase = np.exp(-1j * ms[None, :] * phis[:, None])  # (n_phi, d)
-    return mags[:, None, :] * phase[None, :, :]
+def _q(rho: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """<n|rho|n> for coherent amplitudes with any leading axes."""
+    return np.einsum("...i,ij,...j->...", amps.conj(), rho, amps).real
 
 
 def q_values(sector: SpinSector, directions) -> np.ndarray:
     """Q at an arbitrary list of directions."""
     thetas = np.array([d.theta for d in directions])
     phis = np.array([d.phi for d in directions])
-    S = sector.spin
-    t = S.twice
-    ks = np.array([(t + m.twice) // 2 for m in m_range(S)])
-    binom = np.sqrt([math.comb(t, int(k)) for k in ks])
-    mags = binom[None, :] * np.cos(thetas / 2.0)[:, None] ** ks[None, :] \
-        * np.sin(thetas / 2.0)[:, None] ** (t - ks[None, :])
-    amps = mags * np.exp(-1j * (ks[None, :] - t / 2.0) * phis[:, None])
-    return np.einsum("ni,ij,nj->n", amps.conj(), sector.rho, amps).real
+    return _q(sector.rho, coherent_amplitudes(sector.spin, thetas, phis))
 
 
 def q_function(sector: SpinSector, grid=(64, 128)) -> QGrid:
@@ -100,8 +84,7 @@ def q_function(sector: SpinSector, grid=(64, 128)) -> QGrid:
     thetas = np.arccos(x[::-1])  # ascending theta
     weights = w[::-1]
     phis = np.arange(n_phi) * (2.0 * math.pi / n_phi)
-    amps = _amplitude_matrix(sector.spin, thetas, phis)
-    values = np.einsum("tpi,ij,tpj->tp", amps.conj(), sector.rho, amps).real
+    values = _q(sector.rho, coherent_amplitudes(sector.spin, thetas[:, None], phis[None, :]))
     coarse = n_theta < sector.spin.twice + 1
     return QGrid(sector.spin, thetas, phis, weights, values, coarse)
 

@@ -17,13 +17,13 @@ K-th-order unpolarized when A_K vanishes.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .angmom import HalfInt, clebsch_gordan, half, m_range
+from .angmom import HalfInt, clebsch_gordan, half
 from .states import SpinSector, as_shells
 
 __all__ = [
@@ -47,10 +47,6 @@ __all__ = [
 
 DEFAULT_ORDER_TOL = 1e-10
 
-# (2S, K, q) -> read-only float matrix; idempotent fill, safe for concurrent readers
-_TENSOR_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
-_TENSOR_LOCK = threading.Lock()
-
 
 @dataclass(frozen=True)
 class TensorOperator:
@@ -69,44 +65,72 @@ def _check_rank(S: HalfInt, K: int, q: int | None = None) -> None:
         raise ValueError(f"component q must be an integer with |q| <= K = {K}, got {q}")
 
 
+@lru_cache(maxsize=None)
+def _basis(twice: int) -> tuple[np.ndarray, np.ndarray]:
+    """The T_Kq of one shell as diagonal blocks, with their flat gather indices.
+
+    T_Kq is nonzero on its q-th diagonal only, so the basis is stored as one
+    real array C[2S + q, K, col] = T_Kq[col - q, col], zero where the entry
+    falls outside the matrix or |q| > K.  idx[2S + q, col] is the flat index
+    of entry (col - q, col), or one past the matrix where there is none.
+    """
+    d = twice + 1
+    S = HalfInt(twice)
+    C = np.zeros((2 * d - 1, d, d))
+    for q in range(d):
+        for K in range(q, d):
+            scale = math.sqrt((2 * K + 1) / d)
+            for col in range(q, d):
+                tm = twice - 2 * col
+                C[twice + q, K, col] = scale * float(
+                    clebsch_gordan(S, HalfInt(tm), K, q, S, HalfInt(tm + 2 * q))
+                )
+        # T_K,-q = (-1)^q T_Kq^T
+        C[twice - q, :, :d - q] = (-1) ** q * C[twice + q, :, q:]
+    rows = np.arange(d) - np.arange(-twice, d)[:, None]
+    idx = np.where((rows >= 0) & (rows < d), rows * d + np.arange(d), d * d)
+    C.setflags(write=False)
+    idx.setflags(write=False)
+    return C, idx
+
+
+def components(X: np.ndarray, S: HalfInt, k_max: int) -> np.ndarray:
+    """Tr[X T_Kq^dagger] for K <= k_max as an array [..., K, k_max + q].
+
+    X may carry leading batch axes; entries with |q| > K are zero.
+    """
+    C, idx = _basis(S.twice)
+    qs = slice(S.twice - k_max, S.twice + k_max + 1)
+    # entries outside the matrix clip to its last one, where the coefficient is zero
+    diags = X.reshape(X.shape[:-2] + (-1,)).take(idx[qs], axis=-1, mode="clip")  # [..., q, col]
+    return (diags[..., None, :] @ C[qs, :k_max + 1].transpose(0, 2, 1))[..., 0, :].swapaxes(-1, -2)
+
+
+def synthesize(c: np.ndarray, S: HalfInt) -> np.ndarray:
+    """The matrix sum of c[K, k_max + q] T_Kq, laid out as `components` returns it."""
+    C, idx = _basis(S.twice)
+    d = S.twice + 1
+    k_max = c.shape[0] - 1
+    qs = slice(S.twice - k_max, S.twice + k_max + 1)
+    vals = (c.T[:, None, :] @ C[qs, :k_max + 1])[:, 0, :]  # [q, col]
+    out = np.zeros(d * d + 1, dtype=vals.dtype)  # the spare last slot takes the zero padding
+    out[idx[qs]] = vals
+    return out[:-1].reshape(d, d)
+
+
 def tensor_matrix(S, K: int, q: int) -> np.ndarray:
-    """Matrix of T_Kq (cached, read-only)."""
+    """Dense matrix of T_Kq, read from the diagonal-block basis."""
     S = half(S)
     _check_rank(S, K, q)
-    key = (S.twice, int(K), int(q))
-    mat = _TENSOR_CACHE.get(key)
-    if mat is not None:
-        return mat
-    t = S.twice
-    scale = math.sqrt((2 * K + 1) / (t + 1))
-    out = np.zeros((t + 1, t + 1))
-    ms = m_range(S)
-    for col, m in enumerate(ms):
-        tmp = m.twice + 2 * q
-        if abs(tmp) > t:
-            continue
-        row = (t - tmp) // 2
-        out[row, col] = scale * float(
-            clebsch_gordan(S, m, K, q, S, HalfInt(tmp))
-        )
-    out.setflags(write=False)
-    with _TENSOR_LOCK:
-        return _TENSOR_CACHE.setdefault(key, out)
+    c = np.zeros((K + 1, 2 * K + 1))
+    c[K, K + q] = 1.0
+    return synthesize(c, S)
 
 
 def tensor_operator(S, K: int, q: int) -> TensorOperator:
     """Irreducible tensor operator T_Kq with its labels."""
     S = half(S)
     return TensorOperator(S, int(K), int(q), tensor_matrix(S, K, q))
-
-
-def tensor_stack(S, K: int) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """All (rank, component) labels with rank <= K and the stacked matrices."""
-    S = half(S)
-    _check_rank(S, K)
-    labels = [(k, q) for k in range(K + 1) for q in range(-k, k + 1)]
-    mats = np.stack([tensor_matrix(S, k, q) for k, q in labels])
-    return labels, mats
 
 
 @dataclass(frozen=True)
@@ -148,21 +172,13 @@ def _order_from_cumulative(cum: np.ndarray, tol: float) -> int:
 def state_multipoles(sector: SpinSector, *, tol: float = DEFAULT_ORDER_TOL) -> MultipoleSpectrum:
     """Full multipole spectrum rho_Kq = Tr[rho T_Kq^dagger] of one shell."""
     S = sector.spin
-    rho = sector.rho
-    comps: dict[tuple[int, int], complex] = {}
-    W = np.zeros(S.twice + 1)
-    for K in range(S.twice + 1):
-        wk = 0.0
-        for q in range(-K, K + 1):
-            c = complex(np.vdot(tensor_matrix(S, K, q), rho))
-            comps[(K, q)] = c
-            wk += abs(c) ** 2
-        W[K] = wk
+    t = S.twice
+    c = components(sector.rho, S, t)
+    W = np.sum(c.real ** 2 + c.imag ** 2, axis=-1)
+    rows = c.tolist()
+    comps = {(K, q): rows[K][t + q] for K in range(t + 1) for q in range(-K, K + 1)}
     A = np.cumsum(W[1:])
-    P = np.array([
-        math.sqrt(max(0.0, A[K - 1]) / coherent_cumulative_max(S, K))
-        for K in range(1, S.twice + 1)
-    ])
+    P = np.sqrt(np.maximum(A, 0.0) / _coherent_maxima(t))
     order = _order_from_cumulative(A, tol)
     return MultipoleSpectrum(S, comps, W, A, P, order, tol)
 
@@ -191,14 +207,22 @@ def coherent_cumulative_max(S, K: int) -> float:
     _check_rank(S, K)
     if K < 1:
         raise ValueError("A_K starts at K = 1; the monopole is excluded")
-    t = S.twice
-    val = Fraction(t, t + 1)
-    if K < t:
-        val -= Fraction(
-            math.factorial(t) ** 2,
-            math.factorial(t - K - 1) * math.factorial(t + K + 1),
-        )
-    return float(val)
+    return float(_coherent_maxima(S.twice)[K - 1])
+
+
+@lru_cache(maxsize=None)
+def _coherent_maxima(t: int) -> np.ndarray:
+    """Coherent-state A_K for K = 1..2S, evaluated exactly and rounded once."""
+    out = np.array([
+        float(Fraction(t, t + 1) - (
+            Fraction(math.factorial(t) ** 2,
+                     math.factorial(t - K - 1) * math.factorial(t + K + 1))
+            if K < t else 0
+        ))
+        for K in range(1, t + 1)
+    ])
+    out.setflags(write=False)
+    return out
 
 
 def degree(spectrum: MultipoleSpectrum, K: int) -> float:
@@ -211,7 +235,7 @@ def degree(spectrum: MultipoleSpectrum, K: int) -> float:
 
 def unpolarization_order(spectrum: MultipoleSpectrum, tol: float = DEFAULT_ORDER_TOL) -> int:
     """Largest K with A_K <= tol; 0 if the dipole survives, 2S if fully unpolarized."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     return _order_from_cumulative(spectrum.cumulative_all, tol)
 
@@ -229,14 +253,11 @@ class AxialProfile:
 
 def axial_profile(sector: SpinSector, tol: float = DEFAULT_ORDER_TOL) -> AxialProfile:
     """Check for axial symmetry about z (only q = 0 multipoles) and z-reversal parity."""
-    spec = state_multipoles(sector)
-    off = 0.0
-    odd = 0.0
-    for (K, q), c in spec.components.items():
-        if q != 0:
-            off = max(off, abs(c))
-        elif K % 2 == 1:
-            odd = max(odd, abs(c))
+    t = sector.spin.twice
+    mags = np.abs(components(sector.rho, sector.spin, t))
+    odd = float(np.max(mags[1::2, t], initial=0.0))
+    mags[:, t] = 0.0
+    off = float(mags.max())
     return AxialProfile(off <= tol, off, odd <= tol, odd, tol)
 
 

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angmom import HalfInt, half
-from .multipole import state_multipoles, tensor_matrix
+from .catalog import three_photon_first_order_eigs
+from .multipole import _basis, components, degree, state_multipoles, synthesize
 from .states import SpinSector, diag_sector, maximally_mixed
 
 __all__ = [
@@ -82,6 +83,8 @@ class SearchProblem:
                 f"choose from {CONSTRAINT_CLASSES}"
             )
         object.__setattr__(self, "constraint_class", cls)
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
         if not 1 <= self.order <= self.spin.twice:
             raise ValueError(
                 f"order must lie in [1, 2S] = [1, {self.spin.twice}], got {self.order}"
@@ -123,14 +126,6 @@ def _digest(history) -> str:
     return h.hexdigest()
 
 
-def _constraint_tensors(S: HalfInt, order: int) -> list[np.ndarray]:
-    return [
-        tensor_matrix(S, K, q)
-        for K in range(1, order + 1)
-        for q in range(-K, K + 1)
-    ]
-
-
 def _residual_a_k(sector: SpinSector, order: int) -> float:
     spec = state_multipoles(sector)
     return float(spec.cumulative_all[order - 1])
@@ -139,30 +134,19 @@ def _residual_a_k(sector: SpinSector, order: int) -> float:
 def project_multipole_free(rho: np.ndarray, S, order: int) -> np.ndarray:
     """Orthogonal projection onto {rho: Tr rho = 1, rho_Kq = 0 for 1 <= K <= order}."""
     S = half(S)
-    d = S.twice + 1
-    out = np.array(rho, dtype=complex)
-    for t in _constraint_tensors(S, order):
-        c = np.vdot(t, out)
-        out -= c * t
-    out += (1.0 - np.trace(out)) / d * np.eye(d)
-    return out
-
-
-def _project_psd(rho: np.ndarray) -> np.ndarray:
-    sym = 0.5 * (rho + rho.conj().T)
-    vals, vecs = np.linalg.eigh(sym)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * vals) @ vecs.conj().T
+    rho = np.asarray(rho, dtype=complex)
+    c = components(rho, S, order)
+    c[0, order] -= 1.0 / math.sqrt(S.twice + 1)  # leave the monopole of I/d, so Tr = 1
+    return rho - synthesize(c, S)
 
 
 def _feasible_point(rho: np.ndarray, S: HalfInt, order: int, tol: float, max_iter: int = 2000) -> np.ndarray:
-    tensors = _constraint_tensors(S, order)
-    out = np.array(rho, dtype=complex)
+    out = rho
     for _ in range(max_iter):
         out = project_multipole_free(out, S, order)
         sym = 0.5 * (out + out.conj().T)
         vals, vecs = np.linalg.eigh(sym)
-        mp_res = max((abs(np.vdot(t, out)) for t in tensors), default=0.0)
+        mp_res = np.abs(components(out, S, order)[1:]).max()
         if vals[0] >= -tol and mp_res <= tol:
             return out
         out = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
@@ -191,9 +175,7 @@ def _ascend_general(problem: SearchProblem, rho0: np.ndarray):
 
 def _diag_constraint_rows(S: HalfInt, order: int) -> np.ndarray:
     # on diagonal states only q = 0 multipoles are nonzero; constrain those
-    rows = [np.diag(tensor_matrix(S, K, 0)).real for K in range(1, order + 1)]
-    rows.append(np.ones(S.twice + 1))
-    return np.stack(rows)
+    return np.vstack([_basis(S.twice)[0][S.twice, 1:order + 1], np.ones(S.twice + 1)])
 
 
 def _diag_vertices(S: HalfInt, order: int) -> list[np.ndarray]:
@@ -275,10 +257,9 @@ def max_purity_unpolarized(problem: SearchProblem) -> SearchResult:
 
 def anticoherence_objective(psi: np.ndarray, S, order: int) -> float:
     """A_order of the normalized pure state with amplitudes psi."""
-    S = half(S)
     v = psi / np.linalg.norm(psi)
-    tensors = _constraint_tensors(S, order)
-    return float(sum(abs(np.vdot(v, t.conj().T @ v)) ** 2 for t in tensors))
+    c = components(np.outer(v, v.conj()), half(S), order)[1:]
+    return float(np.sum(c.real ** 2 + c.imag ** 2))
 
 
 def anticoherence_gradient(x: np.ndarray, S, order: int) -> np.ndarray:
@@ -294,13 +275,12 @@ def anticoherence_gradient(x: np.ndarray, S, order: int) -> np.ndarray:
     psi = x[:d] + 1j * x[d:]
     norm = np.linalg.norm(psi)
     v = psi / norm
-    gc = np.zeros(d, dtype=complex)
-    f = 0.0
-    for t in _constraint_tensors(S, order):
-        a = t.conj().T
-        u = complex(np.vdot(v, a @ v))
-        f += abs(u) ** 2
-        gc += u.conjugate() * (a @ v) + u * (a.conj().T @ v)
+    # with u_Kq = <v|T_Kq^dagger|v>, sum_Kq u* T^dagger v + u T v = 2 P v, where
+    # P = sum_Kq u_Kq T_Kq is the projection of |v><v| onto the rank 1..order span
+    u = components(np.outer(v, v.conj()), S, order)
+    u[0] = 0.0  # the monopole is not part of A_K
+    f = float(np.sum(u.real ** 2 + u.imag ** 2))
+    gc = 2.0 * (synthesize(u, S) @ v)
     grad_v = np.concatenate([2.0 * gc.real, 2.0 * gc.imag]) - 4.0 * f * np.concatenate([v.real, v.imag])
     return grad_v / norm  # chain rule through the normalization at general |psi|
 
@@ -379,8 +359,6 @@ def scan_two_photon_family(lams) -> list[TwoPhotonRow]:
     restricts lam to [0, 1/2].  Purity and the second-order degree are
     computed through the multipole machinery, not from closed forms.
     """
-    from .multipole import degree  # local import to keep module load light
-
     rows = []
     for lam in lams:
         lam = float(lam)
@@ -403,15 +381,6 @@ class ThreePhotonRow:
     a3: float | None
 
 
-def _three_photon_eigs(lam3: float, lam4: float) -> np.ndarray:
-    return np.array([
-        lam3 + 2.0 * lam4 - 0.5,
-        -2.0 * lam3 - 3.0 * lam4 + 1.5,
-        lam3,
-        lam4,
-    ])
-
-
 def scan_three_photon_family(kind: str, grid) -> list[ThreePhotonRow]:
     """Scan the diagonal three-photon families without first-order polarization.
 
@@ -429,7 +398,7 @@ def scan_three_photon_family(kind: str, grid) -> list[ThreePhotonRow]:
         else:
             lam4 = float(point)
             lam3 = 1.0 - 3.0 * lam4
-        eigs = _three_photon_eigs(lam3, lam4)
+        eigs = np.array(three_photon_first_order_eigs(lam3, lam4))
         if np.any(eigs < -1e-12) or np.any(eigs > 1.0 + 1e-12):
             rows.append(ThreePhotonRow(lam3, lam4, False, None, None, None, None))
             continue

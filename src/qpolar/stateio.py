@@ -49,9 +49,10 @@ def _sector_from_entry(entry: dict) -> tuple[float, SpinSector]:
     for key in ("two_S", "weight", "form", "data"):
         _require(key in entry, f"sector entry missing {key!r}")
     two_s = entry["two_S"]
-    _require(isinstance(two_s, int) and two_s >= 0, f"two_S must be a non-negative integer, got {two_s!r}")
+    _require(isinstance(two_s, int) and not isinstance(two_s, bool) and two_s >= 0,
+             f"two_S must be a non-negative integer, got {two_s!r}")
     weight = entry["weight"]
-    _require(isinstance(weight, (int, float)), "weight must be a number")
+    _require(isinstance(weight, (int, float)) and not isinstance(weight, bool), "weight must be a number")
     form = entry["form"]
     _require(form in FORMS, f"unknown form {form!r}; expected one of {FORMS}")
     data = entry["data"]

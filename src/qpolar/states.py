@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angmom import EulerAngles, HalfInt, dim, half, m_range, wigner_D
+from .angmom import EulerAngles, HalfInt, dim, half, wigner_D
 
 __all__ = [
     "DEFAULT_TOL",
@@ -182,28 +182,27 @@ def fock_sector(S, m) -> SpinSector:
     return SpinSector(S, rho, validate=False)
 
 
-def coherent_amplitudes(S, direction: Direction) -> np.ndarray:
-    """Amplitudes of the spin coherent state pointing along `direction`.
+def coherent_amplitudes(S, theta, phi) -> np.ndarray:
+    """Amplitudes of the spin coherent states pointing along (theta, phi).
 
     The state is defined by (n.S)|theta,phi> = +S|theta,phi>: the north pole
     gives |S,S>.  Component on |S,m> is
     sqrt(C(2S, S+m)) cos(theta/2)^(S+m) sin(theta/2)^(S-m) exp(-i m phi),
-    i.e. the rotation of |S,S> by Euler angles (phi, theta, 0).
+    i.e. the rotation of |S,S> by Euler angles (phi, theta, 0).  theta and
+    phi broadcast against each other; the basis index is the last axis.
     """
-    S = half(S)
-    t = S.twice
-    ch, sh = math.cos(direction.theta / 2.0), math.sin(direction.theta / 2.0)
-    amps = np.empty(t + 1, dtype=complex)
-    for i, m in enumerate(m_range(S)):
-        k = (t + m.twice) // 2  # S+m
-        mag = math.sqrt(math.comb(t, k)) * ch ** k * sh ** (t - k)
-        amps[i] = mag * np.exp(-1j * (m.twice / 2.0) * direction.phi)
-    return amps
+    t = half(S).twice
+    k = np.arange(t, -1, -1)  # S+m, m descending
+    binom = np.sqrt([float(math.comb(t, i)) for i in range(t, -1, -1)])
+    ch = np.cos(np.asarray(theta, dtype=float) / 2.0)[..., None]
+    sh = np.sin(np.asarray(theta, dtype=float) / 2.0)[..., None]
+    phase = np.exp(-1j * (k - t / 2.0) * np.asarray(phi, dtype=float)[..., None])
+    return binom * ch ** k * sh ** (t - k) * phase
 
 
 def su2_coherent(S, direction: Direction) -> SpinSector:
     """Pure spin coherent state along `direction` (eigenstate of n.S, eigenvalue +S)."""
-    amps = coherent_amplitudes(S, direction)
+    amps = coherent_amplitudes(S, direction.theta, direction.phi)
     return SpinSector(half(S), np.outer(amps, amps.conj()), validate=False)
 
 
@@ -213,6 +212,8 @@ def diag_sector(S, eigenvalues, *, tol: float = DEFAULT_TOL) -> SpinSector:
     p = np.asarray(eigenvalues, dtype=float)
     if p.shape != (dim(S),):
         raise ValueError(f"expected {dim(S)} eigenvalues for spin {S}, got {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("eigenvalues must be finite")
     if np.any(p < -tol):
         raise ValueError(f"negative entry {p.min()} in eigenvalue list")
     if abs(p.sum() - 1.0) > tol:
@@ -227,8 +228,8 @@ def pure_sector(S, amplitudes) -> SpinSector:
     if v.shape != (dim(S),):
         raise ValueError(f"expected {dim(S)} amplitudes for spin {S}, got {v.shape}")
     n = np.linalg.norm(v)
-    if n == 0:
-        raise ValueError("zero amplitude vector")
+    if n == 0 or not math.isfinite(n):
+        raise ValueError(f"amplitude norm must be finite and nonzero, got {n}")
     v = v / n
     return SpinSector(S, np.outer(v, v.conj()), validate=False)
 
@@ -283,8 +284,8 @@ class PolarizationState:
         for w, sec in entries:
             if not isinstance(sec, SpinSector):
                 raise ValueError("entries must be (weight, SpinSector) pairs")
-            if w < -tol:
-                raise ValueError(f"negative shell weight {w}")
+            if not math.isfinite(w) or w < -tol:
+                raise ValueError(f"shell weight must be finite and non-negative, got {w}")
             if sec.spin.twice in seen:
                 raise ValueError(f"duplicate shell for spin {sec.spin}")
             seen.add(sec.spin.twice)

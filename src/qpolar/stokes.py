@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .angmom import HalfInt, half
-from .multipole import coherent_cumulative_max, tensor_matrix
+from .angmom import HalfInt, _spin_arrays, half
+from .multipole import _coherent_maxima, components
 from .states import Direction, SpinSector, as_shells
 
 __all__ = [
@@ -56,29 +55,12 @@ class StokesTriple:
         return (self.sx, self.sy, self.sz)
 
 
-@lru_cache(maxsize=None)
-def _stokes_arrays(twice_s: int):
-    S = twice_s / 2.0
-    ms = np.arange(twice_s, -twice_s - 1, -2) / 2.0  # m descending
-    sz = np.diag(ms.astype(complex))
-    sp = np.zeros((twice_s + 1, twice_s + 1), dtype=complex)
-    for i in range(1, twice_s + 1):
-        m = ms[i]  # S+ |S,m> = sqrt(S(S+1) - m(m+1)) |S,m+1>
-        sp[i - 1, i] = math.sqrt(S * (S + 1) - m * (m + 1))
-    sm = sp.conj().T
-    sx = 0.5 * (sp + sm)
-    sy = -0.5j * (sp - sm)
-    for a in (sx, sy, sz):
-        a.setflags(write=False)
-    return sx, sy, sz
-
-
 def stokes_matrices(S) -> StokesTriple:
     """Stokes operator matrices (Sx, Sy, Sz) on the spin-S shell."""
     S = half(S)
     if S.twice < 0:
         raise ValueError("spin must be non-negative")
-    sx, sy, sz = _stokes_arrays(S.twice)
+    sx, sy, sz = _spin_arrays(S.twice)
     return StokesTriple(S, sx, sy, sz)
 
 
@@ -219,15 +201,14 @@ class ReconstructionResult:
     n_samples: int
 
 
-def _real_unknowns(k_max: int) -> list[tuple[int, int, int]]:
-    # (K, q, part): q = 0 real; q > 0 contributes (re, im); q < 0 fixed by hermiticity
-    out = []
-    for K in range(1, k_max + 1):
-        out.append((K, 0, 0))
-        for q in range(1, K + 1):
-            out.append((K, q, 0))
-            out.append((K, q, 1))
-    return out
+def _real_unknowns(k_max: int) -> np.ndarray:
+    # rows K, q, part: q = 0 is real; q > 0 contributes (re, im); q < 0 follows by hermiticity
+    return np.array([
+        (K, q, part)
+        for K in range(1, k_max + 1)
+        for q in range(K + 1)
+        for part in ((0,) if q == 0 else (0, 1))
+    ]).T
 
 
 def moments_to_multipoles(samples, S, k_max: int, *, rank_rtol: float = 1e-10) -> ReconstructionResult:
@@ -253,22 +234,20 @@ def moments_to_multipoles(samples, S, k_max: int, *, rank_rtol: float = 1e-10) -
             f"{len(dirs)} distinct directions cannot span rank {k_max}; "
             f"need at least {2 * k_max + 1}"
         )
-    unknowns = _real_unknowns(k_max)
     d = S.twice + 1
-    a = np.zeros((len(samples), len(unknowns)))
-    b = np.empty(len(samples))
-    for i, s in enumerate(samples):
+    powers = []
+    for s in samples:
         if s.ell < 1:
             raise ValueError("moment order must be >= 1")
-        sn = spin_along(S, s.direction)
-        snl = np.linalg.matrix_power(sn, s.ell)
-        b[i] = s.value - float(np.trace(snl).real) / d  # remove the fixed monopole part
-        for col, (K, q, part) in enumerate(unknowns):
-            t = complex(np.trace(tensor_matrix(S, K, q) @ snl))
-            if q == 0:
-                a[i, col] = t.real
-            else:
-                a[i, col] = 2.0 * t.real if part == 0 else -2.0 * t.imag
+        powers.append(np.linalg.matrix_power(spin_along(S, s.direction), s.ell))
+    powers = np.array(powers)
+    # remove the fixed monopole part
+    b = np.array([s.value for s in samples]) - np.trace(powers, axis1=1, axis2=2).real / d
+    # Tr[T_Kq (n.S)^l] is the analysis kernel applied to the transposed power
+    t = components(powers.swapaxes(1, 2), S, k_max)
+    ks, qs, parts = _real_unknowns(k_max)
+    t = t[:, ks, k_max + qs]
+    a = np.where(qs == 0, t.real, np.where(parts == 0, 2.0 * t.real, -2.0 * t.imag))
     sol, res, rank, sing = np.linalg.lstsq(a, b, rcond=None)
     if sing[0] == 0 or sing[-1] < rank_rtol * sing[0]:
         raise IllConditionedError(
@@ -278,27 +257,15 @@ def moments_to_multipoles(samples, S, k_max: int, *, rank_rtol: float = 1e-10) -
     cond = float(sing[0] / sing[-1])
     residual = float(np.linalg.norm(a @ sol - b))
 
-    comps: dict[tuple[int, int], complex] = {(0, 0): 1.0 / math.sqrt(d)}
-    for col, (K, q, part) in enumerate(unknowns):
-        if q == 0:
-            comps[(K, 0)] = complex(sol[col])
-        elif part == 0:  # the re column precedes the im column for each (K, q)
-            comps[(K, q)] = complex(sol[col], 0.0)
-        else:
-            comps[(K, q)] = complex(comps[(K, q)].real, sol[col])
-    for K in range(1, k_max + 1):
-        for q in range(1, K + 1):
-            comps[(K, -q)] = (-1) ** q * comps[(K, q)].conjugate()
-
-    W = np.zeros(k_max + 1)
-    W[0] = 1.0 / d
-    for K in range(1, k_max + 1):
-        W[K] = sum(abs(comps[(K, q)]) ** 2 for q in range(-K, K + 1))
+    c = np.zeros((k_max + 1, 2 * k_max + 1), dtype=complex)
+    c[0, k_max] = 1.0 / math.sqrt(d)
+    np.add.at(c, (ks, k_max + qs), np.where(parts == 0, sol, 1j * sol))
+    # hermiticity: rho_K,-q = (-1)^q rho_Kq^*
+    c[:, :k_max] = (c[:, k_max + 1:].conj() * (-1.0) ** np.arange(1, k_max + 1))[:, ::-1]
+    comps = {(K, q): complex(c[K, k_max + q]) for K in range(k_max + 1) for q in range(-K, K + 1)}
+    W = np.sum(c.real ** 2 + c.imag ** 2, axis=-1)
     A = np.cumsum(W[1:])
-    P = np.array([
-        math.sqrt(max(0.0, A[K - 1]) / coherent_cumulative_max(S, K))
-        for K in range(1, k_max + 1)
-    ])
+    P = np.sqrt(np.maximum(A, 0.0) / _coherent_maxima(S.twice)[:k_max])
     return ReconstructionResult(S, k_max, comps, W, A, P, cond, residual, len(samples))
 
 

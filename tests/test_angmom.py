@@ -190,14 +190,14 @@ class TestWignerSmallD:
         assert_allclose(wigner_small_d(0.5, beta), expect, atol=1e-15)
         assert_allclose(wigner_small_d(0.5, math.pi / 2)[0, 0], math.sqrt(2) / 2, atol=1e-15)
 
-    @pytest.mark.parametrize("j", [0.5, 1, 2.5, 4])
+    @pytest.mark.parametrize("j", [0.5, 1, 2.5, 4, 40, 100])
     def test_orthogonality(self, j):
         rng = np.random.default_rng(11)
         for beta in rng.uniform(-6, 6, size=5):
             d = wigner_small_d(j, beta)
             assert_allclose(d @ d.T, np.eye(d.shape[0]), atol=1e-12)
 
-    @pytest.mark.parametrize("j", [0.5, 1, 1.5, 3, 6])
+    @pytest.mark.parametrize("j", [0.5, 1, 1.5, 3, 6, 40, 100])
     def test_composition_in_beta(self, j):
         rng = np.random.default_rng(12)
         for _ in range(4):

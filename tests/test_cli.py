@@ -78,6 +78,40 @@ class TestMakeStateAndAnalyze:
         assert run_cli("analyze", state, "--tol", "-1") == 2
 
 
+def _state_file(tmp_path, sector):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"sectors": [sector]}))
+    return path
+
+
+VALID_SECTOR = {"two_S": 2, "weight": 1.0, "form": "diag", "data": [0.25, 0.5, 0.25]}
+
+
+class TestInputContract:
+    @pytest.mark.parametrize(
+        "sector,argv",
+        [
+            ({**VALID_SECTOR, "data": [math.nan, 0.5, 0.5]}, ["analyze", "{state}"]),
+            ({"two_S": True, "weight": 1.0, "form": "diag", "data": [0.5, 0.5]}, ["analyze", "{state}"]),
+            ({**VALID_SECTOR, "weight": math.nan}, ["analyze", "{state}"]),
+            ({"two_S": 1, "weight": 1.0, "form": "pure", "data": [[1e200, 0.0], [1e200, 0.0]]},
+             ["analyze", "{state}"]),
+            (VALID_SECTOR, ["analyze", "{state}", "--tol", "nan"]),
+            (None, ["search", "--two-s", 3, "--order", 1, "--class", "pure", "--restarts", 0]),
+            (None, ["search", "--two-s", 2, "--order", 1, "--class", "general", "--restarts", 0]),
+        ],
+        ids=["nan-diag", "bool-two-s", "nan-weight", "overflowing-pure", "nan-tol",
+             "pure-no-restarts", "general-no-restarts"],
+    )
+    def test_invalid_input_exits_2(self, tmp_path, capsys, sector, argv):
+        state = _state_file(tmp_path, sector) if sector is not None else None
+        capsys.readouterr()
+        assert run_cli(*[state if a == "{state}" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "unpolarization order" not in captured.out
+
+
 class TestQfunc:
     def test_grid_csv(self, tmp_path):
         state = tmp_path / "s.json"

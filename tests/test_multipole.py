@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qpolar.catalog as catalog
-from qpolar.angmom import half
+from qpolar.angmom import clebsch_gordan, half, m_range
 from qpolar.multipole import (
     analyze,
     axial_profile,
@@ -39,7 +39,26 @@ def all_tensors(S):
     return [(K, q, tensor_matrix(S, K, q)) for K in range(t + 1) for q in range(-K, K + 1)]
 
 
+def dense_tensor(twice_s, K, q):
+    """T_Kq[m', m] = sqrt((2K+1)/(2S+1)) <S m, K q | S m'>, entry by entry."""
+    S = half(twice_s / 2)
+    ms = m_range(S)
+    out = np.zeros((twice_s + 1, twice_s + 1))
+    for col, m in enumerate(ms):
+        for row, mp in enumerate(ms):
+            if mp.twice == m.twice + 2 * q:  # the CG selection rule zeroes the rest
+                out[row, col] = math.sqrt((2 * K + 1) / (twice_s + 1)) * float(
+                    clebsch_gordan(S, m, K, q, S, mp)
+                )
+    return out
+
+
 class TestTensorBasis:
+    @pytest.mark.parametrize("twice_s", [*range(1, 13), 25])
+    def test_matches_dense_clebsch_gordan_build(self, twice_s):
+        for K, q, t in all_tensors(twice_s / 2):
+            assert_allclose(t, dense_tensor(twice_s, K, q), rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize("twice_s", range(1, 13))
     def test_orthonormal_basis(self, twice_s):
         mats = np.stack([m for _, _, m in all_tensors(twice_s / 2)])

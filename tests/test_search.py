@@ -17,7 +17,7 @@ from qpolar.search import (
     scan_three_photon_family,
     scan_two_photon_family,
 )
-from qpolar.states import random_sector, validate
+from qpolar.states import SpinSector, random_sector, validate
 
 
 def polytope_grid_oracle(twice_s, order, rounds=6, n=61):
@@ -90,6 +90,24 @@ class TestProjector:
         spec = state_multipoles(sec)
         for q in range(-3, 4):
             assert abs(np.vdot(tensor_matrix(1.5, 3, q), out) - spec.component(3, q)) < 1e-12
+
+    @pytest.mark.parametrize("twice_s", [1, 2, 3, 6, 10])
+    def test_idempotent_and_removes_exactly_ranks_through_order(self, twice_s):
+        rng = np.random.default_rng(51 + twice_s)
+        S = twice_s / 2
+        for order in range(1, twice_s + 1):
+            rho = random_sector(S, rng).rho
+            out = project_multipole_free(rho, S, order)
+            assert_allclose(project_multipole_free(out, S, order), out, atol=1e-14)
+            before = state_multipoles(SpinSector(S, rho, validate=False))
+            after = state_multipoles(SpinSector(S, out, validate=False))
+            for (K, q), c in after.components.items():
+                if K == 0:
+                    assert abs(c - 1 / math.sqrt(twice_s + 1)) < 1e-14
+                elif K <= order:
+                    assert abs(c) < 1e-14
+                else:
+                    assert abs(c - before.component(K, q)) < 1e-14
 
 
 class TestDiagonalSolver:

@@ -67,6 +67,10 @@ def test_metadata_block_survives(tmp_path):
         {"sectors": [{"two_S": 1, "weight": 1.0, "form": "fock", "data": {"two_m": 3}}]},
         {"sectors": [{"two_S": 1, "weight": 0.4, "form": "fock", "data": {"two_m": 1}},
                      {"two_S": 1, "weight": 0.6, "form": "fock", "data": {"two_m": -1}}]},
+        {"sectors": [{"two_S": 2, "weight": 1.0, "form": "diag", "data": [math.nan, 0.5, 0.5]}]},
+        {"sectors": [{"two_S": True, "weight": 1.0, "form": "diag", "data": [0.5, 0.5]}]},
+        {"sectors": [{"two_S": 1, "weight": math.nan, "form": "diag", "data": [0.5, 0.5]}]},
+        {"sectors": [{"two_S": 1, "weight": 1.0, "form": "pure", "data": [[1e200, 0.0], [1e200, 0.0]]}]},
     ],
 )
 def test_schema_violations_raise(obj):

@@ -74,7 +74,7 @@ class TestCoherent:
         S = twice_s / 2
         for _ in range(3):
             d = random_direction(rng)
-            psi = coherent_amplitudes(S, d)
+            psi = coherent_amplitudes(S, d.theta, d.phi)
             sn = spin_along(S, d)
             assert np.linalg.norm(sn @ psi - S * psi) < 1e-10
 
@@ -137,6 +137,16 @@ class TestRotate:
                 atol=1e-10,
             )
             assert abs(rot.purity() - sec.purity()) < 1e-12
+
+    @pytest.mark.parametrize("twice_s", [80, 200])
+    def test_spectrum_and_purity_preserved_at_high_spin(self, twice_s):
+        rng = np.random.default_rng(twice_s)
+        sec = random_sector(twice_s / 2, rng)
+        for _ in range(3):
+            rot = rotate(sec, random_angles(rng))
+            assert_allclose(np.linalg.eigvalsh(rot.rho), np.linalg.eigvalsh(sec.rho), atol=1e-12)
+            assert abs(rot.purity() - sec.purity()) < 1e-12
+            assert abs(np.trace(rot.rho) - 1.0) < 1e-12
 
 
 class TestMix:
