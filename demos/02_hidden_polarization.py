@@ -29,7 +29,7 @@ from qpolar.catalog import (
     max_purity_second_order_diag,
     three_photon_pole_superposition,
 )
-from qpolar.stokes import fibonacci_directions
+from qpolar.stokes import tomography_directions
 
 probes = [Direction(0.0, 0.0), Direction(np.pi / 2, 0.0), Direction(1.1, 2.5)]
 
@@ -78,7 +78,7 @@ print(f"  aggregate order = {report.aggregate_order} (the highest rank any shell
 
 # Sanity check on a dense direction set: every moment of the thermal state
 # is flat over the sphere.
-dirs = fibonacci_directions(60)
+dirs = tomography_directions(60)
 spread = max(
     max(directional_moment(thermal, d, ell) for d in dirs)
     - min(directional_moment(thermal, d, ell) for d in dirs)

@@ -55,7 +55,6 @@ from .stokes import (
     IllConditionedError,
     StokesTriple,
     directional_moment,
-    fibonacci_directions,
     isotropy_order,
     moments_to_multipoles,
     sample_moments,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 invalid input, 3 infeasible or ill-conditioned,
 4 internal tolerance failure.  All outputs are deterministic for fixed
-inputs and seed, and every report records the tolerance and seed used.
+inputs (and `--seed` for search); analysis tables record their tolerance
+and search reports their seed.
 """
 
 from __future__ import annotations
@@ -34,6 +35,13 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise ValueError(f"--grid expects NTHETAxNPHI, e.g. 64x128; got {text!r}") from exc
 
 
+def _bounded_two_s(two_s: int) -> int:
+    """A --two-s argument, refused above the bound that state files have."""
+    if two_s > stateio.MAX_TWO_S:
+        raise ValueError(f"--two-s {two_s} exceeds the supported maximum {stateio.MAX_TWO_S}")
+    return two_s
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -53,11 +61,8 @@ def _spectrum_csv_lines(two_s: int, spec) -> list[str]:
     return lines
 
 
-def _write_report_csv(path, report: multipole.PolarizationReport, *, seed=None) -> None:
-    lines = ["# multipole report", f"# tol={report.tol!r}"]
-    if seed is not None:
-        lines.append(f"# seed={seed}")
-    lines.append("two_S,K,q,re,im,W_K,A_K,P_K")
+def _write_report_csv(path, report: multipole.PolarizationReport) -> None:
+    lines = ["# multipole report", f"# tol={report.tol!r}", "two_S,K,q,re,im,W_K,A_K,P_K"]
     for shell in report.shells:
         spec = shell.spectrum
         lines.append(
@@ -128,8 +133,9 @@ def cmd_qfunc(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    spin = _bounded_two_s(args.two_s) / 2.0
     samples = stokes.read_moments(args.moments)
-    result = stokes.moments_to_multipoles(samples, args.two_s / 2.0, args.order)
+    result = stokes.moments_to_multipoles(samples, spin, args.order)
     print(f"reconstruction two_S={args.two_s} K_max={args.order}: "
           f"{result.n_samples} samples, condition number {result.condition_number:.6g}, "
           f"residual {result.residual:.3e}")
@@ -158,7 +164,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_search(args) -> int:
-    spin = args.two_s / 2.0
+    spin = _bounded_two_s(args.two_s) / 2.0
     if args.cls == "pure":
         result = search.pure_anticoherent_search(
             spin, args.order, restarts=args.restarts, seed=args.seed
@@ -197,7 +203,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    lines = [f"# scan family={args.family} points={args.points} seed={args.seed}"]
+    lines = [f"# scan family={args.family} points={args.points}"]
     if args.family == "two-photon":
         rows = search.scan_two_photon_family(np.linspace(0.0, 0.5, args.points))
         lines.append("lam,purity,P_2")
@@ -242,7 +248,7 @@ def cmd_make_state(args) -> int:
         if v is not None:
             extra[key] = v
     if args.two_s is not None:
-        extra["two_s"] = args.two_s
+        extra["two_s"] = _bounded_two_s(args.two_s)
     obj = catalog.preset_state(args.name, **extra)
     import json
 
@@ -283,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--two-s", dest="two_s", type=int, required=True)
     ps.add_argument("--order", type=int, required=True)
     ps.add_argument("--class", dest="cls", default="general",
-                    choices=sorted(set(search.CONSTRAINT_CLASSES) | {"diagonal", "axial"}))
+                    choices=sorted(search._CLASS_ALIASES))
     ps.add_argument("--restarts", type=int, default=64)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--out")
@@ -293,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--family", required=True,
                     choices=["two-photon", "three-photon-first", "three-photon-second"])
     pc.add_argument("--points", type=int, default=101)
-    pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--out")
     pc.set_defaults(func=cmd_scan)
 

@@ -65,7 +65,8 @@ class QGrid:
 
 def _q(rho: np.ndarray, amps: np.ndarray) -> np.ndarray:
     """<n|rho|n> for coherent amplitudes with any leading axes."""
-    return np.einsum("...i,ij,...j->...", amps.conj(), rho, amps).real
+    # Re <a|b> with b = rho a, as one real dot over the interleaved (re, im) parts
+    return np.einsum("...k,...k->...", amps.view(float), (amps @ rho.T).view(float))
 
 
 def q_values(sector: SpinSector, directions) -> np.ndarray:

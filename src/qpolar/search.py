@@ -56,6 +56,12 @@ _CLASS_ALIASES = {
     "pure": "pure",
 }
 
+# fixed solver settings
+FEAS_TOL = 1e-12          # PSD tolerance of the alternating projections during the ascent
+ASCENT_MAX_STEPS = 400    # inflate-and-project steps per general restart
+PURE_MAX_ITER = 4000      # descent iterations per pure restart
+PURE_GTOL = 1e-13         # gradient norm at which a pure restart has converged
+
 
 class InfeasibleError(ValueError):
     """The requested constraint class / order combination has no feasible state."""
@@ -63,16 +69,13 @@ class InfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class SearchProblem:
-    """Search setup: shell spin, unpolarization order, constraint class, solver knobs."""
+    """Search setup: shell spin, unpolarization order, constraint class, restarts, seed."""
 
     spin: HalfInt
     order: int
     constraint_class: str = "general"
-    objective: str = "maximize purity"
     restarts: int = 64
     seed: int = 0
-    feas_tol: float = 1e-12
-    max_iter: int = 400
 
     def __post_init__(self):
         object.__setattr__(self, "spin", half(self.spin))
@@ -109,7 +112,11 @@ class SearchResult:
     residual: float           # A_K at the solution
     digest: str
     history: tuple[RestartRecord, ...]
-    feasible_start_purity: float
+
+    @property
+    def feasible_start_purity(self) -> float:
+        """Purity of the maximally mixed state, the start every class can reach."""
+        return 1.0 / (self.problem.spin.twice + 1)
 
     @property
     def is_anticoherent(self) -> bool:
@@ -146,8 +153,8 @@ def _feasible_point(rho: np.ndarray, S: HalfInt, order: int, tol: float, max_ite
         out = project_multipole_free(out, S, order)
         sym = 0.5 * (out + out.conj().T)
         vals, vecs = np.linalg.eigh(sym)
-        mp_res = np.abs(components(out, S, order)[1:]).max()
-        if vals[0] >= -tol and mp_res <= tol:
+        # the multipoles of `out` were just projected out; only the PSD test can fail
+        if vals[0] >= -tol:
             return out
         out = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
     raise InfeasibleError(
@@ -157,13 +164,13 @@ def _feasible_point(rho: np.ndarray, S: HalfInt, order: int, tol: float, max_ite
 
 def _ascend_general(problem: SearchProblem, rho0: np.ndarray):
     S, order = problem.spin, problem.order
-    rho = _feasible_point(rho0, S, order, problem.feas_tol)
+    rho = _feasible_point(rho0, S, order, FEAS_TOL)
     best = float(np.vdot(rho, rho).real)
     step = 0.5
     iters = 0
-    while step > 1e-10 and iters < problem.max_iter:
+    while step > 1e-10 and iters < ASCENT_MAX_STEPS:
         iters += 1
-        cand = _feasible_point((1.0 + step) * rho, S, order, problem.feas_tol)
+        cand = _feasible_point((1.0 + step) * rho, S, order, FEAS_TOL)
         p = float(np.vdot(cand, cand).real)
         if p > best + 1e-15:
             rho, best = cand, p
@@ -233,7 +240,7 @@ def max_purity_unpolarized(problem: SearchProblem) -> SearchResult:
         state, best, history = _solve_diagonal(problem)
         return SearchResult(
             problem, state, best, _residual_a_k(state, problem.order),
-            _digest(history), history, 1.0 / d,
+            _digest(history), history,
         )
 
     rng = np.random.default_rng(problem.seed)
@@ -251,7 +258,7 @@ def max_purity_unpolarized(problem: SearchProblem) -> SearchResult:
     history = tuple(history)
     return SearchResult(
         problem, best_state, best_p, _residual_a_k(best_state, problem.order),
-        _digest(history), history, 1.0 / d,
+        _digest(history), history,
     )
 
 
@@ -285,14 +292,14 @@ def anticoherence_gradient(x: np.ndarray, S, order: int) -> np.ndarray:
     return grad_v / norm  # chain rule through the normalization at general |psi|
 
 
-def _descend_pure(S: HalfInt, order: int, x0: np.ndarray, max_iter: int, gtol: float):
+def _descend_pure(S: HalfInt, order: int, x0: np.ndarray):
     d = S.twice + 1
     x = x0 / np.linalg.norm(x0)
     f = anticoherence_objective(x[:d] + 1j * x[d:], S, order)
-    for it in range(max_iter):
+    for it in range(PURE_MAX_ITER):
         g = anticoherence_gradient(x, S, order)
         gn = float(np.linalg.norm(g))
-        if gn < gtol or f < 1e-24:
+        if gn < PURE_GTOL or f < 1e-24:
             return x, f, it
         t = 0.25
         for _ in range(60):
@@ -305,34 +312,24 @@ def _descend_pure(S: HalfInt, order: int, x0: np.ndarray, max_iter: int, gtol: f
         else:
             return x, f, it
         x, f = y, fy
-    return x, f, max_iter
+    return x, f, PURE_MAX_ITER
 
 
-def pure_anticoherent_search(
-    S,
-    order: int,
-    restarts: int = 64,
-    seed: int = 0,
-    max_iter: int = 4000,
-    gtol: float = 1e-13,
-) -> SearchResult:
+def pure_anticoherent_search(S, order: int, restarts: int = 64, seed: int = 0) -> SearchResult:
     """Minimize A_order over pure states; certifies anticoherence when it hits 0.
 
     Non-existence is a reported outcome (a strictly positive minimum), not an
     error: e.g. every pure spin-1/2 state is coherent, so the order-1 minimum
     is 1/2.
     """
-    problem = SearchProblem(
-        half(S), order, constraint_class="pure", objective="minimize A_K",
-        restarts=restarts, seed=seed,
-    )
+    problem = SearchProblem(half(S), order, constraint_class="pure", restarts=restarts, seed=seed)
     d = problem.spin.twice + 1
     rng = np.random.default_rng(seed)
     history = []
     best_x, best_f = None, math.inf
     for i in range(restarts):
         x0 = rng.standard_normal(2 * d)
-        x, f, iters = _descend_pure(problem.spin, order, x0, max_iter, gtol)
+        x, f, iters = _descend_pure(problem.spin, order, x0)
         history.append(RestartRecord(i, f, f, iters))
         if f < best_f:
             best_x, best_f = x, f
@@ -340,9 +337,7 @@ def pure_anticoherent_search(
     psi = best_x[:d] + 1j * best_x[d:]
     psi /= np.linalg.norm(psi)
     state = SpinSector(problem.spin, np.outer(psi, psi.conj()), validate=False)
-    return SearchResult(
-        problem, state, best_f, best_f, _digest(history), history, 1.0 / d,
-    )
+    return SearchResult(problem, state, best_f, best_f, _digest(history), history)
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,10 @@ from .states import (
     su2_coherent,
 )
 
-__all__ = ["SchemaError", "state_from_dict", "state_to_dict", "load_state", "save_state"]
+__all__ = ["MAX_TWO_S", "SchemaError", "state_from_dict", "state_to_dict", "load_state", "save_state"]
 
 FORMS = ("matrix", "diag", "pure", "fock", "coherent")
+MAX_TWO_S = 200  # the spin range the numerics are verified over (see README)
 
 
 class SchemaError(ValueError):
@@ -51,6 +52,7 @@ def _sector_from_entry(entry: dict) -> tuple[float, SpinSector]:
     two_s = entry["two_S"]
     _require(isinstance(two_s, int) and not isinstance(two_s, bool) and two_s >= 0,
              f"two_S must be a non-negative integer, got {two_s!r}")
+    _require(two_s <= MAX_TWO_S, f"two_S = {two_s} exceeds the supported maximum {MAX_TWO_S}")
     weight = entry["weight"]
     _require(isinstance(weight, (int, float)) and not isinstance(weight, bool), "weight must be a number")
     form = entry["form"]

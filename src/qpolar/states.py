@@ -227,7 +227,8 @@ def pure_sector(S, amplitudes) -> SpinSector:
     v = np.asarray(amplitudes, dtype=complex)
     if v.shape != (dim(S),):
         raise ValueError(f"expected {dim(S)} amplitudes for spin {S}, got {v.shape}")
-    n = np.linalg.norm(v)
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected just below
+        n = np.linalg.norm(v)
     if n == 0 or not math.isfinite(n):
         raise ValueError(f"amplitude norm must be finite and nonzero, got {n}")
     v = v / n

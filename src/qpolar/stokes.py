@@ -26,7 +26,6 @@ __all__ = [
     "directional_moment",
     "total_variance",
     "isotropy_order",
-    "fibonacci_directions",
     "MomentSample",
     "sample_moments",
     "ReconstructionResult",
@@ -105,18 +104,6 @@ def total_variance(obj) -> float:
     return sq - float(np.dot(mean, mean))
 
 
-def fibonacci_directions(n: int) -> list[Direction]:
-    """Deterministic low-discrepancy spiral of n directions on the sphere."""
-    if n < 1:
-        raise ValueError("need at least one direction")
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    out = []
-    for i in range(n):
-        z = 1.0 - 2.0 * (i + 0.5) / n
-        out.append(Direction(math.acos(z), (i * golden) % (2.0 * math.pi)))
-    return out
-
-
 def tomography_directions(n: int) -> list[Direction]:
     """Well-spread deterministic directions for minimal moment tomography.
 
@@ -125,6 +112,8 @@ def tomography_directions(n: int) -> list[Direction]:
     makes small sets rank deficient); a quadratic azimuth offset breaks the
     arithmetic progression while keeping the set deterministic.
     """
+    if n < 1:
+        raise ValueError("need at least one direction")
     golden = math.pi * (3.0 - math.sqrt(5.0))
     out = []
     for i in range(n):
@@ -157,7 +146,7 @@ def isotropy_order(
         raise ValueError(
             f"need at least 2*max_ell+1 = {2 * max_ell + 1} directions, got {n_directions}"
         )
-    dirs = fibonacci_directions(n_directions) + list(extra_directions or [])
+    dirs = tomography_directions(n_directions) + list(extra_directions or [])
     table = np.stack([_moments_up_to(sector, d, max_ell) for d in dirs])
     order = 0
     for ell in range(1, max_ell + 1):

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from qpolar.catalog import PRESETS
 from qpolar.cli import main
 from qpolar.husimi import read_qgrid
-from qpolar.stateio import load_state
+from qpolar.stateio import MAX_TWO_S, load_state
 from qpolar.states import diag_sector
 from qpolar.stokes import sample_moments, tomography_directions, write_moments
 
@@ -110,6 +110,12 @@ class TestInputContract:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert "unpolarization order" not in captured.out
+
+    @pytest.mark.parametrize("command", [["search", "--order", 1], ["make-state", "eq15-coherent"]])
+    def test_two_s_above_bound_exits_2(self, tmp_path, capsys, command):
+        capsys.readouterr()
+        assert run_cli(*command, "--two-s", 10**9, "--out", tmp_path / "s.json") == 2
+        assert f"maximum {MAX_TWO_S}" in capsys.readouterr().err
 
 
 class TestQfunc:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qpolar.stateio import SchemaError, load_state, save_state, state_from_dict, state_to_dict
+from qpolar.stateio import MAX_TWO_S, SchemaError, load_state, save_state, state_from_dict, state_to_dict
 from qpolar.states import assemble, maximally_mixed, random_sector
 
 
@@ -75,6 +75,12 @@ def test_metadata_block_survives(tmp_path):
 )
 def test_schema_violations_raise(obj):
     with pytest.raises(SchemaError):
+        state_from_dict(obj)
+
+
+def test_two_s_above_bound_rejected_before_payload():
+    obj = {"sectors": [{"two_S": 10**9, "weight": 1.0, "form": "diag", "data": [1.0]}]}
+    with pytest.raises(SchemaError, match=f"maximum {MAX_TWO_S}"):
         state_from_dict(obj)
 
 

@@ -1,6 +1,7 @@
 """Shell density matrices: constructors, rotation, mixing, validation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,12 @@ class TestDiagAndPure:
         assert_allclose(pure_sector(0.5, [2.0, 0.0]).rho, np.diag([1.0, 0.0]), atol=1e-15)
         with pytest.raises(ValueError):
             pure_sector(1, [0, 0, 0])
+
+    def test_pure_rejects_overflowing_norm_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                pure_sector(0.5, [1e200, 1e200])
 
 
 class TestRotate:

@@ -25,7 +25,6 @@ from qpolar.stokes import (
     IllConditionedError,
     MomentSample,
     directional_moment,
-    fibonacci_directions,
     isotropy_order,
     moments_to_multipoles,
     read_moments,
@@ -178,13 +177,17 @@ class TestReconstruction:
         with pytest.raises(IllConditionedError):
             moments_to_multipoles(samples, 1, 2)
 
+    def test_needs_at_least_one_direction(self):
+        with pytest.raises(ValueError):
+            tomography_directions(0)
+
     def test_k_max_validation(self):
         with pytest.raises(ValueError):
             moments_to_multipoles([MomentSample(Direction(0, 0), 1, 0.0)], 1, 3)
 
     def test_moments_csv_round_trip(self, tmp_path):
         sec = diag_sector(1, [0.2, 0.6, 0.2])
-        samples = sample_moments(sec, fibonacci_directions(5), 2)
+        samples = sample_moments(sec, tomography_directions(5), 2)
         path = tmp_path / "m.csv"
         write_moments(samples, path)
         back = read_moments(path)
