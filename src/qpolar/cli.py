@@ -187,6 +187,8 @@ def cmd_search(args) -> int:
               f"{result.objective:.12g}")
         print(f"constraint residual A_{args.order} = {result.residual:.3e}")
     print(f"seed={args.seed} restarts={args.restarts} digest={result.digest[:16]}")
+    stops = result.stop_reasons
+    print("stop reasons: " + " ".join(f"{r}={n}" for r, n in stops.items()))
     if args.out:
         metadata = {
             "objective": result.objective,
@@ -196,6 +198,7 @@ def cmd_search(args) -> int:
             "restarts": args.restarts,
             "seed": args.seed,
             "digest": result.digest,
+            "stop_reasons": stops,
         }
         stateio.save_state(result.state, args.out, metadata=metadata)
         print(f"wrote {args.out}")

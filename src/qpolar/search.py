@@ -12,6 +12,11 @@ Three solvers cover the constraint classes:
 * pure — gradient descent of A_K on the normalized amplitude manifold with
   random restarts; convergence to A_K < 1e-10 is an existence certificate
   for an anticoherent state of that order, a reported minimum otherwise.
+
+Every restart records why it ended, one of `STOP_REASONS`: "converged"
+(the solver's own optimality test held), "stalled" (a pure descent could no
+longer lower A_K at float resolution) or "max-iter" (its iteration budget
+ran out).
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ __all__ = [
     "CONSTRAINT_CLASSES",
     "SearchProblem",
     "RestartRecord",
+    "STOP_REASONS",
     "SearchResult",
     "InfeasibleError",
     "max_purity_unpolarized",
@@ -61,6 +67,8 @@ FEAS_TOL = 1e-12          # PSD tolerance of the alternating projections during 
 ASCENT_MAX_STEPS = 400    # inflate-and-project steps per general restart
 PURE_MAX_ITER = 4000      # descent iterations per pure restart
 PURE_GTOL = 1e-13         # gradient norm at which a pure restart has converged
+
+STOP_REASONS = ("converged", "stalled", "max-iter")
 
 
 class InfeasibleError(ValueError):
@@ -100,6 +108,7 @@ class RestartRecord:
     objective: float
     residual: float
     iterations: int
+    reason: str               # one of STOP_REASONS
 
 
 @dataclass(frozen=True)
@@ -119,6 +128,11 @@ class SearchResult:
         return 1.0 / (self.problem.spin.twice + 1)
 
     @property
+    def stop_reasons(self) -> dict[str, int]:
+        """How many restarts ended for each of `STOP_REASONS`, in that order."""
+        return {r: sum(rec.reason == r for rec in self.history) for r in STOP_REASONS}
+
+    @property
     def is_anticoherent(self) -> bool:
         """For pure searches: the minimum qualifies as A_K = 0 at numerical precision."""
         return self.residual < 1e-10
@@ -128,7 +142,7 @@ def _digest(history) -> str:
     h = hashlib.sha256()
     for rec in history:
         h.update(
-            f"{rec.index}:{rec.objective.hex()}:{rec.residual.hex()}:{rec.iterations}\n".encode()
+            f"{rec.index}:{rec.objective.hex()}:{rec.residual.hex()}:{rec.iterations}:{rec.reason}\n".encode()
         )
     return h.hexdigest()
 
@@ -177,7 +191,8 @@ def _ascend_general(problem: SearchProblem, rho0: np.ndarray):
         else:
             step *= 0.5
     rho = _feasible_point(rho, S, order, 1e-13, max_iter=20000)
-    return rho, float(np.vdot(rho, rho).real), iters
+    reason = "converged" if step <= 1e-10 else "max-iter"
+    return rho, float(np.vdot(rho, rho).real), iters, reason
 
 
 def _diag_constraint_rows(S: HalfInt, order: int) -> np.ndarray:
@@ -217,7 +232,7 @@ def _solve_diagonal(problem: SearchProblem):
     for i, v in enumerate(verts):
         p = float(np.dot(v, v))
         sec = diag_sector(problem.spin, v / v.sum())
-        history.append(RestartRecord(i, p, _residual_a_k(sec, problem.order), 1))
+        history.append(RestartRecord(i, p, _residual_a_k(sec, problem.order), 1, "converged"))
         if p > best_p + 1e-15:
             best_v, best_p = v, p
     state = diag_sector(problem.spin, best_v / best_v.sum())
@@ -250,9 +265,9 @@ def max_purity_unpolarized(problem: SearchProblem) -> SearchResult:
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         start = g @ g.conj().T
         start /= np.trace(start).real
-        rho, p, iters = _ascend_general(problem, start)
+        rho, p, iters, reason = _ascend_general(problem, start)
         sec = SpinSector(problem.spin, rho, validate=False)
-        history.append(RestartRecord(i, p, _residual_a_k(sec, problem.order), iters))
+        history.append(RestartRecord(i, p, _residual_a_k(sec, problem.order), iters, reason))
         if p > best_p + 1e-15:
             best_state, best_p = sec, p
     history = tuple(history)
@@ -300,7 +315,7 @@ def _descend_pure(S: HalfInt, order: int, x0: np.ndarray):
         g = anticoherence_gradient(x, S, order)
         gn = float(np.linalg.norm(g))
         if gn < PURE_GTOL or f < 1e-24:
-            return x, f, it
+            return x, f, it, "converged"
         t = 0.25
         for _ in range(60):
             y = x - t * g
@@ -310,9 +325,13 @@ def _descend_pure(S: HalfInt, order: int, x0: np.ndarray):
                 break
             t *= 0.5
         else:
-            return x, f, it
+            return x, f, it, "stalled"
+        # the Armijo test accepts fy == f once the decrease it asks for is
+        # below the float resolution of f: a step that does not lower f ends it
+        if fy >= f:
+            return x, f, it, "stalled"
         x, f = y, fy
-    return x, f, PURE_MAX_ITER
+    return x, f, PURE_MAX_ITER, "max-iter"
 
 
 def pure_anticoherent_search(S, order: int, restarts: int = 64, seed: int = 0) -> SearchResult:
@@ -329,8 +348,8 @@ def pure_anticoherent_search(S, order: int, restarts: int = 64, seed: int = 0) -
     best_x, best_f = None, math.inf
     for i in range(restarts):
         x0 = rng.standard_normal(2 * d)
-        x, f, iters = _descend_pure(problem.spin, order, x0)
-        history.append(RestartRecord(i, f, f, iters))
+        x, f, iters, reason = _descend_pure(problem.spin, order, x0)
+        history.append(RestartRecord(i, f, f, iters, reason))
         if f < best_f:
             best_x, best_f = x, f
     history = tuple(history)

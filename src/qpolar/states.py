@@ -142,6 +142,8 @@ class SpinSector:
         if rho.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} matrix for spin {spin}, got {rho.shape}")
         if validate:
+            if not np.all(np.isfinite(rho)):
+                raise ValueError("invalid density matrix: non-finite entries")
             report = _diagnose(rho, tol)
             if not report.ok:
                 raise ValueError(f"invalid density matrix: {report.message()}")

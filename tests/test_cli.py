@@ -1,17 +1,20 @@
 """CLI surface: subcommands, file outputs, exit codes, determinism."""
 
+import copy
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qpolar.catalog import PRESETS
 from qpolar.cli import main
 from qpolar.husimi import read_qgrid
-from qpolar.stateio import MAX_TWO_S, load_state
+from qpolar.stateio import MAX_TWO_S, SchemaError, load_state, state_from_dict
 from qpolar.states import diag_sector
 from qpolar.stokes import sample_moments, tomography_directions, write_moments
 
@@ -87,6 +90,43 @@ def _state_file(tmp_path, sector):
 VALID_SECTOR = {"two_S": 2, "weight": 1.0, "form": "diag", "data": [0.25, 0.5, 0.25]}
 
 
+def _maximally_mixed_entry(two_s, form, weight):
+    """A valid shell: I/d as diag or matrix, or the equal-amplitude pure state."""
+    d = two_s + 1
+    if form == "diag":
+        data = [1.0 / d] * d
+    elif form == "matrix":
+        data = [[[1.0 / d if r == c else 0.0, 0.0] for c in range(d)] for r in range(d)]
+    else:  # pure
+        data = [[1.0 / math.sqrt(d), 0.0] for _ in range(d)]
+    return {"two_S": two_s, "weight": weight, "form": form, "data": data}
+
+
+@st.composite
+def non_finite_states(draw):
+    """A valid state of 1-3 shells, and a copy with one number made nan, +inf or -inf."""
+    spins = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True))
+    valid = {"sectors": [
+        _maximally_mixed_entry(t, draw(st.sampled_from(["diag", "matrix", "pure"])), 1.0 / len(spins))
+        for t in spins
+    ]}
+    bad = copy.deepcopy(valid)
+    entry = bad["sectors"][draw(st.integers(0, len(spins) - 1))]
+    value = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    if draw(st.booleans()):
+        entry["weight"] = value
+        return valid, bad
+    index = draw(st.integers(0, entry["two_S"]))
+    if entry["form"] == "diag":
+        entry["data"][index] = value
+        return valid, bad
+    row = entry["data"][index]
+    if entry["form"] == "matrix":
+        row = row[draw(st.integers(0, entry["two_S"]))]
+    row[draw(st.integers(0, 1))] = value
+    return valid, bad
+
+
 class TestInputContract:
     @pytest.mark.parametrize(
         "sector,argv",
@@ -110,6 +150,17 @@ class TestInputContract:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert "unpolarization order" not in captured.out
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(states=non_finite_states())
+    def test_non_finite_value_exits_2(self, tmp_path, states):
+        valid, bad = states
+        state_from_dict(valid)  # the injected value is the only fault
+        with pytest.raises(SchemaError):
+            state_from_dict(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))  # nan and ±inf are written as NaN and ±Infinity
+        assert main(["analyze", str(path)]) == 2
 
     @pytest.mark.parametrize("command", [["search", "--order", 1], ["make-state", "eq15-coherent"]])
     def test_two_s_above_bound_exits_2(self, tmp_path, capsys, command):
@@ -182,6 +233,18 @@ class TestSearchAndScan:
                        "--restarts", 6) == 0
         text = capsys.readouterr().out
         assert "no pure solution; min A_1 = 0.5" in text
+
+    def test_pure_search_stalls_at_the_three_photon_minimum(self, tmp_path, capsys):
+        # no pure three-photon state is second-order unpolarized; each of the
+        # 64 default restarts must stop at A_2 = 1/4 well before its budget
+        out = tmp_path / "best.json"
+        capsys.readouterr()
+        assert run_cli("search", "--two-s", 3, "--order", 2, "--class", "pure", "--out", out) == 0
+        text = capsys.readouterr().out
+        assert "min A_2 = 0.25" in text
+        assert "stop reasons: converged=0 stalled=64 max-iter=0" in text
+        stops = json.loads(out.read_text())["metadata"]["stop_reasons"]
+        assert list(stops.items()) == [("converged", 0), ("stalled", 64), ("max-iter", 0)]
 
     def test_scan_two_photon(self, tmp_path):
         out = tmp_path / "fig1.csv"

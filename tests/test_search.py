@@ -1,13 +1,18 @@
 """Extremal-state searches: exact vertex solutions, projected ascent, pure descent."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from qpolar import search
 from qpolar.multipole import state_multipoles, tensor_matrix, unpolarization_order
 from qpolar.search import (
+    STOP_REASONS,
     SearchProblem,
     anticoherence_gradient,
     anticoherence_objective,
@@ -239,6 +244,47 @@ class TestPureSearch:
             # noise, and the S=1/2 order-1 objective is exactly constant
             denom = max(np.linalg.norm(g), np.linalg.norm(fd), 1e-4)
             assert np.linalg.norm(g - fd) / denom < 1e-6
+
+
+class TestStopReasons:
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_pure_descent_stalls_at_the_three_photon_minimum(self, seed):
+        # no pure three-photon state is second-order unpolarized: min A_2 = 1/4
+        res = pure_anticoherent_search(1.5, 2, restarts=1, seed=seed)
+        (rec,) = res.history
+        assert rec.reason == "stalled"
+        assert rec.iterations < 200
+        assert abs(res.objective - 0.25) < 1e-12
+
+    def test_stall_test_never_cuts_a_converging_descent(self):
+        res = pure_anticoherent_search(3, 3, restarts=4, seed=0)
+        assert [rec.reason for rec in res.history] == ["converged"] * 4
+        assert res.objective < 1e-24
+
+    def test_pure_iteration_budget(self, monkeypatch):
+        monkeypatch.setattr(search, "PURE_MAX_ITER", 5)
+        res = pure_anticoherent_search(3, 3, restarts=2, seed=0)
+        assert [(rec.reason, rec.iterations) for rec in res.history] == [("max-iter", 5)] * 2
+
+    def test_general_step_budget(self, monkeypatch):
+        monkeypatch.setattr(search, "ASCENT_MAX_STEPS", 5)
+        res = max_purity_unpolarized(SearchProblem(1, 1, restarts=2))
+        assert [(rec.reason, rec.iterations) for rec in res.history] == [("max-iter", 5)] * 2
+
+    def test_general_and_diagonal_restarts_converge(self):
+        general = max_purity_unpolarized(SearchProblem(1, 1, restarts=2))
+        diagonal = max_purity_unpolarized(SearchProblem(1.5, 1, constraint_class="diagonal"))
+        for res in (general, diagonal):
+            assert {rec.reason for rec in res.history} == {"converged"}
+            assert res.stop_reasons == {"converged": len(res.history), "stalled": 0, "max-iter": 0}
+            assert tuple(res.stop_reasons) == STOP_REASONS
+
+    def test_reason_enters_the_digest(self):
+        res = pure_anticoherent_search(1.5, 2, restarts=1, seed=0)
+        (rec,) = res.history
+        relabelled = dataclasses.replace(rec, reason="max-iter")
+        assert search._digest((relabelled,)) != res.digest
 
 
 class TestScans:
