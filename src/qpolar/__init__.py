@@ -32,7 +32,6 @@ from .states import (
     pure_sector,
     purity,
     random_direction,
-    random_pure_sector,
     random_sector,
     rotate,
     su2_coherent,
@@ -40,7 +39,6 @@ from .states import (
 )
 from .multipole import (
     MultipoleSpectrum,
-    TensorOperator,
     analyze,
     axial_profile,
     coherent_cumulative_max,
@@ -48,7 +46,6 @@ from .multipole import (
     degree,
     state_multipoles,
     strengths,
-    tensor_operator,
     unpolarization_order,
 )
 from .stokes import (

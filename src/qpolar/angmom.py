@@ -51,9 +51,6 @@ class HalfInt:
     def __float__(self) -> float:
         return self.twice / 2.0
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
     def __add__(self, other):
         return HalfInt(self.twice + half(other).twice)
 
@@ -161,10 +158,6 @@ class SignedSqrtRational:
         if square == 0:
             return cls.zero()
         return cls(sign, square.numerator, square.denominator)
-
-    @property
-    def square(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
 
     def __float__(self) -> float:
         return self.sign * math.sqrt(self.numerator / self.denominator)

@@ -19,8 +19,6 @@ __all__ = [
     "two_photon_diag_unpolarized",
     "three_photon_pole_superposition",
     "three_photon_first_order_eigs",
-    "three_photon_first_order_diag",
-    "three_photon_second_order_diag",
     "max_purity_first_order_diag",
     "max_purity_second_order_diag",
     "PRESETS",
@@ -54,21 +52,6 @@ def three_photon_pole_superposition() -> SpinSector:
 def three_photon_first_order_eigs(lam3: float, lam4: float) -> list[float]:
     """Eigenvalues of the zero-dipole diagonal S=3/2 family, m descending."""
     return [lam3 + 2.0 * lam4 - 0.5, -2.0 * lam3 - 3.0 * lam4 + 1.5, lam3, lam4]
-
-
-def three_photon_first_order_diag(lam3: float, lam4: float) -> SpinSector:
-    """Diagonal S=3/2 state with zero dipole, parametrized by its two low eigenvalues."""
-    return diag_sector(1.5, three_photon_first_order_eigs(lam3, lam4))
-
-
-def three_photon_second_order_diag(lam4: float) -> SpinSector:
-    """Diagonal S=3/2 state with zero dipole and quadrupole; lam4 in [1/6, 1/3]."""
-    return diag_sector(1.5, [
-        0.5 - lam4,
-        3.0 * lam4 - 0.5,
-        1.0 - 3.0 * lam4,
-        lam4,
-    ])
 
 
 def max_purity_first_order_diag() -> SpinSector:

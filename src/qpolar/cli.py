@@ -186,7 +186,7 @@ def cmd_search(args) -> int:
         print(f"max purity ({args.cls}, order {args.order}, two_S={args.two_s}): "
               f"{result.objective:.12g}")
         print(f"constraint residual A_{args.order} = {result.residual:.3e}")
-    print(f"seed={args.seed} restarts={args.restarts} digest={result.digest[:16]}")
+    print(f"seed={args.seed} restarts={len(result.history)} digest={result.digest[:16]}")
     stops = result.stop_reasons
     print("stop reasons: " + " ".join(f"{r}={n}" for r, n in stops.items()))
     if args.out:
@@ -195,7 +195,7 @@ def cmd_search(args) -> int:
             "residual": result.residual,
             "constraint_class": args.cls,
             "order": args.order,
-            "restarts": args.restarts,
+            "restarts": len(result.history),
             "seed": args.seed,
             "digest": result.digest,
             "stop_reasons": stops,

@@ -27,8 +27,6 @@ from .angmom import HalfInt, clebsch_gordan, half
 from .states import SpinSector, as_shells
 
 __all__ = [
-    "TensorOperator",
-    "tensor_operator",
     "tensor_matrix",
     "MultipoleSpectrum",
     "state_multipoles",
@@ -46,16 +44,6 @@ __all__ = [
 ]
 
 DEFAULT_ORDER_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class TensorOperator:
-    """Irreducible tensor T_Kq on a spin-S shell (unit Hilbert-Schmidt norm)."""
-
-    spin: HalfInt
-    rank: int
-    component: int
-    matrix: np.ndarray
 
 
 def _check_rank(S: HalfInt, K: int, q: int | None = None) -> None:
@@ -127,12 +115,6 @@ def tensor_matrix(S, K: int, q: int) -> np.ndarray:
     return synthesize(c, S)
 
 
-def tensor_operator(S, K: int, q: int) -> TensorOperator:
-    """Irreducible tensor operator T_Kq with its labels."""
-    S = half(S)
-    return TensorOperator(S, int(K), int(q), tensor_matrix(S, K, q))
-
-
 @dataclass(frozen=True)
 class MultipoleSpectrum:
     """Multipole decomposition of one shell: components, strengths, and degrees.
@@ -174,11 +156,9 @@ def state_multipoles(sector: SpinSector, *, tol: float = DEFAULT_ORDER_TOL) -> M
     S = sector.spin
     t = S.twice
     c = components(sector.rho, S, t)
-    W = np.sum(c.real ** 2 + c.imag ** 2, axis=-1)
     rows = c.tolist()
     comps = {(K, q): rows[K][t + q] for K in range(t + 1) for q in range(-K, K + 1)}
-    A = np.cumsum(W[1:])
-    P = np.sqrt(np.maximum(A, 0.0) / _coherent_maxima(t))
+    W, A, P = _strengths_cumulative_degrees(c, t)
     order = _order_from_cumulative(A, tol)
     return MultipoleSpectrum(S, comps, W, A, P, order, tol)
 
@@ -223,6 +203,13 @@ def _coherent_maxima(t: int) -> np.ndarray:
     ])
     out.setflags(write=False)
     return out
+
+
+def _strengths_cumulative_degrees(c: np.ndarray, t: int):
+    """W_K, A_K and P_K of components c[K, k_max + q] on the shell with 2S = t."""
+    W = np.sum(c.real ** 2 + c.imag ** 2, axis=-1)
+    A = np.cumsum(W[1:])
+    return W, A, np.sqrt(np.maximum(A, 0.0) / _coherent_maxima(t)[:len(A)])
 
 
 def degree(spectrum: MultipoleSpectrum, K: int) -> float:

@@ -31,7 +31,7 @@ import numpy as np
 from .angmom import HalfInt, half
 from .catalog import three_photon_first_order_eigs
 from .multipole import _basis, components, degree, state_multipoles, synthesize
-from .states import SpinSector, diag_sector, maximally_mixed
+from .states import SpinSector, diag_sector, maximally_mixed, random_sector
 
 __all__ = [
     "CONSTRAINT_CLASSES",
@@ -67,6 +67,7 @@ FEAS_TOL = 1e-12          # PSD tolerance of the alternating projections during 
 ASCENT_MAX_STEPS = 400    # inflate-and-project steps per general restart
 PURE_MAX_ITER = 4000      # descent iterations per pure restart
 PURE_GTOL = 1e-13         # gradient norm at which a pure restart has converged
+DIAG_MAX_SUPPORTS = 50_000  # eigenvalue supports the diagonal vertex enumeration may try
 
 STOP_REASONS = ("converged", "stalled", "max-iter")
 
@@ -147,9 +148,10 @@ def _digest(history) -> str:
     return h.hexdigest()
 
 
-def _residual_a_k(sector: SpinSector, order: int) -> float:
-    spec = state_multipoles(sector)
-    return float(spec.cumulative_all[order - 1])
+def _a_k(rho: np.ndarray, S: HalfInt, order: int) -> float:
+    """A_order = sum of |rho_Kq|^2 over 1 <= K <= order."""
+    c = components(rho, S, order)[1:]
+    return float(np.sum(c.real ** 2 + c.imag ** 2))
 
 
 def project_multipole_free(rho: np.ndarray, S, order: int) -> np.ndarray:
@@ -201,8 +203,14 @@ def _diag_constraint_rows(S: HalfInt, order: int) -> np.ndarray:
 
 
 def _diag_vertices(S: HalfInt, order: int) -> list[np.ndarray]:
+    n_eq, d = order + 1, S.twice + 1
+    supports = sum(math.comb(d, size) for size in range(1, min(n_eq, d) + 1))
+    if supports > DIAG_MAX_SUPPORTS:
+        raise ValueError(
+            f"diagonal search at order {order} for spin {S} would try {supports} "
+            f"eigenvalue supports, more than the limit of {DIAG_MAX_SUPPORTS}"
+        )
     c = _diag_constraint_rows(S, order)
-    n_eq, d = c.shape
     rhs = np.zeros(n_eq)
     rhs[-1] = 1.0
     verts: list[np.ndarray] = []
@@ -232,7 +240,7 @@ def _solve_diagonal(problem: SearchProblem):
     for i, v in enumerate(verts):
         p = float(np.dot(v, v))
         sec = diag_sector(problem.spin, v / v.sum())
-        history.append(RestartRecord(i, p, _residual_a_k(sec, problem.order), 1, "converged"))
+        history.append(RestartRecord(i, p, _a_k(sec.rho, problem.spin, problem.order), 1, "converged"))
         if p > best_p + 1e-15:
             best_v, best_p = v, p
     state = diag_sector(problem.spin, best_v / best_v.sum())
@@ -254,7 +262,7 @@ def max_purity_unpolarized(problem: SearchProblem) -> SearchResult:
     if problem.constraint_class in ("diagonal-in-z-basis", "axially-symmetric"):
         state, best, history = _solve_diagonal(problem)
         return SearchResult(
-            problem, state, best, _residual_a_k(state, problem.order),
+            problem, state, best, _a_k(state.rho, problem.spin, problem.order),
             _digest(history), history,
         )
 
@@ -262,17 +270,13 @@ def max_purity_unpolarized(problem: SearchProblem) -> SearchResult:
     history = []
     best_state, best_p = maximally_mixed(problem.spin), 1.0 / d
     for i in range(problem.restarts):
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        start = g @ g.conj().T
-        start /= np.trace(start).real
-        rho, p, iters, reason = _ascend_general(problem, start)
-        sec = SpinSector(problem.spin, rho, validate=False)
-        history.append(RestartRecord(i, p, _residual_a_k(sec, problem.order), iters, reason))
+        rho, p, iters, reason = _ascend_general(problem, random_sector(problem.spin, rng).rho)
+        history.append(RestartRecord(i, p, _a_k(rho, problem.spin, problem.order), iters, reason))
         if p > best_p + 1e-15:
-            best_state, best_p = sec, p
+            best_state, best_p = SpinSector(problem.spin, rho, validate=False), p
     history = tuple(history)
     return SearchResult(
-        problem, best_state, best_p, _residual_a_k(best_state, problem.order),
+        problem, best_state, best_p, _a_k(best_state.rho, problem.spin, problem.order),
         _digest(history), history,
     )
 
@@ -280,8 +284,7 @@ def max_purity_unpolarized(problem: SearchProblem) -> SearchResult:
 def anticoherence_objective(psi: np.ndarray, S, order: int) -> float:
     """A_order of the normalized pure state with amplitudes psi."""
     v = psi / np.linalg.norm(psi)
-    c = components(np.outer(v, v.conj()), half(S), order)[1:]
-    return float(np.sum(c.real ** 2 + c.imag ** 2))
+    return _a_k(np.outer(v, v.conj()), half(S), order)
 
 
 def anticoherence_gradient(x: np.ndarray, S, order: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angmom import EulerAngles, HalfInt, dim, half, wigner_D
+from .angmom import EulerAngles, HalfInt, _jy_eigen, dim, half, wigner_D
 
 __all__ = [
     "DEFAULT_TOL",
@@ -34,7 +34,6 @@ __all__ = [
     "purity",
     "assemble",
     "random_sector",
-    "random_pure_sector",
     "random_direction",
     "random_angles",
 ]
@@ -127,13 +126,14 @@ class SpinSector:
     """Density matrix on one photon-number shell (spin S, basis |S,m>, m descending).
 
     Validated on construction by default (Hermitian, unit trace, positive
-    semidefinite, each within `tol`); pass ``validate=False`` to skip, e.g.
-    for matrices known valid by construction.  Immutable once built.
+    semidefinite, each within `DEFAULT_TOL`); pass ``validate=False`` to
+    skip, e.g. for matrices known valid by construction.  Immutable once
+    built.
     """
 
     __slots__ = ("spin", "rho")
 
-    def __init__(self, spin, rho, *, validate: bool = True, tol: float = DEFAULT_TOL):
+    def __init__(self, spin, rho, *, validate: bool = True):
         spin = half(spin)
         if spin.twice < 0:
             raise ValueError("spin must be non-negative")
@@ -144,7 +144,7 @@ class SpinSector:
         if validate:
             if not np.all(np.isfinite(rho)):
                 raise ValueError("invalid density matrix: non-finite entries")
-            report = _diagnose(rho, tol)
+            report = _diagnose(rho, DEFAULT_TOL)
             if not report.ok:
                 raise ValueError(f"invalid density matrix: {report.message()}")
         rho.setflags(write=False)
@@ -157,12 +157,6 @@ class SpinSector:
 
     def purity(self) -> float:
         return float(np.vdot(self.rho, self.rho).real)
-
-    def expect(self, op: np.ndarray) -> complex:
-        return complex(np.trace(self.rho @ op))
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T))
 
     def __repr__(self):
         return f"SpinSector(spin={self.spin}, dim={self.dim})"
@@ -188,18 +182,18 @@ def coherent_amplitudes(S, theta, phi) -> np.ndarray:
     """Amplitudes of the spin coherent states pointing along (theta, phi).
 
     The state is defined by (n.S)|theta,phi> = +S|theta,phi>: the north pole
-    gives |S,S>.  Component on |S,m> is
-    sqrt(C(2S, S+m)) cos(theta/2)^(S+m) sin(theta/2)^(S-m) exp(-i m phi),
-    i.e. the rotation of |S,S> by Euler angles (phi, theta, 0).  theta and
-    phi broadcast against each other; the basis index is the last axis.
+    gives |S,S>.  Component on |S,m> is d^S_{m,S}(theta) exp(-i m phi), the
+    rotation of |S,S> by Euler angles (phi, theta, 0), with the m = S column
+    of d^S read from the same Jy eigendecomposition as `wigner_small_d`.
+    theta and phi broadcast against each other; the basis index is the last
+    axis.
     """
     t = half(S).twice
-    k = np.arange(t, -1, -1)  # S+m, m descending
-    binom = np.sqrt([float(math.comb(t, i)) for i in range(t, -1, -1)])
-    ch = np.cos(np.asarray(theta, dtype=float) / 2.0)[..., None]
-    sh = np.sin(np.asarray(theta, dtype=float) / 2.0)[..., None]
-    phase = np.exp(-1j * (k - t / 2.0) * np.asarray(phi, dtype=float)[..., None])
-    return binom * ch ** k * sh ** (t - k) * phase
+    lam, vecs = _jy_eigen(t)
+    theta = np.asarray(theta, dtype=float)[..., None]
+    col = ((np.exp(-1j * theta * lam) * vecs[0].conj()) @ vecs.T).real
+    ms = np.arange(t, -t - 1, -2) / 2.0  # m descending
+    return col * np.exp(-1j * ms * np.asarray(phi, dtype=float)[..., None])
 
 
 def su2_coherent(S, direction: Direction) -> SpinSector:
@@ -208,7 +202,7 @@ def su2_coherent(S, direction: Direction) -> SpinSector:
     return SpinSector(half(S), np.outer(amps, amps.conj()), validate=False)
 
 
-def diag_sector(S, eigenvalues, *, tol: float = DEFAULT_TOL) -> SpinSector:
+def diag_sector(S, eigenvalues) -> SpinSector:
     """Diagonal sector diag(p_m) in the |S,m> basis (axially symmetric about z)."""
     S = half(S)
     p = np.asarray(eigenvalues, dtype=float)
@@ -216,9 +210,9 @@ def diag_sector(S, eigenvalues, *, tol: float = DEFAULT_TOL) -> SpinSector:
         raise ValueError(f"expected {dim(S)} eigenvalues for spin {S}, got {p.shape}")
     if not np.all(np.isfinite(p)):
         raise ValueError("eigenvalues must be finite")
-    if np.any(p < -tol):
+    if np.any(p < -DEFAULT_TOL):
         raise ValueError(f"negative entry {p.min()} in eigenvalue list")
-    if abs(p.sum() - 1.0) > tol:
+    if abs(p.sum() - 1.0) > DEFAULT_TOL:
         raise ValueError(f"eigenvalues sum to {p.sum()}, expected 1")
     return SpinSector(S, np.diag(p.astype(complex)), validate=False)
 
@@ -249,7 +243,7 @@ def rotate(sector: SpinSector, angles: EulerAngles) -> SpinSector:
     return SpinSector(sector.spin, D @ sector.rho @ D.conj().T, validate=False)
 
 
-def mix(entries, *, tol: float = DEFAULT_TOL) -> SpinSector:
+def mix(entries) -> SpinSector:
     """Convex combination of same-spin sectors."""
     entries = list(entries)
     if not entries:
@@ -260,11 +254,11 @@ def mix(entries, *, tol: float = DEFAULT_TOL) -> SpinSector:
     for w, sec in entries:
         if sec.spin != spin:
             raise ValueError(f"mixed spins in mixture: {sec.spin} vs {spin}")
-        if w < -tol:
+        if w < -DEFAULT_TOL:
             raise ValueError(f"negative mixture weight {w}")
         rho = rho + w * sec.rho
         total += w
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > DEFAULT_TOL:
         raise ValueError(f"mixture weights sum to {total}, expected 1")
     return SpinSector(spin, rho, validate=False)
 
@@ -278,7 +272,7 @@ class PolarizationState:
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries, *, tol: float = DEFAULT_TOL):
+    def __init__(self, entries):
         entries = tuple((float(w), sec) for w, sec in entries)
         if not entries:
             raise ValueError("polarization state needs at least one shell")
@@ -287,26 +281,19 @@ class PolarizationState:
         for w, sec in entries:
             if not isinstance(sec, SpinSector):
                 raise ValueError("entries must be (weight, SpinSector) pairs")
-            if not math.isfinite(w) or w < -tol:
+            if not math.isfinite(w) or w < -DEFAULT_TOL:
                 raise ValueError(f"shell weight must be finite and non-negative, got {w}")
             if sec.spin.twice in seen:
                 raise ValueError(f"duplicate shell for spin {sec.spin}")
             seen.add(sec.spin.twice)
             total += w
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > DEFAULT_TOL:
             raise ValueError(f"shell weights sum to {total}, expected 1")
         self.entries = entries
 
     @property
     def spins(self) -> list[HalfInt]:
         return [sec.spin for _, sec in self.entries]
-
-    def weight(self, S) -> float:
-        S = half(S)
-        for w, sec in self.entries:
-            if sec.spin == S:
-                return w
-        raise KeyError(f"no shell with spin {S}")
 
     def sector(self, S) -> SpinSector:
         S = half(S)
@@ -330,9 +317,9 @@ class PolarizationState:
         return f"PolarizationState({shells})"
 
 
-def assemble(entries, *, tol: float = DEFAULT_TOL) -> PolarizationState:
+def assemble(entries) -> PolarizationState:
     """Build a PolarizationState from (weight, sector) pairs."""
-    return PolarizationState(entries, tol=tol)
+    return PolarizationState(entries)
 
 
 def as_shells(obj) -> list[tuple[float, SpinSector]]:
@@ -361,13 +348,6 @@ def random_sector(S, rng: np.random.Generator, rank: int | None = None) -> SpinS
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     return SpinSector(S, rho, validate=False)
-
-
-def random_pure_sector(S, rng: np.random.Generator) -> SpinSector:
-    """Haar-random pure state on the shell."""
-    d = dim(half(S))
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return pure_sector(S, v)
 
 
 def random_direction(rng: np.random.Generator) -> Direction:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angmom import HalfInt, _spin_arrays, half
-from .multipole import _coherent_maxima, components
+from .multipole import _strengths_cumulative_degrees, components
 from .states import Direction, SpinSector, as_shells
 
 __all__ = [
@@ -74,11 +74,7 @@ def directional_moment(obj, direction: Direction, ell: int) -> float:
     """Moment <(n.S)^ell>; shell results are weighted by P_S for multi-shell states."""
     if not isinstance(ell, (int, np.integer)) or ell < 1:
         raise ValueError(f"moment order must be a positive integer, got {ell}")
-    total = 0.0
-    for w, sec in as_shells(obj):
-        sn = spin_along(sec.spin, direction)
-        total += w * float(np.trace(sec.rho @ np.linalg.matrix_power(sn, int(ell))).real)
-    return total
+    return float(sum(w * _moments_up_to(sec, direction, int(ell))[-1] for w, sec in as_shells(obj)))
 
 
 def _moments_up_to(sector: SpinSector, direction: Direction, max_ell: int) -> np.ndarray:
@@ -127,16 +123,14 @@ def isotropy_order(
     max_ell: int,
     tol: float = 1e-8,
     n_directions: int = 50,
-    extra_directions: list[Direction] | None = None,
 ) -> int:
     """Largest l* <= max_ell with <(n.S)^l> direction-independent for all l <= l*.
 
     Counts orders the same way as the multipole classifier: a state with
     <n.S> identically zero is isotropic at l = 1 and scores at least 1.
-    Directions are a deterministic spiral (plus any user extras) so the
-    verdict is reproducible.  Pass a SpinSector; multi-shell states should be
-    classified shell by shell, where isotropy and vanishing multipoles are
-    equivalent.
+    Directions are a deterministic spiral so the verdict is reproducible.
+    Pass a SpinSector; multi-shell states should be classified shell by
+    shell, where isotropy and vanishing multipoles are equivalent.
     """
     if not isinstance(sector, SpinSector):
         raise TypeError("isotropy_order classifies one shell at a time")
@@ -146,8 +140,7 @@ def isotropy_order(
         raise ValueError(
             f"need at least 2*max_ell+1 = {2 * max_ell + 1} directions, got {n_directions}"
         )
-    dirs = tomography_directions(n_directions) + list(extra_directions or [])
-    table = np.stack([_moments_up_to(sector, d, max_ell) for d in dirs])
+    table = np.stack([_moments_up_to(sector, d, max_ell) for d in tomography_directions(n_directions)])
     order = 0
     for ell in range(1, max_ell + 1):
         col = table[:, ell - 1]
@@ -200,13 +193,14 @@ def _real_unknowns(k_max: int) -> np.ndarray:
     ]).T
 
 
-def moments_to_multipoles(samples, S, k_max: int, *, rank_rtol: float = 1e-10) -> ReconstructionResult:
+def moments_to_multipoles(samples, S, k_max: int) -> ReconstructionResult:
     """Solve the linear moment map for the multipole components up to rank k_max.
 
     Each sample (direction n, order l, value <(n.S)^l>) is linear in the
     rho_Kq with K <= l, because (n.S)^l expands over tensors of rank <= l.
     Needs moments up to l = k_max on at least 2*k_max+1 distinct directions;
-    raises IllConditionedError when the assembled system is rank deficient.
+    raises IllConditionedError when the assembled system is rank deficient
+    (smallest singular value below 1e-10 of the largest).
     """
     S = half(S)
     if not 1 <= k_max <= S.twice:
@@ -238,7 +232,7 @@ def moments_to_multipoles(samples, S, k_max: int, *, rank_rtol: float = 1e-10) -
     t = t[:, ks, k_max + qs]
     a = np.where(qs == 0, t.real, np.where(parts == 0, 2.0 * t.real, -2.0 * t.imag))
     sol, res, rank, sing = np.linalg.lstsq(a, b, rcond=None)
-    if sing[0] == 0 or sing[-1] < rank_rtol * sing[0]:
+    if sing[0] == 0 or sing[-1] < 1e-10 * sing[0]:
         raise IllConditionedError(
             "direction set is rank deficient: singular values span "
             f"[{sing[-1]:.3e}, {sing[0]:.3e}] over {len(dirs)} directions"
@@ -252,9 +246,7 @@ def moments_to_multipoles(samples, S, k_max: int, *, rank_rtol: float = 1e-10) -
     # hermiticity: rho_K,-q = (-1)^q rho_Kq^*
     c[:, :k_max] = (c[:, k_max + 1:].conj() * (-1.0) ** np.arange(1, k_max + 1))[:, ::-1]
     comps = {(K, q): complex(c[K, k_max + q]) for K in range(k_max + 1) for q in range(-K, K + 1)}
-    W = np.sum(c.real ** 2 + c.imag ** 2, axis=-1)
-    A = np.cumsum(W[1:])
-    P = np.sqrt(np.maximum(A, 0.0) / _coherent_maxima(S.twice)[:k_max])
+    W, A, P = _strengths_cumulative_degrees(c, S.twice)
     return ReconstructionResult(S, k_max, comps, W, A, P, cond, residual, len(samples))
 
 

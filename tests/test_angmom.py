@@ -19,7 +19,7 @@ from qpolar.angmom import (
     wigner_small_d,
     _cg_parts,
 )
-from qpolar.states import random_angles
+from qpolar.states import coherent_amplitudes, random_angles
 
 
 def euler_from_matrix(r3: np.ndarray) -> EulerAngles:
@@ -208,14 +208,19 @@ class TestWignerSmallD:
                 atol=1e-12,
             )
 
-    def test_highest_weight_column_binomial(self):
-        # d^j_{m,j}(beta) = sqrt(C(2j, j+m)) cos^(j+m) sin^(j-m) of beta/2
-        j, beta = 2.5, 1.3
+    @pytest.mark.parametrize("twice_j", [5, 40, 200])
+    def test_highest_weight_column_binomial(self, twice_j):
+        # d^j_{m,j}(beta) = sqrt(C(2j, j+m)) cos^(j+m) sin^(j-m) of beta/2, and the
+        # coherent amplitudes along (beta, phi) are that column times exp(-i m phi)
+        j, beta, phi = twice_j / 2, 1.3, 2.2
         d = wigner_small_d(j, beta)
+        amps = coherent_amplitudes(j, beta, phi)
         ch, sh = math.cos(beta / 2), math.sin(beta / 2)
         for i, m in enumerate(m_range(j)):
-            k = (half(j).twice + m.twice) // 2
-            assert_allclose(d[i, 0], math.sqrt(math.comb(5, k)) * ch**k * sh ** (5 - k), atol=1e-13)
+            k = (twice_j + m.twice) // 2
+            closed = math.sqrt(math.comb(twice_j, k)) * ch**k * sh ** (twice_j - k)
+            assert_allclose(d[i, 0], closed, rtol=0, atol=1e-13)
+            assert_allclose(amps[i], closed * np.exp(-1j * float(m) * phi), rtol=0, atol=1e-13)
 
 
 class TestWignerD:

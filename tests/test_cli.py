@@ -227,6 +227,22 @@ class TestSearchAndScan:
         state = load_state(out)
         assert_allclose(state.sector(1.5).purity(), 7 / 18, atol=1e-12)
 
+    def test_diagonal_search_reports_the_vertices_it_solved(self, tmp_path, capsys):
+        # the diagonal solver enumerates vertices and does not use --restarts
+        out = tmp_path / "best.json"
+        capsys.readouterr()
+        assert run_cli("search", "--two-s", 3, "--order", 1, "--class", "diagonal", "--out", out) == 0
+        text = capsys.readouterr().out
+        assert "seed=0 restarts=4 digest=" in text
+        assert "stop reasons: converged=4 stalled=0 max-iter=0" in text
+        assert json.loads(out.read_text())["metadata"]["restarts"] == 4
+
+    def test_diagonal_search_refuses_an_unbounded_enumeration(self, capsys):
+        capsys.readouterr()
+        assert run_cli("search", "--two-s", 40, "--order", 20, "--class", "diagonal") == 2
+        supports = sum(math.comb(41, k) for k in range(1, 22))
+        assert f"would try {supports} eigenvalue supports" in capsys.readouterr().err
+
     def test_pure_search_reports_nonexistence(self, tmp_path, capsys):
         capsys.readouterr()
         assert run_cli("search", "--two-s", 1, "--order", 1, "--class", "pure",

@@ -18,7 +18,6 @@ from qpolar.multipole import (
     state_multipoles,
     strengths,
     tensor_matrix,
-    tensor_operator,
     unpolarization_order,
 )
 from qpolar.states import (
@@ -134,7 +133,7 @@ class TestTensorBasis:
         with pytest.raises(ValueError):
             tensor_matrix(1, 2, 3)
         with pytest.raises(ValueError):
-            tensor_operator(1, -1, 0)
+            tensor_matrix(1, -1, 0)
 
 
 class TestStateMultipoles:

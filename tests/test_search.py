@@ -156,6 +156,17 @@ class TestDiagonalSolver:
         oracle = polytope_grid_oracle(twice_s, order)
         assert abs(res.objective - oracle) < 1e-6
 
+    def test_refuses_too_many_supports_before_enumerating(self, monkeypatch):
+        # 2S=20, K=6 has 198,439 eigenvalue supports of size <= 7
+        def never(*args):
+            raise AssertionError("the enumeration must not start")
+
+        monkeypatch.setattr(search, "_diag_constraint_rows", never)
+        expected = sum(math.comb(21, k) for k in range(1, 8))
+        assert expected > search.DIAG_MAX_SUPPORTS
+        with pytest.raises(ValueError, match=f"{expected} eigenvalue supports"):
+            max_purity_unpolarized(SearchProblem(10, 6, constraint_class="diagonal"))
+
     def test_result_revalidates_and_reclassifies(self):
         res = max_purity_unpolarized(SearchProblem(1.5, 2, constraint_class="axial"))
         assert validate(res.state).ok
