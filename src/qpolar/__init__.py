@@ -10,8 +10,6 @@ unpolarized states.
 from .angmom import (
     EulerAngles,
     HalfInt,
-    SignedSqrtRational,
-    clebsch_gordan,
     half,
     m_range,
     rotation_matrix,

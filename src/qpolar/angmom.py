@@ -1,11 +1,8 @@
-"""Exact angular-momentum algebra: Clebsch-Gordan coefficients and Wigner rotations.
+"""Angular-momentum algebra: exact half-integers, spin matrices and Wigner rotations.
 
 Spins and magnetic quantum numbers are carried as :class:`HalfInt` (twice the
 value, stored as an exact integer), so half-integer bookkeeping never touches
-floats.  Clebsch-Gordan coefficients are evaluated with the Racah factorial
-sum in arbitrary-precision rational arithmetic and returned exactly as
-:class:`SignedSqrtRational`; conversion to float happens only at the caller's
-request.
+floats.
 
 All matrices produced here index both rows and columns by m in *descending*
 order (m = j at row 0).  Euler angles follow the active z-y-z convention,
@@ -25,8 +22,6 @@ __all__ = [
     "HalfInt",
     "half",
     "m_range",
-    "SignedSqrtRational",
-    "clebsch_gordan",
     "wigner_small_d",
     "wigner_D",
     "EulerAngles",
@@ -130,105 +125,6 @@ def m_range(j) -> list[HalfInt]:
 def dim(j) -> int:
     """Dimension 2j+1 of the spin-j representation."""
     return half(j).twice + 1
-
-
-def _check_jm(j: HalfInt, m: HalfInt, names: str) -> None:
-    if j.twice < 0:
-        raise ValueError(f"{names}: spin magnitude must be non-negative, got {j}")
-    if (j.twice - m.twice) % 2 != 0:
-        raise ValueError(f"{names}: m = {m} and j = {j} must differ by an integer")
-    if abs(m.twice) > j.twice:
-        raise ValueError(f"{names}: |m| = {abs(m)} exceeds j = {j}")
-
-
-@dataclass(frozen=True)
-class SignedSqrtRational:
-    """Exact value sign * sqrt(numerator / denominator), fraction in lowest terms."""
-
-    sign: int
-    numerator: int
-    denominator: int
-
-    @classmethod
-    def zero(cls) -> "SignedSqrtRational":
-        return cls(0, 0, 1)
-
-    @classmethod
-    def from_fraction(cls, sign: int, square: Fraction) -> "SignedSqrtRational":
-        if square == 0:
-            return cls.zero()
-        return cls(sign, square.numerator, square.denominator)
-
-    def __float__(self) -> float:
-        return self.sign * math.sqrt(self.numerator / self.denominator)
-
-    def __repr__(self):
-        pre = {1: "+", 0: "0*", -1: "-"}[self.sign]
-        return f"{pre}sqrt({self.numerator}/{self.denominator})"
-
-
-@lru_cache(maxsize=None)
-def _fact(n: int) -> int:
-    return math.factorial(n)
-
-
-def _cg_parts(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int):
-    """Racah decomposition of a Clebsch-Gordan coefficient.
-
-    Returns (R, F, G) with CG = R * sqrt(F * G), where R is the rational Racah
-    sum carrying the sign, F collects the m-dependent factorials
-    (j1+-m1)!(j2+-m2)!, and G the m-independent ones (triangle coefficient,
-    2J+1, and (J+-M)!).  The split is what makes orthogonality sums over
-    (m1, m2) exactly rational.
-    """
-    a = (tj1 + tj2 - tJ) // 2  # j1+j2-J
-    b = (tj1 - tm1) // 2       # j1-m1
-    c = (tj2 + tm2) // 2       # j2+m2
-    d = (tJ - tj2 + tm1) // 2  # J-j2+m1
-    e = (tJ - tj1 - tm2) // 2  # J-j1-m2
-    kmin = max(0, -d, -e)
-    kmax = min(a, b, c)
-    r = Fraction(0)
-    for k in range(kmin, kmax + 1):
-        r += Fraction(
-            (-1) ** k,
-            _fact(k) * _fact(a - k) * _fact(b - k) * _fact(c - k)
-            * _fact(d + k) * _fact(e + k),
-        )
-    f = (
-        _fact((tj1 + tm1) // 2) * _fact(b) * _fact(c) * _fact((tj2 - tm2) // 2)
-    )
-    g = Fraction(
-        (tJ + 1) * _fact(a) * _fact((tj1 - tj2 + tJ) // 2)
-        * _fact((-tj1 + tj2 + tJ) // 2),
-        _fact((tj1 + tj2 + tJ) // 2 + 1),
-    ) * _fact((tJ + tM) // 2) * _fact((tJ - tM) // 2)
-    return r, f, g
-
-
-def clebsch_gordan(j1, m1, j2, m2, J, M) -> SignedSqrtRational:
-    """Exact Clebsch-Gordan coefficient <j1 m1, j2 m2 | J M> (Condon-Shortley).
-
-    Evaluated with the Racah factorial sum in exact rational arithmetic.
-    Returns zero when M != m1+m2 or the triangle rule fails; raises
-    ValueError for malformed half-integers (parity of 2m vs 2j, |m| > j,
-    negative spin).
-    """
-    j1, m1, j2, m2, J, M = (half(x) for x in (j1, m1, j2, m2, J, M))
-    _check_jm(j1, m1, "j1/m1")
-    _check_jm(j2, m2, "j2/m2")
-    _check_jm(J, M, "J/M")
-    if (j1.twice + j2.twice + J.twice) % 2 != 0:
-        raise ValueError("j1, j2, J must couple to an integer-parity triple")
-    if m1.twice + m2.twice != M.twice:
-        return SignedSqrtRational.zero()
-    if J.twice < abs(j1.twice - j2.twice) or J.twice > j1.twice + j2.twice:
-        return SignedSqrtRational.zero()
-    r, f, g = _cg_parts(j1.twice, m1.twice, j2.twice, m2.twice, J.twice, M.twice)
-    if r == 0:
-        return SignedSqrtRational.zero()
-    sign = 1 if r > 0 else -1
-    return SignedSqrtRational.from_fraction(sign, r * r * f * g)
 
 
 @lru_cache(maxsize=None)

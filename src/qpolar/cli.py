@@ -36,9 +36,10 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def _bounded_two_s(two_s: int) -> int:
-    """A --two-s argument, refused above the bound that state files have."""
-    if two_s > stateio.MAX_TWO_S:
-        raise ValueError(f"--two-s {two_s} exceeds the supported maximum {stateio.MAX_TWO_S}")
+    """A --two-s argument, refused outside the range that state files have."""
+    if not 0 <= two_s <= stateio.MAX_TWO_S:
+        raise ValueError(f"--two-s {two_s} is outside [0, {stateio.MAX_TWO_S}], "
+                         f"from 0 to the supported maximum {stateio.MAX_TWO_S}")
     return two_s
 
 
@@ -206,6 +207,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     lines = [f"# scan family={args.family} points={args.points}"]
     if args.family == "two-photon":
         rows = search.scan_two_photon_family(np.linspace(0.0, 0.5, args.points))
@@ -235,8 +238,8 @@ def cmd_scan(args) -> int:
             else:
                 lines.append(f"{_fmt(r.lam3)},{_fmt(r.lam4)},0,,,,")
         kept = [r for r in rows if r.feasible]
-        print(f"{args.family} family: {len(kept)} feasible of {len(rows)} grid points, "
-              f"max purity {max(r.purity for r in kept):.9g}")
+        best = f", max purity {max(r.purity for r in kept):.9g}" if kept else ""
+        print(f"{args.family} family: {len(kept)} feasible of {len(rows)} grid points{best}")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("\n".join(lines) + "\n")

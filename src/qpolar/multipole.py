@@ -1,7 +1,7 @@
 """Irreducible tensor multipoles of shell density matrices.
 
-The rank-K tensors T_Kq on a spin-S shell are built from exact
-Clebsch-Gordan coefficients,
+The rank-K tensors T_Kq on a spin-S shell are built from Clebsch-Gordan
+coefficients, each an exact rational square root rounded once,
 
     T_Kq[m', m] = sqrt((2K+1)/(2S+1)) <S m, K q | S m'>,
 
@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angmom import HalfInt, clebsch_gordan, half
+from .angmom import HalfInt, half
 from .states import SpinSector, as_shells
 
 __all__ = [
@@ -61,21 +61,44 @@ def _basis(twice: int) -> tuple[np.ndarray, np.ndarray]:
     real array C[2S + q, K, col] = T_Kq[col - q, col], zero where the entry
     falls outside the matrix or |q| > K.  idx[2S + q, col] is the flat index
     of entry (col - q, col), or one past the matrix where there is none.
+
+    For q >= 0 the q-th diagonals of T_Kq, K = q..2S, are the eigenvectors x
+    of the adjoint Casimir X -> sum_i [S_i, [S_i, X]] restricted to that
+    diagonal: a tridiagonal operator with diagonal D_i / 2, off-diagonal
+    -sqrt(P_i) / 4 (entry i has m' = S - i) and eigenvalue K(K+1).  With the
+    eigenvalue fixed, the eigen-equation is a three-term recurrence (Schulten
+    & Gordon, J. Math. Phys. 16, 1961 (1975)) for w_i = x_i sqrt(P_1 ... P_i),
+    which stays in exact integers.  Then x_i^2 = w_i^2 R_i / sum_k w_k^2 R_k
+    with R_i = P_{i+1} ... P_{n-1}, so each squared Clebsch-Gordan
+    coefficient is one exact ratio of integers, rounded once.
     """
-    d = twice + 1
-    S = HalfInt(twice)
+    t = twice
+    d = t + 1
     C = np.zeros((2 * d - 1, d, d))
+    c4 = lambda x: t * (t + 2) - x * (x + 2)  # 4 [S(S+1) - k(k+1)] at x = 2k
     for q in range(d):
+        n = d - q  # entry i of the diagonal is T_Kq[i, q + i]
+        D = [t * (t + 2) - (t - 2 * i) * (t - 2 * i - 2 * q) for i in range(n)]
+        P = [c4(t - 2 * i) * c4(t - 2 * i - 2 * q) for i in range(n)]
+        R = [1] * n
+        for i in range(n - 2, -1, -1):
+            R[i] = R[i + 1] * P[i + 1]
         for K in range(q, d):
+            L = 2 * K * (K + 1)
+            # w_0 = (-1)^q, the Condon-Shortley sign; zip below drops w_1 when n = 1
+            w = [(-1) ** q, 2 * (D[0] - L) * (-1) ** q]
+            for i in range(1, n - 1):
+                w.append(2 * (D[i] - L) * w[i] - P[i] * w[i - 1])
+            sq = [x * x * r for x, r in zip(w, R)]
+            den = (2 * K + 1) * sum(sq)
             scale = math.sqrt((2 * K + 1) / d)
-            for col in range(q, d):
-                tm = twice - 2 * col
-                C[twice + q, K, col] = scale * float(
-                    clebsch_gordan(S, HalfInt(tm), K, q, S, HalfInt(tm + 2 * q))
-                )
+            # sqrt((2K+1)/d) times the CG coefficient, whose square is s*d/den
+            C[t + q, K, q:] = [
+                scale * (((x > 0) - (x < 0)) * math.sqrt(s * d / den)) for x, s in zip(w, sq)
+            ]
         # T_K,-q = (-1)^q T_Kq^T
-        C[twice - q, :, :d - q] = (-1) ** q * C[twice + q, :, q:]
-    rows = np.arange(d) - np.arange(-twice, d)[:, None]
+        C[t - q, :, :d - q] = (-1) ** q * C[t + q, :, q:]
+    rows = np.arange(d) - np.arange(-t, d)[:, None]
     idx = np.where((rows >= 0) & (rows < d), rows * d + np.arange(d), d * d)
     C.setflags(write=False)
     idx.setflags(write=False)

@@ -61,6 +61,7 @@ def _sector_from_entry(entry: dict) -> tuple[float, SpinSector]:
     d = two_s + 1
     spin = two_s / 2.0
     try:
+        weight = float(weight)
         if form == "matrix":
             _require(isinstance(data, list) and len(data) == d, f"matrix form needs {d} rows")
             rows = []
@@ -83,9 +84,9 @@ def _sector_from_entry(entry: dict) -> tuple[float, SpinSector]:
             sec = su2_coherent(spin, Direction(float(data["theta"]), float(data["phi"])))
     except SchemaError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # JSON integers beyond float range overflow
         raise SchemaError(f"invalid sector payload (two_S={two_s}, form={form}): {exc}") from exc
-    return float(weight), sec
+    return weight, sec
 
 
 def state_from_dict(obj: dict) -> PolarizationState:

@@ -198,9 +198,11 @@ def moments_to_multipoles(samples, S, k_max: int) -> ReconstructionResult:
 
     Each sample (direction n, order l, value <(n.S)^l>) is linear in the
     rho_Kq with K <= l, because (n.S)^l expands over tensors of rank <= l.
-    Needs moments up to l = k_max on at least 2*k_max+1 distinct directions;
-    raises IllConditionedError when the assembled system is rank deficient
-    (smallest singular value below 1e-10 of the largest).
+    Needs moments up to l = k_max on at least 2*k_max+1 distinct directions,
+    and none above: their ranks above k_max would alias into the fit, so
+    they raise ValueError.  Raises IllConditionedError when the assembled
+    system is rank deficient (smallest singular value below 1e-10 of the
+    largest).
     """
     S = half(S)
     if not 1 <= k_max <= S.twice:
@@ -211,6 +213,12 @@ def moments_to_multipoles(samples, S, k_max: int) -> ReconstructionResult:
     ]
     if not samples:
         raise ValueError("no moment samples given")
+    ells = [s.ell for s in samples]
+    if min(ells) < 1:
+        raise ValueError("moment order must be >= 1")
+    if max(ells) > k_max:
+        raise ValueError(f"moments of order up to l = {max(ells)} carry ranks above k_max = {k_max}; "
+                         f"reconstruct with k_max >= {max(ells)} or drop them")
     dirs = {(round(s.direction.theta, 12), round(s.direction.phi, 12)) for s in samples}
     if len(dirs) < 2 * k_max + 1:
         raise IllConditionedError(
@@ -218,12 +226,7 @@ def moments_to_multipoles(samples, S, k_max: int) -> ReconstructionResult:
             f"need at least {2 * k_max + 1}"
         )
     d = S.twice + 1
-    powers = []
-    for s in samples:
-        if s.ell < 1:
-            raise ValueError("moment order must be >= 1")
-        powers.append(np.linalg.matrix_power(spin_along(S, s.direction), s.ell))
-    powers = np.array(powers)
+    powers = np.array([np.linalg.matrix_power(spin_along(S, s.direction), s.ell) for s in samples])
     # remove the fixed monopole part
     b = np.array([s.value for s in samples]) - np.trace(powers, axis1=1, axis2=2).real / d
     # Tr[T_Kq (n.S)^l] is the analysis kernel applied to the transposed power

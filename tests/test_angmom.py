@@ -11,15 +11,15 @@ from numpy.testing import assert_allclose
 from qpolar.angmom import (
     EulerAngles,
     HalfInt,
-    clebsch_gordan,
     half,
     m_range,
     rotation_matrix,
     wigner_D,
     wigner_small_d,
-    _cg_parts,
 )
 from qpolar.states import coherent_amplitudes, random_angles
+
+from cg_reference import _cg_parts, clebsch_gordan
 
 
 def euler_from_matrix(r3: np.ndarray) -> EulerAngles:

@@ -139,9 +139,21 @@ class TestInputContract:
             (VALID_SECTOR, ["analyze", "{state}", "--tol", "nan"]),
             (None, ["search", "--two-s", 3, "--order", 1, "--class", "pure", "--restarts", 0]),
             (None, ["search", "--two-s", 2, "--order", 1, "--class", "general", "--restarts", 0]),
+            ({**VALID_SECTOR, "weight": 10**400}, ["analyze", "{state}"]),
+            ({**VALID_SECTOR, "data": [0.25, 10**400, 0.25]}, ["analyze", "{state}"]),
+            ({"two_S": 1, "weight": 1.0, "form": "pure", "data": [[1.0, 0.0], [0.0, 10**400]]},
+             ["analyze", "{state}"]),
+            ({"two_S": 1, "weight": 1.0, "form": "matrix",
+              "data": [[[0.5, 0.0], [10**400, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
+             ["analyze", "{state}"]),
+            ({"two_S": 2, "weight": 1.0, "form": "fock", "data": {"two_m": 10**400}},
+             ["analyze", "{state}"]),
+            ({"two_S": 2, "weight": 1.0, "form": "coherent", "data": {"theta": 10**400, "phi": 0.0}},
+             ["analyze", "{state}"]),
         ],
         ids=["nan-diag", "bool-two-s", "nan-weight", "overflowing-pure", "nan-tol",
-             "pure-no-restarts", "general-no-restarts"],
+             "pure-no-restarts", "general-no-restarts", "huge-int-weight", "huge-int-diag",
+             "huge-int-pure", "huge-int-matrix", "huge-int-two-m", "huge-int-theta"],
     )
     def test_invalid_input_exits_2(self, tmp_path, capsys, sector, argv):
         state = _state_file(tmp_path, sector) if sector is not None else None
@@ -162,10 +174,15 @@ class TestInputContract:
         path.write_text(json.dumps(bad))  # nan and ±inf are written as NaN and ±Infinity
         assert main(["analyze", str(path)]) == 2
 
-    @pytest.mark.parametrize("command", [["search", "--order", 1], ["make-state", "eq15-coherent"]])
-    def test_two_s_above_bound_exits_2(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        "command,two_s",
+        [(["search", "--order", 1], 10**9), (["make-state", "eq15-coherent"], 10**9),
+         (["search", "--order", 1], -1), (["make-state", "eq15-coherent"], -1)],
+        ids=["command0", "command1", "search-negative", "make-state-negative"],
+    )
+    def test_two_s_above_bound_exits_2(self, tmp_path, capsys, command, two_s):
         capsys.readouterr()
-        assert run_cli(*command, "--two-s", 10**9, "--out", tmp_path / "s.json") == 2
+        assert run_cli(*command, "--two-s", two_s, "--out", tmp_path / "s.json") == 2
         assert f"maximum {MAX_TWO_S}" in capsys.readouterr().err
 
 
@@ -206,6 +223,19 @@ class TestReconstruct:
         assert rows, "quadrupole row missing"
         a2 = float(rows[0].split(",")[6])
         assert abs(a2 - (3 * lam - 1) ** 2 * 2 / 3) < 1e-10
+
+    @pytest.mark.parametrize("ell", [3, 10**400], ids=["ell-3", "ell-1e400"])
+    def test_moment_order_above_k_max_exits_2(self, tmp_path, capfd, ell):
+        sec = diag_sector(1, [0.2, 0.6, 0.2])
+        moments = tmp_path / "m.csv"
+        write_moments(sample_moments(sec, tomography_directions(5), 2), moments)
+        with open(moments, "a") as fh:
+            fh.write(f"0.3,0.4,{ell},0.5\n")
+        capfd.readouterr()
+        assert run_cli("reconstruct", moments, "--two-s", 2, "--order", 2) == 2
+        captured = capfd.readouterr()
+        assert f"l = {ell} carry ranks above k_max = 2" in captured.err
+        assert captured.out == ""  # refused before any matrix power or least-squares call
 
     def test_rank_deficient_exit_code(self, tmp_path):
         sec = diag_sector(1, [0.2, 0.6, 0.2])
@@ -278,6 +308,18 @@ class TestSearchAndScan:
         rows = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
         purities = [float(l.split(",")[3]) for l in rows[1:] if l.split(",")[2] == "1"]
         assert max(purities) == pytest.approx(7 / 18, abs=1e-12)
+
+    def test_scan_refuses_no_points(self, capsys):
+        capsys.readouterr()
+        assert run_cli("scan", "--family", "two-photon", "--points", 0) == 2
+        assert "--points must be at least 1" in capsys.readouterr().err
+
+    def test_scan_with_no_feasible_point_writes_its_csv(self, tmp_path, capsys):
+        out = tmp_path / "f1.csv"
+        capsys.readouterr()
+        assert run_cli("scan", "--family", "three-photon-first", "--points", 1, "--out", out) == 0
+        assert "three-photon-first family: 0 feasible of 1 grid points\n" in capsys.readouterr().out
+        assert out.read_text().splitlines()[1:] == ["lam3,lam4,feasible,purity,A_1,A_2,A_3", "0.0,0.0,0,,,,"]
 
 
 class TestDeterminism:

@@ -7,8 +7,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qpolar.catalog as catalog
-from qpolar.angmom import clebsch_gordan, half, m_range
+from qpolar.angmom import half, m_range
 from qpolar.multipole import (
+    _basis,
     analyze,
     axial_profile,
     coherent_cumulative_max,
@@ -32,6 +33,8 @@ from qpolar.states import (
     su2_coherent,
 )
 from qpolar.stokes import stokes_matrices
+
+from cg_reference import clebsch_gordan, racah_basis
 
 
 def all_tensors(S):
@@ -134,6 +137,23 @@ class TestTensorBasis:
             tensor_matrix(1, 2, 3)
         with pytest.raises(ValueError):
             tensor_matrix(1, -1, 0)
+
+    @pytest.mark.parametrize("twice_s", [*range(13), 25, 40])
+    def test_recurrence_is_bit_identical_to_racah_build(self, twice_s):
+        assert _basis(twice_s)[0].tobytes() == racah_basis(twice_s).tobytes()
+
+    def test_spin_sixty_basis(self):
+        # 2S = 120, out of the Racah reference's reach: checked by its properties
+        t = 120
+        C = _basis(t)[0]
+        for q in range(t + 1):
+            block = C[t + q, q:, q:]  # rows K = q..2S of the q-th diagonal
+            assert_allclose(block @ block.T, np.eye(t + 1 - q), rtol=0, atol=1e-13)
+        sec = random_sector(t / 2, np.random.default_rng(120))
+        assert_allclose(state_multipoles(sec).strengths.sum(), sec.purity(), rtol=0, atol=1e-13)
+        coherent = state_multipoles(su2_coherent(t / 2, Direction(0.7, 1.9)))
+        ceiling = [coherent_cumulative_max(t / 2, K) for K in range(1, t + 1)]
+        assert_allclose(coherent.cumulative_all, ceiling, rtol=0, atol=1e-12)
 
 
 class TestStateMultipoles:

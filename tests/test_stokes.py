@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 import qpolar.catalog as catalog
 from qpolar.angmom import half
-from qpolar.multipole import state_multipoles, unpolarization_order
+from qpolar.multipole import cumulative, state_multipoles, unpolarization_order
 from qpolar.search import _feasible_point
 from qpolar.states import (
     Direction,
@@ -184,6 +184,16 @@ class TestReconstruction:
     def test_k_max_validation(self):
         with pytest.raises(ValueError):
             moments_to_multipoles([MomentSample(Direction(0, 0), 1, 0.0)], 1, 3)
+
+    def test_moments_above_k_max_are_refused(self):
+        # moments of order 4 carry ranks 3 and 4, which a K <= 2 fit would alias
+        sec = random_sector(2, np.random.default_rng(44))
+        samples = sample_moments(sec, tomography_directions(9), 4)
+        with pytest.raises(ValueError, match="l = 4 carry ranks above k_max = 2"):
+            moments_to_multipoles(samples, 2, 2)
+        low = [s for s in samples if s.ell <= 2]
+        assert_allclose(moments_to_multipoles(low, 2, 2).cumulative[1],
+                        cumulative(state_multipoles(sec), 2), rtol=0, atol=1e-10)
 
     def test_moments_csv_round_trip(self, tmp_path):
         sec = diag_sector(1, [0.2, 0.6, 0.2])
