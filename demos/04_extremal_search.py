@@ -4,8 +4,9 @@
 How pure can a state be while staying unpolarized to a given order?  For
 diagonal (axially symmetric) states the answer is exact: the feasible
 eigenvalue sets are polytopes and Tr rho^2 peaks at a vertex.  For general
-mixed states a projected-ascent search explores further, and for pure
-states a gradient descent on A_K looks for anticoherent states.
+mixed states a purity ascent over rank-(K+1) factors explores further, and
+for pure states a Levenberg-Marquardt search on A_K looks for anticoherent
+states.
 
 Reproduced here:
   * two-photon family: degree-vs-purity curve, pure members reach P_2 = 1

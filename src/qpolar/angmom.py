@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 
+@total_ordering
 class HalfInt:
     """An integer or half-integer quantum number, stored exactly as twice its value."""
 
@@ -71,15 +72,6 @@ class HalfInt:
 
     def __lt__(self, other):
         return self.twice < half(other).twice
-
-    def __le__(self, other):
-        return self.twice <= half(other).twice
-
-    def __gt__(self, other):
-        return self.twice > half(other).twice
-
-    def __ge__(self, other):
-        return self.twice >= half(other).twice
 
     def __hash__(self):
         return hash(self.twice)

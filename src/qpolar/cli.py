@@ -47,18 +47,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _spectrum_csv_lines(two_s: int, spec) -> list[str]:
+def _table_csv_lines(two_s: int, ranks, comps, W, A, P) -> list[str]:
+    """Rows two_S,K,q,re,im,W_K,A_K,P_K; A and P start at K = 1 and are blank at K = 0."""
     lines = []
-    for K in range(spec.max_rank + 1):
-        w = spec.strengths[K]
-        a = spec.cumulative_all[K - 1] if K >= 1 else ""
-        p = spec.degrees_all[K - 1] if K >= 1 else ""
+    for K in ranks:
+        a, p = (_fmt(A[K - 1]), _fmt(P[K - 1])) if K >= 1 else ("", "")
         for q in range(-K, K + 1):
-            c = spec.component(K, q)
-            lines.append(
-                f"{two_s},{K},{q},{_fmt(c.real)},{_fmt(c.imag)},{_fmt(w)},"
-                f"{_fmt(a) if a != '' else ''},{_fmt(p) if p != '' else ''}"
-            )
+            c = comps[(K, q)]
+            lines.append(f"{two_s},{K},{q},{_fmt(c.real)},{_fmt(c.imag)},{_fmt(W[K])},{a},{p}")
     return lines
 
 
@@ -70,9 +66,17 @@ def _write_report_csv(path, report: multipole.PolarizationReport) -> None:
             f"# shell two_S={spec.spin.twice} weight={shell.weight!r} "
             f"purity={shell.purity!r} unpol_order={spec.unpol_order}"
         )
-        lines.extend(_spectrum_csv_lines(spec.spin.twice, spec))
+        lines.extend(_table_csv_lines(spec.spin.twice, range(spec.max_rank + 1), spec.components,
+                                      spec.strengths, spec.cumulative_all, spec.degrees_all))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _print_table(ranks, W, A, P) -> None:
+    print("  K    W_K             A_K             P_K")
+    for K in ranks:
+        a, p = (f"{A[K - 1]:<15.9g}", f"{P[K - 1]:.9g}") if K >= 1 else (f"{'-':<15}", "-")
+        print(f"  {K:<4d} {W[K]:<15.9g} {a} {p}")
 
 
 def _print_shell(shell: multipole.ShellReport) -> None:
@@ -80,13 +84,7 @@ def _print_shell(shell: multipole.ShellReport) -> None:
     two_s = spec.spin.twice
     print(f"shell two_S={two_s} (S={spec.spin})  weight={shell.weight:g}  "
           f"purity={shell.purity:.12g}")
-    print("  K    W_K             A_K             P_K")
-    for K in range(spec.max_rank + 1):
-        if K == 0:
-            print(f"  {K:<4d} {spec.strengths[0]:<15.9g} {'-':<15} -")
-        else:
-            print(f"  {K:<4d} {spec.strengths[K]:<15.9g} "
-                  f"{spec.cumulative_all[K-1]:<15.9g} {spec.degrees_all[K-1]:.9g}")
+    _print_table(range(spec.max_rank + 1), spec.strengths, spec.cumulative_all, spec.degrees_all)
     d = two_s + 1
     print(f"  unpolarization order: {spec.unpol_order}"
           + (" (fully unpolarized)" if spec.unpol_order == two_s else ""))
@@ -140,24 +138,15 @@ def cmd_reconstruct(args) -> int:
     print(f"reconstruction two_S={args.two_s} K_max={args.order}: "
           f"{result.n_samples} samples, condition number {result.condition_number:.6g}, "
           f"residual {result.residual:.3e}")
-    print("  K    W_K             A_K             P_K")
-    for K in range(1, args.order + 1):
-        print(f"  {K:<4d} {result.strengths[K]:<15.9g} "
-              f"{result.cumulative[K-1]:<15.9g} {result.degrees[K-1]:.9g}")
+    _print_table(range(1, args.order + 1), result.strengths, result.cumulative, result.degrees)
     if args.out:
         lines = [
             "# reconstructed multipoles",
             f"# condition_number={result.condition_number!r} residual={result.residual!r}",
             "two_S,K,q,re,im,W_K,A_K,P_K",
         ]
-        for K in range(1, args.order + 1):
-            for q in range(-K, K + 1):
-                c = result.components[(K, q)]
-                lines.append(
-                    f"{args.two_s},{K},{q},{_fmt(c.real)},{_fmt(c.imag)},"
-                    f"{_fmt(result.strengths[K])},{_fmt(result.cumulative[K-1])},"
-                    f"{_fmt(result.degrees[K-1])}"
-                )
+        lines.extend(_table_csv_lines(args.two_s, range(1, args.order + 1), result.components,
+                                      result.strengths, result.cumulative, result.degrees))
         with open(args.out, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         print(f"wrote {args.out}")

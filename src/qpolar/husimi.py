@@ -38,16 +38,9 @@ class QGrid:
     def n_phi(self) -> int:
         return len(self.phis)
 
-    def node_weights(self) -> np.ndarray:
-        """Full quadrature weight per node, broadcast to the grid shape."""
-        return np.broadcast_to(
-            self.theta_weights[:, None] * (2.0 * math.pi / self.n_phi),
-            self.values.shape,
-        )
-
     def integral(self) -> float:
         """Quadrature value of the solid-angle integral of Q."""
-        return float(np.sum(self.node_weights() * self.values))
+        return float(np.sum(self.theta_weights[:, None] * (2.0 * math.pi / self.n_phi) * self.values))
 
     def normalization(self) -> float:
         """(2S+1)/(4pi) times the integral; 1 for any valid state on a fine grid."""

@@ -1,22 +1,22 @@
 """Extremal unpolarized states: purity maximization and anticoherent search.
 
-Three solvers cover the constraint classes:
-
 * diagonal / axially symmetric — the constraints are linear in the
-  eigenvalues, the feasible set is a polytope, and Tr rho^2 is convex, so
-  the maximum sits at a vertex; vertices are enumerated exactly.
-* general mixed — projected ascent: inflate the state along the purity
-  gradient (which is rho itself) and re-project onto the intersection of
-  the multipole-vanishing affine subspace with the PSD cone by alternating
-  projections, from many random restarts.
-* pure — gradient descent of A_K on the normalized amplitude manifold with
-  random restarts; convergence to A_K < 1e-10 is an existence certificate
-  for an anticoherent state of that order, a reported minimum otherwise.
+  eigenvalues and Tr rho^2 is convex, so the maximum sits at a vertex of
+  the eigenvalue polytope; vertices are enumerated exactly.
+* general mixed — rho = V V^dagger / |V|^2 with V of size d x (K+1), which
+  loses no optimum (Barvinok-Pataki).  A restart retracts a random V onto
+  A_K = 0, then steps along the purity gradient projected onto the tangent
+  space of A_K = 0 and retracts again, halving the step when purity does
+  not rise.
+* pure — the rank-1 case: A_K is minimized from random amplitudes; A_K <
+  1e-10 certifies an anticoherent state, a reported minimum otherwise.
 
-Every restart records why it ended, one of `STOP_REASONS`: "converged"
-(the solver's own optimality test held), "stalled" (a pure descent could no
-longer lower A_K at float resolution) or "max-iter" (its iteration budget
-ran out).
+Both use one Levenberg-Marquardt core on the residual u_Kq, 1 <= K <= order
+and q >= 0, with |u|^2 = A_K and a Jacobian gathered from the multipole basis
+blocks.  Every restart records why it ended, one of `STOP_REASONS`:
+"converged" (the solver's optimality test held), "stalled" (A_K could no
+longer be lowered at float resolution, or a general start could not be
+retracted onto A_K = 0) or "max-iter" (its iteration budget ran out).
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angmom import HalfInt, half
-from .catalog import three_photon_first_order_eigs
+from .catalog import three_photon_first_order_eigs, two_photon_diag_unpolarized
 from .multipole import _basis, components, degree, state_multipoles, synthesize
-from .states import SpinSector, diag_sector, maximally_mixed, random_sector
+from .states import SpinSector, _ginibre, diag_sector, maximally_mixed, pure_sector
 
 __all__ = [
     "CONSTRAINT_CLASSES",
@@ -53,20 +53,16 @@ __all__ = [
 
 CONSTRAINT_CLASSES = ("general", "diagonal-in-z-basis", "axially-symmetric", "pure")
 
-_CLASS_ALIASES = {
-    "general": "general",
-    "diagonal": "diagonal-in-z-basis",
-    "diagonal-in-z-basis": "diagonal-in-z-basis",
-    "axial": "axially-symmetric",
-    "axially-symmetric": "axially-symmetric",
-    "pure": "pure",
-}
+_CLASS_ALIASES = {**{c: c for c in CONSTRAINT_CLASSES},
+                  "diagonal": "diagonal-in-z-basis", "axial": "axially-symmetric"}
 
 # fixed solver settings
-FEAS_TOL = 1e-12          # PSD tolerance of the alternating projections during the ascent
-ASCENT_MAX_STEPS = 400    # inflate-and-project steps per general restart
-PURE_MAX_ITER = 4000      # descent iterations per pure restart
-PURE_GTOL = 1e-13         # gradient norm at which a pure restart has converged
+ASCENT_MAX_STEPS = 400    # ascent steps per general restart
+RETRACT_MAX_ITER = 100    # Levenberg-Marquardt iterations per retraction onto A_K = 0
+PURE_MAX_ITER = 4000      # Levenberg-Marquardt iterations per pure restart
+PURE_GTOL = 1e-13         # |J^T u| at which a pure restart has converged
+LM_MU_MAX = 1e20          # damping at which a step that does not lower A_K ends the run
+LM_MAX_ENTRIES = 2_000_000  # Jacobian entries a Levenberg-Marquardt run may allocate (~100 MB at peak)
 DIAG_MAX_SUPPORTS = 50_000  # eigenvalue supports the diagonal vertex enumeration may try
 
 STOP_REASONS = ("converged", "stalled", "max-iter")
@@ -163,38 +159,110 @@ def project_multipole_free(rho: np.ndarray, S, order: int) -> np.ndarray:
     return rho - synthesize(c, S)
 
 
-def _feasible_point(rho: np.ndarray, S: HalfInt, order: int, tol: float, max_iter: int = 2000) -> np.ndarray:
-    out = rho
-    for _ in range(max_iter):
-        out = project_multipole_free(out, S, order)
-        sym = 0.5 * (out + out.conj().T)
-        vals, vecs = np.linalg.eigh(sym)
-        # the multipoles of `out` were just projected out; only the PSD test can fail
-        if vals[0] >= -tol:
-            return out
-        out = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
-    raise InfeasibleError(
-        f"alternating projections failed to reach feasibility at order {order}"
-    )
+def _residual(x: np.ndarray, S: HalfInt, order: int, rank: int, jacobian: bool = True):
+    """Rows u of rho = V V^dagger / |V|^2 with |u|^2 = A_order, and du/dx.
+
+    x holds Re V and Im V of the d x rank factor V, each flattened row-major.
+    The rows are u_K0, then sqrt(2) Re u_Kq and sqrt(2) Im u_Kq for 0 < q <= K
+    (u_K,-q = (-1)^q conj u_Kq adds nothing).  For a_Kq = Tr[V V^dagger
+    T_Kq^dagger], da/dconj V[i] = T_Kq[i - q, i] V[i - q] and da/dV[i] =
+    T_Kq[i, i + q] conj V[i + q] are read off the diagonal blocks of the basis.
+    """
+    t, d = S.twice, S.twice + 1
+    V, n = _factor(x, d), float(x @ x)
+    q, i = np.arange(order + 1)[:, None], np.arange(d)
+    pad = np.vstack([V, np.zeros((1, rank))])  # row d stands in for rows outside the matrix
+    keep = np.arange(1, order + 1) >= q[1:]  # [q - 1, K - 1]: the components with q <= K
+    rows = lambda z: np.concatenate(  # [q, K, ...] complex -> the real rows
+        [z[0].real, math.sqrt(2) * z[1:][keep].real, math.sqrt(2) * z[1:][keep].imag])
+    C = _basis(t)[0][:, 1:order + 1, :, None]
+    lo = C[t:t + order + 1] * pad[np.where(i >= q, i - q, d)][:, None]
+    u = rows(np.einsum("qkir,ir->qk", lo, V.conj())) / n
+    if not jacobian:
+        return u
+    # T_Kq[i, i + q] = (-1)^q T_K,-q[i + q, i], read from the block q below the diagonal one
+    hi = C[t::-1][:order + 1] * ((-1.0) ** q[..., None] * pad[np.where(i + q < d, i + q, d)].conj())[:, None]
+    da = np.stack([hi + lo, 1j * (hi - lo)], axis=2).reshape(order + 1, order, -1)  # d/dRe V, d/dIm V
+    return u, rows(da) / n - np.outer(u, (2.0 / n) * x)  # the last term differentiates 1/|V|^2
 
 
-def _ascend_general(problem: SearchProblem, rho0: np.ndarray):
+def _levenberg_marquardt(x: np.ndarray, S: HalfInt, order: int, rank: int, max_iter: int, gtol: float):
+    """Minimize A_order = |u|^2 from x by damped minimum-norm Gauss-Newton steps.
+
+    The step -J^T (J J^T + mu I)^-1 u is solved as -(J^T J + mu I)^-1 J^T u
+    when that Gram matrix is the smaller; mu falls tenfold after a step that
+    lowers A_K and rises tenfold after one that does not.  A run converges
+    at A_K < 1e-24 or at |J^T u| < gtol.
+    """
+    m = order * (order + 2)
+    if m * x.size > LM_MAX_ENTRIES:
+        raise ValueError(f"a search at order {order} with rank {rank} for spin {S} would build a "
+                         f"Jacobian of {m * x.size} entries, more than the limit of {LM_MAX_ENTRIES}")
+    x = x / np.linalg.norm(x)
+    u, J = _residual(x, S, order, rank)
+    f, mu = float(u @ u), 1e-3
+    for it in range(max_iter):
+        g = J.T @ u
+        if f < 1e-24 or np.linalg.norm(g) < gtol:
+            return x, f, J, it, "converged"
+        while True:
+            if m <= x.size:
+                y = x - J.T @ np.linalg.solve(J @ J.T + mu * np.eye(m), u)
+            else:
+                y = x - np.linalg.solve(J.T @ J + mu * np.eye(x.size), g)
+            y /= np.linalg.norm(y)
+            uy = _residual(y, S, order, rank, jacobian=False)
+            fy = float(uy @ uy)
+            if fy < f:
+                break
+            if mu >= LM_MU_MAX:  # no strict decrease even from a step of float resolution
+                return x, f, J, it, "stalled"
+            mu *= 10.0
+        x, f, mu = y, fy, max(mu / 10.0, 1e-15)
+        u, J = _residual(x, S, order, rank)
+    return x, f, J, max_iter, "max-iter"
+
+
+def _coords(V: np.ndarray) -> np.ndarray:
+    return np.concatenate([V.real.ravel(), V.imag.ravel()])
+
+
+def _factor(x: np.ndarray, d: int) -> np.ndarray:
+    return (x[:x.size // 2] + 1j * x[x.size // 2:]).reshape(d, -1)
+
+
+def _ascend_general(problem: SearchProblem, V0: np.ndarray):
+    """Purity ascent on A_K = 0 from the factor V0: (rho, purity, steps, stop reason)."""
     S, order = problem.spin, problem.order
-    rho = _feasible_point(rho0, S, order, FEAS_TOL)
-    best = float(np.vdot(rho, rho).real)
-    step = 0.5
-    iters = 0
+    d, rank = V0.shape
+
+    def retract(x):
+        # no gradient test: a retraction succeeds only at A_K < 1e-24, and one
+        # stopped just above it where J is small costs the ascent a rejected step
+        x, f, J, _, _ = _levenberg_marquardt(x, S, order, rank, RETRACT_MAX_ITER, 0.0)
+        V = _factor(x, d)
+        rho = V @ V.conj().T
+        return x, f < 1e-24, J, V, rho, float(np.vdot(rho, rho).real)
+
+    x, feasible, J, V, rho, best = retract(_coords(V0))
+    if not feasible:
+        return rho, best, 0, "stalled"
+    step, iters = 0.5, 0
     while step > 1e-10 and iters < ASCENT_MAX_STEPS:
         iters += 1
-        cand = _feasible_point((1.0 + step) * rho, S, order, FEAS_TOL)
-        p = float(np.vdot(cand, cand).real)
-        if p > best + 1e-15:
-            rho, best = cand, p
+        # the purity gradient rho V - Tr(rho^2) V less its least-squares fit by the rows of J:
+        # its part in null(J), the tangent space of A_K = 0
+        g = _coords(rho @ V - best * V)
+        g -= J.T @ np.linalg.lstsq(J.T, g, rcond=1e-10)[0]
+        norm = np.linalg.norm(g)
+        if norm == 0.0:  # a critical point: there is no ascent direction
+            return rho, best, iters, "converged"
+        y, ok, Jy, W, cand, p = retract(x + (step / norm) * g)
+        if ok and p > best + 1e-15:
+            x, J, V, rho, best = y, Jy, W, cand, p
         else:
             step *= 0.5
-    rho = _feasible_point(rho, S, order, 1e-13, max_iter=20000)
-    reason = "converged" if step <= 1e-10 else "max-iter"
-    return rho, float(np.vdot(rho, rho).real), iters, reason
+    return rho, best, iters, "converged" if step <= 1e-10 else "max-iter"
 
 
 def _diag_constraint_rows(S: HalfInt, order: int) -> np.ndarray:
@@ -254,87 +322,41 @@ def max_purity_unpolarized(problem: SearchProblem) -> SearchResult:
     enumeration of the eigenvalue polytope (an axially symmetric state is a
     rotated diagonal one, and purity and multipole strengths are rotation
     invariant, so the two classes share an optimum).  The general class runs
-    multi-restart projected ascent and is locally optimal only.
+    a multi-restart purity ascent over rank-(order + 1) factors of rho and is
+    locally optimal only.
     """
     if problem.constraint_class == "pure":
         raise ValueError("use pure_anticoherent_search for the pure class")
-    d = problem.spin.twice + 1
     if problem.constraint_class in ("diagonal-in-z-basis", "axially-symmetric"):
         state, best, history = _solve_diagonal(problem)
-        return SearchResult(
-            problem, state, best, _a_k(state.rho, problem.spin, problem.order),
-            _digest(history), history,
-        )
-
-    rng = np.random.default_rng(problem.seed)
-    history = []
-    best_state, best_p = maximally_mixed(problem.spin), 1.0 / d
-    for i in range(problem.restarts):
-        rho, p, iters, reason = _ascend_general(problem, random_sector(problem.spin, rng).rho)
-        history.append(RestartRecord(i, p, _a_k(rho, problem.spin, problem.order), iters, reason))
-        if p > best_p + 1e-15:
-            best_state, best_p = SpinSector(problem.spin, rho, validate=False), p
-    history = tuple(history)
-    return SearchResult(
-        problem, best_state, best_p, _a_k(best_state.rho, problem.spin, problem.order),
-        _digest(history), history,
-    )
+    else:
+        d = problem.spin.twice + 1
+        rng = np.random.default_rng(problem.seed)
+        history = []
+        state, best = maximally_mixed(problem.spin), 1.0 / d
+        for i in range(problem.restarts):
+            rho, p, iters, reason = _ascend_general(problem, _ginibre(d, problem.order + 1, rng))
+            history.append(RestartRecord(i, p, _a_k(rho, problem.spin, problem.order), iters, reason))
+            # a start that could not be retracted onto A_K = 0 is no candidate
+            if reason != "stalled" and p > best + 1e-15:
+                state, best = SpinSector(problem.spin, rho, validate=False), p
+        history = tuple(history)
+    return SearchResult(problem, state, best, _a_k(state.rho, problem.spin, problem.order),
+                        _digest(history), history)
 
 
 def anticoherence_objective(psi: np.ndarray, S, order: int) -> float:
     """A_order of the normalized pure state with amplitudes psi."""
-    v = psi / np.linalg.norm(psi)
-    return _a_k(np.outer(v, v.conj()), half(S), order)
+    return _a_k(pure_sector(S, psi).rho, half(S), order)
 
 
 def anticoherence_gradient(x: np.ndarray, S, order: int) -> np.ndarray:
-    """Gradient of A_order in the 2(2S+1) real coordinates (re, im) of psi.
+    """Gradient 2 J^T u of A_order in the 2(2S+1) real coordinates (re, im) of psi.
 
-    The objective is evaluated on psi/|psi| (degree-4 homogeneous over the
-    raw amplitudes divided by |psi|^4); the gradient below is exact at
-    |psi| = 1 and is what central finite differences of the normalized
-    objective must reproduce.
+    Exact at every |psi|, as A_order is evaluated on psi/|psi|.
     """
-    S = half(S)
-    d = S.twice + 1
-    psi = x[:d] + 1j * x[d:]
-    norm = np.linalg.norm(psi)
-    v = psi / norm
-    # with u_Kq = <v|T_Kq^dagger|v>, sum_Kq u* T^dagger v + u T v = 2 P v, where
-    # P = sum_Kq u_Kq T_Kq is the projection of |v><v| onto the rank 1..order span
-    u = components(np.outer(v, v.conj()), S, order)
-    u[0] = 0.0  # the monopole is not part of A_K
-    f = float(np.sum(u.real ** 2 + u.imag ** 2))
-    gc = 2.0 * (synthesize(u, S) @ v)
-    grad_v = np.concatenate([2.0 * gc.real, 2.0 * gc.imag]) - 4.0 * f * np.concatenate([v.real, v.imag])
-    return grad_v / norm  # chain rule through the normalization at general |psi|
-
-
-def _descend_pure(S: HalfInt, order: int, x0: np.ndarray):
-    d = S.twice + 1
-    x = x0 / np.linalg.norm(x0)
-    f = anticoherence_objective(x[:d] + 1j * x[d:], S, order)
-    for it in range(PURE_MAX_ITER):
-        g = anticoherence_gradient(x, S, order)
-        gn = float(np.linalg.norm(g))
-        if gn < PURE_GTOL or f < 1e-24:
-            return x, f, it, "converged"
-        t = 0.25
-        for _ in range(60):
-            y = x - t * g
-            y /= np.linalg.norm(y)
-            fy = anticoherence_objective(y[:d] + 1j * y[d:], S, order)
-            if fy <= f - 1e-4 * t * gn * gn:
-                break
-            t *= 0.5
-        else:
-            return x, f, it, "stalled"
-        # the Armijo test accepts fy == f once the decrease it asks for is
-        # below the float resolution of f: a step that does not lower f ends it
-        if fy >= f:
-            return x, f, it, "stalled"
-        x, f = y, fy
-    return x, f, PURE_MAX_ITER, "max-iter"
+    u, J = _residual(np.asarray(x, dtype=float), half(S), order, 1)
+    return 2.0 * (J.T @ u)
 
 
 def pure_anticoherent_search(S, order: int, restarts: int = 64, seed: int = 0) -> SearchResult:
@@ -347,18 +369,15 @@ def pure_anticoherent_search(S, order: int, restarts: int = 64, seed: int = 0) -
     problem = SearchProblem(half(S), order, constraint_class="pure", restarts=restarts, seed=seed)
     d = problem.spin.twice + 1
     rng = np.random.default_rng(seed)
-    history = []
-    best_x, best_f = None, math.inf
+    history, best_x, best_f = [], None, math.inf
     for i in range(restarts):
         x0 = rng.standard_normal(2 * d)
-        x, f, iters, reason = _descend_pure(problem.spin, order, x0)
+        x, f, _, iters, reason = _levenberg_marquardt(x0, problem.spin, order, 1, PURE_MAX_ITER, PURE_GTOL)
         history.append(RestartRecord(i, f, f, iters, reason))
         if f < best_f:
             best_x, best_f = x, f
     history = tuple(history)
-    psi = best_x[:d] + 1j * best_x[d:]
-    psi /= np.linalg.norm(psi)
-    state = SpinSector(problem.spin, np.outer(psi, psi.conj()), validate=False)
+    state = pure_sector(problem.spin, _factor(best_x, d)[:, 0])
     return SearchResult(problem, state, best_f, best_f, _digest(history), history)
 
 
@@ -379,9 +398,7 @@ def scan_two_photon_family(lams) -> list[TwoPhotonRow]:
     rows = []
     for lam in lams:
         lam = float(lam)
-        if not 0.0 <= lam <= 0.5:
-            raise ValueError(f"lam = {lam} outside [0, 1/2] (positivity)")
-        sec = diag_sector(1, [lam, 1.0 - 2.0 * lam, lam])
+        sec = two_photon_diag_unpolarized(lam)
         spec = state_multipoles(sec)
         rows.append(TwoPhotonRow(lam, sec.purity(), degree(spec, 2)))
     return rows

@@ -340,11 +340,15 @@ def purity(obj) -> float:
     raise TypeError(f"expected SpinSector or PolarizationState, got {type(obj).__name__}")
 
 
+def _ginibre(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """A d x k matrix of independent standard complex Gaussians."""
+    return rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+
+
 def random_sector(S, rng: np.random.Generator, rank: int | None = None) -> SpinSector:
     """Random full(ish)-rank density matrix from the Ginibre ensemble."""
     d = dim(half(S))
-    k = d if rank is None else int(rank)
-    g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+    g = _ginibre(d, d if rank is None else int(rank), rng)
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     return SpinSector(S, rho, validate=False)

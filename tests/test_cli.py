@@ -273,6 +273,11 @@ class TestSearchAndScan:
         supports = sum(math.comb(41, k) for k in range(1, 22))
         assert f"would try {supports} eigenvalue supports" in capsys.readouterr().err
 
+    def test_search_refuses_an_oversized_jacobian(self, capsys):
+        capsys.readouterr()
+        assert run_cli("search", "--two-s", 200, "--order", 200) == 2
+        assert f"Jacobian of {200 * 202 * 2 * 201 * 201} entries" in capsys.readouterr().err
+
     def test_pure_search_reports_nonexistence(self, tmp_path, capsys):
         capsys.readouterr()
         assert run_cli("search", "--two-s", 1, "--order", 1, "--class", "pure",

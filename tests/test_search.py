@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qpolar import search
+from qpolar.angmom import half
 from qpolar.multipole import state_multipoles, tensor_matrix, unpolarization_order
 from qpolar.search import (
     STOP_REASONS,
@@ -195,6 +196,32 @@ class TestGeneralSolver:
         spec = state_multipoles(res.state)
         assert unpolarization_order(spec, 1e-8) >= 2
 
+    @pytest.mark.parametrize("twice_s,order,restarts", [(2, 1, 4), (3, 2, 4), (6, 3, 2)])
+    def test_every_restart_ends_on_the_constraint_set(self, twice_s, order, restarts):
+        res = max_purity_unpolarized(SearchProblem(twice_s / 2, order, restarts=restarts))
+        assert all(rec.residual <= 1e-24 for rec in res.history)
+        assert res.residual <= 1e-24
+
+    def test_two_photon_first_order_optimum_is_pure(self):
+        res = max_purity_unpolarized(SearchProblem(1, 1, restarts=2, seed=0))
+        assert abs(res.objective - 1.0) < 1e-9
+
+    def test_ten_photon_fourth_order_optimum(self):
+        # one restart from seed 0 reaches the rank-2 optimum 0.8528
+        res = max_purity_unpolarized(SearchProblem(5, 4, restarts=1, seed=0))
+        assert abs(res.objective - 0.8528) < 1e-9
+        assert res.stop_reasons["converged"] == 1
+
+    def test_start_that_cannot_be_retracted_is_no_candidate(self, monkeypatch):
+        # with no retraction iterations no start reaches A_K = 0: every restart
+        # stalls and the result falls back to the maximally mixed state
+        monkeypatch.setattr(search, "RETRACT_MAX_ITER", 0)
+        res = max_purity_unpolarized(SearchProblem(1, 1, restarts=3))
+        assert [(rec.reason, rec.iterations) for rec in res.history] == [("stalled", 0)] * 3
+        assert all(rec.objective > 1 / 3 and rec.residual > 1e-24 for rec in res.history)
+        assert np.array_equal(res.state.rho, np.eye(3) / 3)
+        assert res.objective == 1 / 3
+
     def test_restart_determinism(self):
         a = max_purity_unpolarized(SearchProblem(1, 1, constraint_class="general", restarts=6, seed=3))
         b = max_purity_unpolarized(SearchProblem(1, 1, constraint_class="general", restarts=6, seed=3))
@@ -228,6 +255,17 @@ class TestPureSearch:
         res = pure_anticoherent_search(2, 2, restarts=12)
         assert res.objective < 1e-10
 
+    def test_twelve_photon_third_order_converges_in_a_few_steps(self):
+        res = pure_anticoherent_search(6, 3, restarts=2, seed=0)
+        assert [rec.reason for rec in res.history] == ["converged"] * 2
+        assert all(rec.iterations <= 20 for rec in res.history)
+        assert res.objective < 1e-24
+
+    def test_spin_half_stops_at_iteration_zero(self):
+        # A_1 is 1/2 on every pure spin-1/2 state, so its gradient vanishes at the start
+        res = pure_anticoherent_search(0.5, 1, restarts=4, seed=0)
+        assert [(rec.reason, rec.iterations) for rec in res.history] == [("converged", 0)] * 4
+
     def test_determinism(self):
         a = pure_anticoherent_search(1.5, 1, restarts=5, seed=9)
         b = pure_anticoherent_search(1.5, 1, restarts=5, seed=9)
@@ -257,6 +295,53 @@ class TestPureSearch:
             assert np.linalg.norm(g - fd) / denom < 1e-6
 
 
+class TestLevenbergMarquardtCore:
+    @pytest.mark.parametrize("rank", ["1", "2", "K+1"])
+    @pytest.mark.parametrize("twice_s,order", [(1, 1), (3, 2), (6, 3), (10, 4)])
+    def test_jacobian_matches_finite_differences(self, twice_s, order, rank):
+        S = half(twice_s / 2)
+        r = {"1": 1, "2": 2, "K+1": order + 1}[rank]
+        rng = np.random.default_rng(80 + twice_s)
+        for _ in range(5):
+            x = rng.standard_normal(2 * (twice_s + 1) * r)
+            x /= np.linalg.norm(x)
+            _, J = search._residual(x, S, order, r)
+            h = 1e-5
+            fd = np.empty_like(J)
+            for i in range(x.size):
+                xp, xm = x.copy(), x.copy()
+                xp[i] += h
+                xm[i] -= h
+                up = search._residual(xp, S, order, r, jacobian=False)
+                fd[:, i] = (up - search._residual(xm, S, order, r, jacobian=False)) / (2 * h)
+            # the floor and tolerance of test_gradient_matches_finite_differences
+            denom = max(np.linalg.norm(J), np.linalg.norm(fd), 1e-4)
+            assert np.linalg.norm(J - fd) / denom < 1e-6
+
+    @pytest.mark.parametrize("twice_s,order,r", [(1, 1, 1), (4, 2, 1), (6, 3, 4), (10, 10, 3)])
+    def test_residual_rows_square_to_a_k(self, twice_s, order, r):
+        rng = np.random.default_rng(90 + twice_s)
+        V = rng.standard_normal((twice_s + 1, r)) + 1j * rng.standard_normal((twice_s + 1, r))
+        x = np.concatenate([V.real.ravel(), V.imag.ravel()])
+        u = search._residual(x, half(twice_s / 2), order, r, jacobian=False)
+        assert u.shape == ((order + 1) ** 2 - 1,)
+        rho = SpinSector(twice_s / 2, V @ V.conj().T / np.vdot(V, V).real)
+        assert abs(u @ u - state_multipoles(rho).cumulative_all[order - 1]) < 1e-15
+
+    def test_refuses_an_oversized_jacobian_before_building_it(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the Jacobian must not be built")
+
+        monkeypatch.setattr(search, "_residual", never)
+        rows = 200 * 202  # (K+1)^2 - 1 residual rows at 2S = K = 200
+        general, pure = rows * 2 * 201 * 201, rows * 2 * 201
+        assert min(general, pure) > search.LM_MAX_ENTRIES
+        with pytest.raises(ValueError, match=f"Jacobian of {general} entries"):
+            max_purity_unpolarized(SearchProblem(100, 200, restarts=1))
+        with pytest.raises(ValueError, match=f"Jacobian of {pure} entries"):
+            pure_anticoherent_search(100, 200, restarts=1)
+
+
 class TestStopReasons:
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -274,9 +359,10 @@ class TestStopReasons:
         assert res.objective < 1e-24
 
     def test_pure_iteration_budget(self, monkeypatch):
-        monkeypatch.setattr(search, "PURE_MAX_ITER", 5)
+        # both restarts need 5 or more iterations to converge (5 and 6)
+        monkeypatch.setattr(search, "PURE_MAX_ITER", 3)
         res = pure_anticoherent_search(3, 3, restarts=2, seed=0)
-        assert [(rec.reason, rec.iterations) for rec in res.history] == [("max-iter", 5)] * 2
+        assert [(rec.reason, rec.iterations) for rec in res.history] == [("max-iter", 3)] * 2
 
     def test_general_step_budget(self, monkeypatch):
         monkeypatch.setattr(search, "ASCENT_MAX_STEPS", 5)

@@ -7,9 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qpolar.catalog as catalog
-from qpolar.angmom import half
 from qpolar.multipole import cumulative, state_multipoles, unpolarization_order
-from qpolar.search import _feasible_point
+from qpolar.search import project_multipole_free
 from qpolar.states import (
     Direction,
     SpinSector,
@@ -119,9 +118,13 @@ class TestIsotropyOrder:
             isotropy_order(state, 2)
 
     def _engineered_sector(self, twice_s, order, rng):
-        start = random_sector(twice_s / 2, rng).rho
-        rho = _feasible_point(start, half(twice_s / 2), order, 1e-13)
-        return SpinSector(twice_s / 2, rho, validate=False)
+        # I/d + t (P - I/d) keeps the multipoles of P = project_multipole_free(start)
+        # for every t; take the largest t <= 1 at which it is still PSD
+        d = twice_s + 1
+        P = project_multipole_free(random_sector(twice_s / 2, rng).rho, twice_s / 2, order)
+        low = np.linalg.eigvalsh(P)[0]
+        t = 1.0 if low >= 0 else (1 / d) / (1 / d - low)
+        return SpinSector(twice_s / 2, np.eye(d) / d + t * (P - np.eye(d) / d), validate=False)
 
     @pytest.mark.parametrize("twice_s", [1, 2, 3, 4, 5, 6])
     def test_equivalence_with_multipole_classifier(self, twice_s):
