@@ -207,25 +207,18 @@ def cmd_scan(args) -> int:
               f"purity range [{min(r.purity for r in rows):.6g}, {max(r.purity for r in rows):.6g}]")
     else:
         if args.family == "three-photon-first":
-            grid = [
-                (l3, l4)
-                for l3 in np.linspace(0.0, 1.0, args.points)
-                for l4 in np.linspace(0.0, 0.5, args.points)
-            ]
+            axes = np.linspace(0.0, 1.0, args.points), np.linspace(0.0, 0.5, args.points)
+            grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)  # lam3-major
             rows = search.scan_three_photon_family("first-order", grid)
         else:
             rows = search.scan_three_photon_family(
                 "second-order", np.linspace(1 / 6, 1 / 3, args.points)
             )
         lines.append("lam3,lam4,feasible,purity,A_1,A_2,A_3")
-        for r in rows:
-            if r.feasible:
-                lines.append(
-                    f"{_fmt(r.lam3)},{_fmt(r.lam4)},1,{_fmt(r.purity)},"
-                    f"{_fmt(r.a1)},{_fmt(r.a2)},{_fmt(r.a3)}"
-                )
-            else:
-                lines.append(f"{_fmt(r.lam3)},{_fmt(r.lam4)},0,,,,")
+        # an infeasible row leaves purity and A_K blank
+        lines.extend(f"{_fmt(r.lam3)},{_fmt(r.lam4)},{int(r.feasible)},"
+                     + ",".join("" if v is None else _fmt(v) for v in (r.purity, r.a1, r.a2, r.a3))
+                     for r in rows)
         kept = [r for r in rows if r.feasible]
         best = f", max purity {max(r.purity for r in kept):.9g}" if kept else ""
         print(f"{args.family} family: {len(kept)} feasible of {len(rows)} grid points{best}")

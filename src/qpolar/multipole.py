@@ -114,7 +114,9 @@ def components(X: np.ndarray, S: HalfInt, k_max: int) -> np.ndarray:
     qs = slice(S.twice - k_max, S.twice + k_max + 1)
     # entries outside the matrix clip to its last one, where the coefficient is zero
     diags = X.reshape(X.shape[:-2] + (-1,)).take(idx[qs], axis=-1, mode="clip")  # [..., q, col]
-    return (diags[..., None, :] @ C[qs, :k_max + 1].transpose(0, 2, 1))[..., 0, :].swapaxes(-1, -2)
+    # the real block against the (re, im) pairs of each entry: no complex copy of the block
+    parts = diags.view(float).reshape(diags.shape + (-1,))  # [..., q, col, re/im]
+    return (C[qs, :k_max + 1] @ parts).view(diags.dtype)[..., 0].swapaxes(-1, -2)
 
 
 def synthesize(c: np.ndarray, S: HalfInt) -> np.ndarray:
@@ -229,10 +231,10 @@ def _coherent_maxima(t: int) -> np.ndarray:
 
 
 def _strengths_cumulative_degrees(c: np.ndarray, t: int):
-    """W_K, A_K and P_K of components c[K, k_max + q] on the shell with 2S = t."""
+    """W_K, A_K and P_K of components c[..., K, k_max + q] on the shell with 2S = t."""
     W = np.sum(c.real ** 2 + c.imag ** 2, axis=-1)
-    A = np.cumsum(W[1:])
-    return W, A, np.sqrt(np.maximum(A, 0.0) / _coherent_maxima(t)[:len(A)])
+    A = np.cumsum(W[..., 1:], axis=-1)
+    return W, A, np.sqrt(np.maximum(A, 0.0) / _coherent_maxima(t)[:A.shape[-1]])
 
 
 def degree(spectrum: MultipoleSpectrum, K: int) -> float:

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angmom import HalfInt, half
-from .catalog import three_photon_first_order_eigs, two_photon_diag_unpolarized
-from .multipole import _basis, components, degree, state_multipoles, synthesize
+from .catalog import three_photon_first_order_eigs
+from .multipole import _basis, _strengths_cumulative_degrees, components, synthesize
 from .states import SpinSector, _ginibre, diag_sector, maximally_mixed, pure_sector
 
 __all__ = [
@@ -381,6 +381,30 @@ def pure_anticoherent_search(S, order: int, restarts: int = 64, seed: int = 0) -
     return SearchResult(problem, state, best_f, best_f, _digest(history), history)
 
 
+def _grid_points(grid, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A scan grid as a float array [point, *shape]; a malformed or non-finite point is refused."""
+    try:
+        pts = np.asarray(grid, dtype=float)
+    except ValueError:  # points of unequal lengths, or entries that are no numbers
+        pts = None
+    if pts is None or pts.shape != (len(pts),) + shape or not np.isfinite(pts).all():
+        for i, point in enumerate(grid):
+            if np.shape(point) != shape or not np.isfinite(np.asarray(point, dtype=float)).all():
+                raise ValueError(f"grid point {i} = {point!r} is not {what}")
+        pts = np.asarray(grid, dtype=float).reshape((0,) + shape)  # an empty grid
+    return pts
+
+
+def _diagonal_rows(p: np.ndarray):
+    """Purity, A_K and P_K of diagonal states from their eigenvalue rows p[N, 2S + 1], m descending.
+
+    Such a state has only rho_K0 = sum_m T_K0[m, m] p_m: one product with the q = 0 basis block.
+    """
+    t = p.shape[-1] - 1
+    _, A, P = _strengths_cumulative_degrees((p @ _basis(t)[0][t].T)[..., None], t)
+    return np.einsum("nm,nm->n", p, p), A, P
+
+
 @dataclass(frozen=True)
 class TwoPhotonRow:
     lam: float
@@ -395,13 +419,12 @@ def scan_two_photon_family(lams) -> list[TwoPhotonRow]:
     restricts lam to [0, 1/2].  Purity and the second-order degree are
     computed through the multipole machinery, not from closed forms.
     """
-    rows = []
-    for lam in lams:
-        lam = float(lam)
-        sec = two_photon_diag_unpolarized(lam)
-        spec = state_multipoles(sec)
-        rows.append(TwoPhotonRow(lam, sec.purity(), degree(spec, 2)))
-    return rows
+    lams = _grid_points(lams, (), "a finite lam value")
+    outside = (lams < 0.0) | (lams > 0.5)
+    if outside.any():
+        raise ValueError(f"lam = {lams[outside][0]} outside [0, 1/2]")
+    purity, _, P = _diagonal_rows(np.column_stack([lams, 1.0 - 2.0 * lams, lams]))
+    return list(map(TwoPhotonRow, lams.tolist(), purity.tolist(), P[:, 1].tolist()))
 
 
 @dataclass(frozen=True)
@@ -421,24 +444,21 @@ def scan_three_photon_family(kind: str, grid) -> list[ThreePhotonRow]:
     kind = "first-order": grid holds (lam3, lam4) pairs; the eigenvalues are
     (lam3+2lam4-1/2, -2lam3-3lam4+3/2, lam3, lam4).  kind = "second-order"
     adds the quadrupole-killing constraint lam3 = 1-3lam4 and grid holds
-    lam4 values.  Grid points violating positivity are flagged, not errors.
+    lam4 values.  Grid points violating positivity are flagged, not errors;
+    a non-finite or malformed grid point is refused.
     """
     if kind not in ("first-order", "second-order"):
         raise ValueError(f"kind must be 'first-order' or 'second-order', got {kind!r}")
-    rows = []
-    for point in grid:
-        if kind == "first-order":
-            lam3, lam4 = float(point[0]), float(point[1])
-        else:
-            lam4 = float(point)
-            lam3 = 1.0 - 3.0 * lam4
-        eigs = np.array(three_photon_first_order_eigs(lam3, lam4))
-        if np.any(eigs < -1e-12) or np.any(eigs > 1.0 + 1e-12):
-            rows.append(ThreePhotonRow(lam3, lam4, False, None, None, None, None))
-            continue
-        p = np.clip(eigs, 0.0, None)
-        sec = diag_sector(1.5, p / p.sum())
-        spec = state_multipoles(sec)
-        a = spec.cumulative_all
-        rows.append(ThreePhotonRow(lam3, lam4, True, sec.purity(), a[0], a[1], a[2]))
-    return rows
+    if kind == "first-order":
+        lam3, lam4 = _grid_points(grid, (2,), "a finite (lam3, lam4) pair").T
+    else:
+        lam4 = _grid_points(grid, (), "a finite lam4 value")
+        lam3 = 1.0 - 3.0 * lam4
+    with np.errstate(over="ignore", invalid="ignore"):  # eigenvalues past the float range are infeasible
+        eigs = np.column_stack(three_photon_first_order_eigs(lam3, lam4))
+    feasible = ~np.any((eigs < -1e-12) | (eigs > 1.0 + 1e-12), axis=1)
+    p = np.clip(eigs[feasible], 0.0, None)
+    purity, A, _ = _diagonal_rows(p / p.sum(axis=1, keepdims=True))
+    found = iter(np.column_stack([purity, A]).tolist())
+    return [ThreePhotonRow(l3, l4, ok, *(next(found) if ok else (None,) * 4))
+            for l3, l4, ok in zip(lam3.tolist(), lam4.tolist(), feasible.tolist())]

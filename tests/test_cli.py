@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -313,6 +314,15 @@ class TestSearchAndScan:
         rows = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
         purities = [float(l.split(",")[3]) for l in rows[1:] if l.split(",")[2] == "1"]
         assert max(purities) == pytest.approx(7 / 18, abs=1e-12)
+
+    def test_scan_three_photon_first_grid_is_lam3_major(self, tmp_path):
+        out = tmp_path / "f1.csv"
+        assert run_cli("scan", "--family", "three-photon-first", "--points", 5, "--out", out) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines()[2:]]
+        grid = [(l3, l4) for l3 in np.linspace(0.0, 1.0, 5) for l4 in np.linspace(0.0, 0.5, 5)]
+        assert [(float(r[0]), float(r[1])) for r in rows] == grid
+        assert all(float(r[4]) < 1e-12 for r in rows if r[2] == "1")
+        assert sum(r[2] == "1" for r in rows) > 0
 
     def test_scan_refuses_no_points(self, capsys):
         capsys.readouterr()

@@ -1,6 +1,7 @@
 """Tensor-operator basis, state multipoles, strengths, degrees, classification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,36 @@ class TestTensorBasis:
         coherent = state_multipoles(su2_coherent(t / 2, Direction(0.7, 1.9)))
         ceiling = [coherent_cumulative_max(t / 2, K) for K in range(1, t + 1)]
         assert_allclose(coherent.cumulative_all, ceiling, rtol=0, atol=1e-12)
+
+
+class TestComponentsKernel:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_dense_traces_over_a_batch(self, dtype):
+        rng = np.random.default_rng(25)
+        X = rng.standard_normal((2, 3, 4, 4)).astype(dtype)
+        if dtype is complex:
+            X += 1j * rng.standard_normal(X.shape)
+        c = components(X, half(1.5), 2)
+        assert c.shape == (2, 3, 3, 5) and c.dtype == X.dtype
+        for K in range(3):
+            for q in range(-2, 3):
+                # Tr[X T_Kq^dagger] with T_Kq real; zero where |q| > K
+                dense = np.einsum("...ij,ij->...", X, tensor_matrix(1.5, K, q)) if abs(q) <= K else 0.0
+                assert_allclose(c[..., K, 2 + q], dense, rtol=0, atol=1e-14)
+
+    def test_complex_matrix_never_copies_the_block(self):
+        # the real block meets the (re, im) pairs of each entry; a complex copy of it would be twice its size
+        t = 40
+        S = half(t / 2)
+        rho = random_sector(S, np.random.default_rng(26)).rho
+        components(rho, S, t)  # the basis is built and cached outside the measurement
+        tracemalloc.start()
+        try:
+            components(rho, S, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < _basis(t)[0].nbytes / 4
 
 
 class TestStateMultipoles:

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from numpy.testing import assert_allclose
 
 from qpolar import search
 from qpolar.angmom import half
-from qpolar.multipole import state_multipoles, tensor_matrix, unpolarization_order
+from qpolar.catalog import three_photon_first_order_eigs
+from qpolar.multipole import degree, state_multipoles, tensor_matrix, unpolarization_order
 from qpolar.search import (
     STOP_REASONS,
     SearchProblem,
@@ -23,7 +26,7 @@ from qpolar.search import (
     scan_three_photon_family,
     scan_two_photon_family,
 )
-from qpolar.states import SpinSector, random_sector, validate
+from qpolar.states import SpinSector, diag_sector, random_sector, validate
 
 
 def polytope_grid_oracle(twice_s, order, rounds=6, n=61):
@@ -65,6 +68,29 @@ def polytope_grid_oracle(twice_s, order, rounds=6, n=61):
         center = pts[:, ok][:, k]
         width /= n / 4
     return best
+
+
+def per_point_two_photon(lams):
+    """(purity, P_2) per lam, one sector and one full multipole spectrum per point."""
+    rows = []
+    for lam in lams:
+        sec = diag_sector(1, [lam, 1.0 - 2.0 * lam, lam])
+        rows.append((sec.purity(), degree(state_multipoles(sec), 2)))
+    return rows
+
+
+def per_point_three_photon(points):
+    """(purity, A_1, A_2, A_3) per (lam3, lam4) point, None where positivity fails."""
+    rows = []
+    for lam3, lam4 in points:
+        eigs = np.array(three_photon_first_order_eigs(lam3, lam4))
+        if np.any(eigs < -1e-12) or np.any(eigs > 1.0 + 1e-12):
+            rows.append(None)
+            continue
+        p = np.clip(eigs, 0.0, None)
+        sec = diag_sector(1.5, p / p.sum())
+        rows.append((sec.purity(), *state_multipoles(sec).cumulative_all))
+    return rows
 
 
 class TestProblemValidation:
@@ -428,3 +454,77 @@ class TestScans:
     def test_three_photon_kind_validated(self):
         with pytest.raises(ValueError):
             scan_three_photon_family("zeroth-order", [0.2])
+
+    def test_two_photon_matches_per_point_reference(self):
+        lams = np.linspace(0.0, 0.5, 101)
+        rows = scan_two_photon_family(lams)
+        assert [r.lam for r in rows] == lams.tolist()
+        got = [(r.purity, r.p2) for r in rows]
+        assert_allclose(got, per_point_two_photon(lams.tolist()), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["first-order", "second-order"])
+    def test_three_photon_matches_per_point_reference(self, kind):
+        # the CLI's grids: 101 x 101 (lam3, lam4), lam3-major, and 101 lam4 values
+        if kind == "first-order":
+            grid = [(l3, l4) for l3 in np.linspace(0.0, 1.0, 101) for l4 in np.linspace(0.0, 0.5, 101)]
+            points = grid
+        else:
+            grid = np.linspace(1 / 6, 1 / 3, 101)
+            points = [(1.0 - 3.0 * l4, l4) for l4 in grid.tolist()]
+        rows = scan_three_photon_family(kind, grid)
+        expected = per_point_three_photon(points)
+        assert [(r.lam3, r.lam4) for r in rows] == points
+        assert [r.feasible for r in rows] == [e is not None for e in expected]
+        assert any(r.feasible for r in rows)
+        for r, e in zip(rows, expected):
+            if e is None:
+                assert (r.purity, r.a1, r.a2, r.a3) == (None,) * 4
+            else:
+                assert_allclose((r.purity, r.a1, r.a2, r.a3), e, rtol=0, atol=1e-15)
+
+    def test_three_photon_rows_hold_plain_floats(self):
+        for kind, grid in (("first-order", np.array([[0.5, 1 / 6]])), ("second-order", [0.25])):
+            (r,) = scan_three_photon_family(kind, grid)
+            for value in (r.lam3, r.lam4, r.purity, r.a1, r.a2, r.a3):
+                assert type(value) is float
+            assert type(r.feasible) is bool
+        (r,) = scan_two_photon_family(np.array([0.25]))
+        assert all(type(v) is float for v in (r.lam, r.purity, r.p2))
+
+    @pytest.mark.parametrize(
+        "kind, point",
+        [
+            ("first-order", (math.nan, 0.25)),
+            ("first-order", (0.25, math.inf)),
+            ("first-order", (-math.inf, 0.25)),
+            ("first-order", (0.5,)),
+            ("first-order", (0.5, 1 / 6, 9)),
+            ("second-order", math.nan),
+            ("second-order", -math.inf),
+            ("second-order", (0.2, 0.25)),
+        ],
+        ids=["nan", "inf-lam4", "minus-inf-lam3", "one-entry", "three-entries",
+             "second-nan", "second-minus-inf", "second-pair"],
+    )
+    def test_three_photon_refuses_bad_points(self, kind, point):
+        good = (0.25, 0.25) if kind == "first-order" else 0.25
+        for grid in ([good, point], [point]):
+            index = len(grid) - 1
+            with pytest.raises(ValueError, match=re.escape(f"grid point {index} = {point!r} is not")):
+                scan_three_photon_family(kind, grid)
+
+    def test_two_photon_refuses_non_finite_points(self):
+        with pytest.raises(ValueError, match="grid point 1 = nan"):
+            scan_two_photon_family([0.25, math.nan])
+
+    def test_three_photon_point_past_float_range_is_infeasible(self):
+        # finite coordinates whose eigenvalues overflow: flagged, not refused, and no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (r,) = scan_three_photon_family("first-order", [(1.7e308, -1.7e308)])
+        assert not r.feasible and r.purity is None
+
+    def test_empty_grids_give_no_rows(self):
+        assert scan_three_photon_family("first-order", []) == []
+        assert scan_three_photon_family("second-order", []) == []
+        assert scan_two_photon_family([]) == []
