@@ -148,6 +148,13 @@ def _jy_eigen(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
     return lam, vecs
 
 
+def _d_column(twice_j: int, col: int, theta) -> np.ndarray:
+    """Column `col` of d^j(theta) at every theta, as [..., m'] (m' descending), from Jy's eigenvectors."""
+    lam, vecs = _jy_eigen(twice_j)
+    theta = np.asarray(theta, dtype=float)[..., None]
+    return ((np.exp(-1j * theta * lam) * vecs[col].conj()) @ vecs.T).real
+
+
 def wigner_small_d(j, beta: float) -> np.ndarray:
     """Wigner small-d matrix d^j_{m'm}(beta) = exp(-i beta Jy).
 

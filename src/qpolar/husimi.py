@@ -3,18 +3,21 @@
 Evaluated on a Gauss-Legendre (in cos theta) x uniform (in phi) product
 grid.  Q is band-limited to degree 2S, so the default 64 x 128 grid
 integrates it exactly with a wide margin; the normalization
-(2S+1)/(4pi) * integral(Q) = 1 doubles as a self-check.
+(2S+1)/(4pi) * integral(Q) = 1 doubles as a self-check.  In phi, Q is a
+Fourier series with frequencies |q| <= 2S, so each theta costs 2S+1
+coefficients and the grid is one real product with a cos/sin table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .angmom import HalfInt, half
-from .states import Direction, SpinSector, coherent_amplitudes
+from .angmom import HalfInt, _d_column, half
+from .states import Direction, SpinSector
 
 __all__ = ["QGrid", "q_function", "q_values", "export_qgrid", "read_qgrid"]
 
@@ -56,17 +59,43 @@ class QGrid:
                 yield Direction(float(th), float(ph)), float(wt), float(self.values[i, j])
 
 
-def _q(rho: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """<n|rho|n> for coherent amplitudes with any leading axes."""
-    # Re <a|b> with b = rho a, as one real dot over the interleaved (re, im) parts
-    return np.einsum("...k,...k->...", amps.view(float), (amps @ rho.T).view(float))
+def _fourier(rho: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Rows [2q + (re, im), theta] of w_q F_q, q = 0..2S: Q = sum_q w_q Re[F_q exp(-i q phi)].
+
+    F_q = sum_i d_i d_{i+q} H[i+q, i], with d_i = d^S_{m_i,S}(theta) and H = (rho + rho^dagger)/2
+    the part of rho that Re <n|rho|n> sees; w_0 = 1, and w_q = 2 pairs q with -q.
+    """
+    d = len(rho)
+    col = _d_column(d - 1, 0, thetas).T.copy()  # [i, theta]
+    h = rho + rho.conj().T  # 2H, which carries w_q for q > 0
+    parts = np.stack([h.real, h.imag])
+    f = np.stack([np.diagonal(parts, -q, 1, 2) @ (col[:d - q] * col[q:]) for q in range(d)])
+    f[0] /= 2.0
+    return f.reshape(2 * d, -1)
+
+
+def _phases(t: int, phis: np.ndarray) -> np.ndarray:
+    """Rows [2q + (cos, sin), phi] of cos(q phi) and sin(q phi), q = 0..2S, to match `_fourier`."""
+    qphi = np.multiply.outer(np.arange(t + 1), phis)
+    return np.stack([np.cos(qphi), np.sin(qphi)], axis=1).reshape(2 * t + 2, -1)
+
+
+@lru_cache(maxsize=32)
+def _grid_axes(t: int, n_theta: int, n_phi: int) -> tuple[np.ndarray, ...]:
+    """Read-only Gauss-Legendre thetas (ascending) and weights, uniform phis and their phases."""
+    x, w = np.polynomial.legendre.leggauss(n_theta)
+    phis = np.arange(n_phi) * (2.0 * math.pi / n_phi)
+    axes = (np.arccos(x[::-1]), w[::-1].copy(), phis, _phases(t, phis))
+    for a in axes:
+        a.setflags(write=False)
+    return axes
 
 
 def q_values(sector: SpinSector, directions) -> np.ndarray:
     """Q at an arbitrary list of directions."""
     thetas = np.array([d.theta for d in directions])
     phis = np.array([d.phi for d in directions])
-    return _q(sector.rho, coherent_amplitudes(sector.spin, thetas, phis))
+    return np.einsum("kn,kn->n", _fourier(sector.rho, thetas), _phases(sector.spin.twice, phis))
 
 
 def q_function(sector: SpinSector, grid=(64, 128)) -> QGrid:
@@ -74,21 +103,21 @@ def q_function(sector: SpinSector, grid=(64, 128)) -> QGrid:
     n_theta, n_phi = int(grid[0]), int(grid[1])
     if n_theta < 1 or n_phi < 1:
         raise ValueError("grid sizes must be positive")
-    x, w = np.polynomial.legendre.leggauss(n_theta)
-    thetas = np.arccos(x[::-1])  # ascending theta
-    weights = w[::-1]
-    phis = np.arange(n_phi) * (2.0 * math.pi / n_phi)
-    values = _q(sector.rho, coherent_amplitudes(sector.spin, thetas[:, None], phis[None, :]))
+    thetas, weights, phis, table = _grid_axes(sector.spin.twice, n_theta, n_phi)
+    values = _fourier(sector.rho, thetas).T @ table
     coarse = n_theta < sector.spin.twice + 1
     return QGrid(sector.spin, thetas, phis, weights, values, coarse)
 
 
 def export_qgrid(grid: QGrid, path) -> None:
     """Write CSV rows theta,phi,weight,Q in theta-major order (bit-stable)."""
+    phis = [repr(p) for p in grid.phis.tolist()]
+    weights = grid.theta_weights * (2.0 * math.pi / grid.n_phi)
     with open(path, "w") as fh:
         fh.write("theta,phi,weight,Q\n")
-        for direction, weight, value in grid.nodes():
-            fh.write(f"{direction.theta!r},{direction.phi!r},{weight!r},{value!r}\n")
+        for theta, weight, row in zip(grid.thetas.tolist(), weights.tolist(), grid.values.tolist()):
+            head, mid = f"{theta!r},", f",{weight!r},"
+            fh.write("".join(f"{head}{p}{mid}{v!r}\n" for p, v in zip(phis, row)))
 
 
 def read_qgrid(path) -> list[tuple[float, float, float, float]]:

@@ -281,7 +281,7 @@ def _diag_vertices(S: HalfInt, order: int) -> list[np.ndarray]:
     c = _diag_constraint_rows(S, order)
     rhs = np.zeros(n_eq)
     rhs[-1] = 1.0
-    verts: list[np.ndarray] = []
+    verts = np.empty((0, d))
     for size in range(1, min(n_eq, d) + 1):
         for support in itertools.combinations(range(d), size):
             sub = c[:, support]
@@ -292,9 +292,10 @@ def _diag_vertices(S: HalfInt, order: int) -> list[np.ndarray]:
                 continue
             v = np.zeros(d)
             v[list(support)] = np.clip(sol, 0.0, None)
-            if not any(np.allclose(v, u, atol=1e-10) for u in verts):
-                verts.append(v)
-    return verts
+            # np.allclose(v, u, atol=1e-10) against every vertex u found so far, at once
+            if not np.any(np.all(np.abs(v - verts) <= 1e-10 + 1e-5 * np.abs(verts), axis=1)):
+                verts = np.vstack([verts, v])
+    return list(verts)
 
 
 def _solve_diagonal(problem: SearchProblem):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angmom import EulerAngles, HalfInt, _jy_eigen, dim, half, wigner_D
+from .angmom import EulerAngles, HalfInt, _d_column, dim, half, wigner_D
 
 __all__ = [
     "DEFAULT_TOL",
@@ -189,11 +189,8 @@ def coherent_amplitudes(S, theta, phi) -> np.ndarray:
     axis.
     """
     t = half(S).twice
-    lam, vecs = _jy_eigen(t)
-    theta = np.asarray(theta, dtype=float)[..., None]
-    col = ((np.exp(-1j * theta * lam) * vecs[0].conj()) @ vecs.T).real
     ms = np.arange(t, -t - 1, -2) / 2.0  # m descending
-    return col * np.exp(-1j * ms * np.asarray(phi, dtype=float)[..., None])
+    return _d_column(t, 0, theta) * np.exp(-1j * ms * np.asarray(phi, dtype=float)[..., None])
 
 
 def su2_coherent(S, direction: Direction) -> SpinSector:

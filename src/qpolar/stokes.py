@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angmom import HalfInt, _spin_arrays, half
-from .multipole import _strengths_cumulative_degrees, components
+from .angmom import HalfInt, _d_column, _spin_arrays, half
+from .multipole import _basis, _strengths_cumulative_degrees
 from .states import Direction, SpinSector, as_shells
 
 __all__ = [
@@ -193,6 +193,26 @@ def _real_unknowns(k_max: int) -> np.ndarray:
     ]).T
 
 
+def _design_rows(samples, S: HalfInt, k_max: int):
+    """Rows of the moment map over `_real_unknowns`, and each sample's monopole Tr[(n.S)^l]/(2S+1).
+
+    (n.S)^l = R Sz^l R^dagger with R = D(phi, theta, 0), so by rotation covariance
+    Tr[T_Kq (n.S)^l] = z[K, l] exp(i q phi) d^K_{q0}(theta), with z[K, l] = Tr[T_K0 Sz^l].
+    """
+    theta, phi = np.array([(s.direction.theta, s.direction.phi) for s in samples]).T
+    ell = np.array([s.ell for s in samples])
+    powers = (np.arange(S.twice, -S.twice - 1, -2) / 2.0)[:, None] ** np.arange(k_max + 1)  # m^l, [m, l]
+    z = _basis(S.twice)[0][S.twice, :k_max + 1] @ powers  # the q = 0 block against Sz^l
+    t = np.zeros((len(samples), k_max + 1, k_max + 1), dtype=complex)  # [sample, K, q >= 0]
+    for K in range(1, k_max + 1):
+        q = np.arange(K + 1)
+        t[:, K, q] = z[K, ell, None] * _d_column(2 * K, K, theta)[:, K::-1] * np.exp(1j * q * phi[:, None])
+    ks, qs, parts = _real_unknowns(k_max)
+    t = t[:, ks, qs]
+    rows = np.where(qs == 0, t.real, np.where(parts == 0, 2.0 * t.real, -2.0 * t.imag))
+    return rows, powers.mean(axis=0)[ell]
+
+
 def moments_to_multipoles(samples, S, k_max: int) -> ReconstructionResult:
     """Solve the linear moment map for the multipole components up to rank k_max.
 
@@ -200,9 +220,9 @@ def moments_to_multipoles(samples, S, k_max: int) -> ReconstructionResult:
     rho_Kq with K <= l, because (n.S)^l expands over tensors of rank <= l.
     Needs moments up to l = k_max on at least 2*k_max+1 distinct directions,
     and none above: their ranks above k_max would alias into the fit, so
-    they raise ValueError.  Raises IllConditionedError when the assembled
-    system is rank deficient (smallest singular value below 1e-10 of the
-    largest).
+    they raise ValueError, as does a non-finite value (naming its sample).
+    Raises IllConditionedError when the assembled system is rank deficient
+    (smallest singular value below 1e-10 of the largest).
     """
     S = half(S)
     if not 1 <= k_max <= S.twice:
@@ -213,6 +233,10 @@ def moments_to_multipoles(samples, S, k_max: int) -> ReconstructionResult:
     ]
     if not samples:
         raise ValueError("no moment samples given")
+    values = np.array([s.value for s in samples])
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"moment sample {bad[0]} has a non-finite value: {samples[bad[0]]}")
     ells = [s.ell for s in samples]
     if min(ells) < 1:
         raise ValueError("moment order must be >= 1")
@@ -226,14 +250,8 @@ def moments_to_multipoles(samples, S, k_max: int) -> ReconstructionResult:
             f"need at least {2 * k_max + 1}"
         )
     d = S.twice + 1
-    powers = np.array([np.linalg.matrix_power(spin_along(S, s.direction), s.ell) for s in samples])
-    # remove the fixed monopole part
-    b = np.array([s.value for s in samples]) - np.trace(powers, axis1=1, axis2=2).real / d
-    # Tr[T_Kq (n.S)^l] is the analysis kernel applied to the transposed power
-    t = components(powers.swapaxes(1, 2), S, k_max)
-    ks, qs, parts = _real_unknowns(k_max)
-    t = t[:, ks, k_max + qs]
-    a = np.where(qs == 0, t.real, np.where(parts == 0, 2.0 * t.real, -2.0 * t.imag))
+    a, monopole = _design_rows(samples, S, k_max)
+    b = values - monopole
     sol, res, rank, sing = np.linalg.lstsq(a, b, rcond=None)
     if sing[0] == 0 or sing[-1] < 1e-10 * sing[0]:
         raise IllConditionedError(
@@ -242,6 +260,7 @@ def moments_to_multipoles(samples, S, k_max: int) -> ReconstructionResult:
         )
     cond = float(sing[0] / sing[-1])
     residual = float(np.linalg.norm(a @ sol - b))
+    ks, qs, parts = _real_unknowns(k_max)
 
     c = np.zeros((k_max + 1, 2 * k_max + 1), dtype=complex)
     c[0, k_max] = 1.0 / math.sqrt(d)

@@ -238,6 +238,23 @@ class TestReconstruct:
         assert f"l = {ell} carry ranks above k_max = 2" in captured.err
         assert captured.out == ""  # refused before any matrix power or least-squares call
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_moment_exits_2(self, tmp_path, capfd, bad):
+        sec = diag_sector(1, [0.2, 0.6, 0.2])
+        samples = sample_moments(sec, tomography_directions(9), 2)
+        assert len(samples) == 18
+        moments = tmp_path / "m.csv"
+        write_moments(samples, moments)
+        lines = moments.read_text().splitlines()
+        head, value = lines[6].rsplit(",", 1)
+        lines[6] = f"{head},{bad}"  # the sixth sample, index 5
+        moments.write_text("\n".join(lines) + "\n")
+        capfd.readouterr()
+        assert run_cli("reconstruct", moments, "--two-s", 2, "--order", 2) == 2
+        captured = capfd.readouterr()
+        assert "moment sample 5 " in captured.err and "non-finite value" in captured.err
+        assert captured.out == ""
+
     def test_rank_deficient_exit_code(self, tmp_path):
         sec = diag_sector(1, [0.2, 0.6, 0.2])
         d = tomography_directions(1) * 5

@@ -1,4 +1,4 @@
-"""Husimi Q function: normalization, covariance, closed-form overlaps, export."""
+"""Husimi Q function: normalization, covariance, closed-form overlaps, export, kernel."""
 
 import math
 
@@ -11,6 +11,8 @@ from qpolar.angmom import rotation_matrix
 from qpolar.husimi import export_qgrid, q_function, q_values, read_qgrid
 from qpolar.states import (
     Direction,
+    SpinSector,
+    coherent_amplitudes,
     maximally_mixed,
     random_angles,
     random_direction,
@@ -31,6 +33,66 @@ def overlap_oracle(amplitudes, theta, phi):
         c = math.sqrt(math.comb(t, k)) * ch**k * sh ** (t - k) * np.exp(-1j * m * phi)
         total += np.conj(c) * a
     return abs(total) ** 2
+
+
+def reference_q(rho, twice_s, thetas, phis):
+    """Re <a|rho|a> over the coherent amplitudes of every (theta, phi) node."""
+    amps = coherent_amplitudes(twice_s / 2, np.asarray(thetas)[:, None], np.asarray(phis)[None, :])
+    return np.einsum("...k,...k->...", amps.conj(), amps @ rho.T).real
+
+
+def reference_export(grid, path):
+    """The CSV writer over QGrid.nodes(), one validated Direction per node."""
+    with open(path, "w") as fh:
+        fh.write("theta,phi,weight,Q\n")
+        for direction, weight, value in grid.nodes():
+            fh.write(f"{direction.theta!r},{direction.phi!r},{weight!r},{value!r}\n")
+
+
+class TestFourierKernel:
+    """q_function sums 2S+1 Fourier coefficients per theta; checked against Re <a|rho|a>."""
+
+    @pytest.mark.parametrize("twice_s", [*range(13), 25, 40, 200])
+    def test_matches_amplitude_reference(self, twice_s):
+        rng = np.random.default_rng(500 + twice_s)
+        for sec in (random_sector(twice_s / 2, rng), random_sector(twice_s / 2, rng, rank=1)):
+            grid = q_function(sec, (64, 128))
+            want = reference_q(sec.rho, twice_s, grid.thetas, grid.phis)
+            assert_allclose(grid.values, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(64, 128), (1, 1), (64, 5), (3, 128)])
+    def test_grid_shapes_at_2s_40(self, shape):
+        rng = np.random.default_rng(510)
+        sec = random_sector(20, rng)
+        grid = q_function(sec, shape)
+        assert grid.values.shape == shape
+        assert_allclose(grid.values, reference_q(sec.rho, 40, grid.thetas, grid.phis), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("twice_s", [3, 10, 40])
+    def test_anti_hermitian_noise_is_ignored_as_re_rho_is(self, twice_s):
+        rng = np.random.default_rng(520 + twice_s)
+        rho = random_sector(twice_s / 2, rng).rho
+        g = rng.standard_normal(rho.shape) + 1j * rng.standard_normal(rho.shape)
+        noisy = rho + 1e-12 * (g - g.conj().T)  # anti-Hermitian, invisible to Re <a|rho|a>
+        grid = q_function(SpinSector(twice_s / 2, noisy, validate=False), (64, 128))
+        assert_allclose(grid.values, reference_q(noisy, twice_s, grid.thetas, grid.phis), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("twice_s", [0, 3, 25])
+    def test_q_values_equal_the_grid_at_its_nodes(self, twice_s):
+        rng = np.random.default_rng(530 + twice_s)
+        sec = random_sector(twice_s / 2, rng)
+        grid = q_function(sec, (16, 24))
+        at_nodes = q_values(sec, [d for d, _, _ in grid.nodes()])
+        assert_allclose(at_nodes.reshape(grid.values.shape), grid.values, rtol=0, atol=1e-15)
+
+    def test_cached_axes_are_read_only_and_shared(self):
+        a = q_function(maximally_mixed(1), (8, 16))
+        b = q_function(random_sector(1, np.random.default_rng(540)), (8, 16))
+        assert a.thetas is b.thetas and a.theta_weights is b.theta_weights and a.phis is b.phis
+        for axis in (a.thetas, a.theta_weights, a.phis):
+            with pytest.raises(ValueError):
+                axis[0] = 0.0
+        assert a.values.flags.writeable
 
 
 class TestQFunction:
@@ -139,6 +201,13 @@ class TestExport:
         export_qgrid(grid, path)
         vals = np.array([v for _, _, _, v in read_qgrid(path)])
         assert np.ptp(vals) < 1e-14 and abs(vals[0] - 1 / 3) < 1e-14
+
+    @pytest.mark.parametrize("twice_s, shape", [(1, (6, 10)), (25, (64, 128)), (40, (3, 7))])
+    def test_bytes_match_the_node_writer(self, tmp_path, twice_s, shape):
+        grid = q_function(random_sector(twice_s / 2, np.random.default_rng(45)), shape)
+        export_qgrid(grid, tmp_path / "fast.csv")
+        reference_export(grid, tmp_path / "nodes.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "nodes.csv").read_bytes()
 
     def test_weights_sum_to_sphere_area(self, tmp_path):
         grid = q_function(maximally_mixed(0.5), (12, 8))

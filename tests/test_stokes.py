@@ -7,7 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qpolar.catalog as catalog
-from qpolar.multipole import cumulative, state_multipoles, unpolarization_order
+from qpolar.angmom import half
+from qpolar.multipole import components, cumulative, state_multipoles, unpolarization_order
 from qpolar.search import project_multipole_free
 from qpolar.states import (
     Direction,
@@ -23,11 +24,14 @@ from qpolar.states import (
 from qpolar.stokes import (
     IllConditionedError,
     MomentSample,
+    _design_rows,
+    _real_unknowns,
     directional_moment,
     isotropy_order,
     moments_to_multipoles,
     read_moments,
     sample_moments,
+    spin_along,
     stokes_matrices,
     tomography_directions,
     total_variance,
@@ -139,6 +143,36 @@ class TestIsotropyOrder:
             assert isotropy_order(sec, twice_s) == unpolarization_order(spec, 1e-10)
 
 
+def reference_rows(samples, S, k_max):
+    """Design rows from a matrix power of n.S per sample, through the analysis kernel."""
+    powers = np.array([np.linalg.matrix_power(spin_along(S, s.direction), s.ell) for s in samples])
+    # Tr[T_Kq (n.S)^l] is the analysis kernel applied to the transposed power
+    t = components(powers.swapaxes(1, 2), S, k_max)
+    ks, qs, parts = _real_unknowns(k_max)
+    t = t[:, ks, k_max + qs]
+    rows = np.where(qs == 0, t.real, np.where(parts == 0, 2.0 * t.real, -2.0 * t.imag))
+    return rows, np.trace(powers, axis1=1, axis2=2).real / (S.twice + 1)
+
+
+class TestDesignRows:
+    """Rows from rotation covariance, z_{K,l} exp(iq phi) d^K_q0(theta), against matrix powers."""
+
+    @pytest.mark.parametrize("twice_s", [*range(1, 13), 25])
+    def test_match_matrix_power_rows(self, twice_s):
+        rng = np.random.default_rng(600 + twice_s)
+        S = half(twice_s / 2)
+        for k_max in range(1, min(twice_s, 6) + 1):
+            dirs = tomography_directions(3 * (2 * k_max + 1)) + [random_direction(rng) for _ in range(4)]
+            samples = sample_moments(random_sector(S, rng), dirs, k_max)
+            rows, monopole = _design_rows(samples, S, k_max)
+            want_rows, want_monopole = reference_rows(samples, S, k_max)
+            scale = np.abs(want_rows).max(axis=1, keepdims=True)
+            assert np.all(np.abs(rows - want_rows) <= 1e-13 * scale), (twice_s, k_max)
+            # relative to the largest eigenvalue of (n.S)^l, S^l; odd orders have a zero monopole
+            size = np.array([max(twice_s / 2, 1.0) ** s.ell for s in samples])
+            assert np.all(np.abs(monopole - want_monopole) <= 1e-13 * size)
+
+
 class TestReconstruction:
     def test_coherent_round_trip_minimal_directions(self):
         sec = su2_coherent(1, Direction(0.0, 0.0))
@@ -197,6 +231,15 @@ class TestReconstruction:
         low = [s for s in samples if s.ell <= 2]
         assert_allclose(moments_to_multipoles(low, 2, 2).cumulative[1],
                         cumulative(state_multipoles(sec), 2), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_refused_by_sample(self, bad):
+        sec = diag_sector(1, [0.2, 0.6, 0.2])
+        samples = sample_moments(sec, tomography_directions(9), 2)
+        rows = [(s.direction, s.ell, s.value) for s in samples]
+        rows[7] = (rows[7][0], rows[7][1], bad)
+        with pytest.raises(ValueError, match=f"moment sample 7 has a non-finite value: .*ell=2, value={bad!r}"):
+            moments_to_multipoles(rows, 1, 2)
 
     def test_moments_csv_round_trip(self, tmp_path):
         sec = diag_sector(1, [0.2, 0.6, 0.2])
