@@ -54,6 +54,45 @@ def _check_rank(S: HalfInt, K: int, q: int | None = None) -> None:
 
 
 @lru_cache(maxsize=None)
+def _basis_diagonal(twice: int, q: int) -> np.ndarray:
+    """The q-th diagonals of T_Kq, K = q..2S, for q >= 0: row K - q holds T_Kq[i, i + q], read-only.
+
+    They are the eigenvectors x of the adjoint Casimir X -> sum_i [S_i, [S_i, X]]
+    restricted to that diagonal: a tridiagonal operator with diagonal D_i / 2,
+    off-diagonal -sqrt(P_i) / 4 (entry i has m' = S - i) and eigenvalue K(K+1).
+    With the eigenvalue fixed, the eigen-equation is a three-term recurrence
+    (Schulten & Gordon, J. Math. Phys. 16, 1961 (1975)) for
+    w_i = x_i sqrt(P_1 ... P_i), which stays in exact integers.  Then
+    x_i^2 = w_i^2 R_i / sum_k w_k^2 R_k with R_i = P_{i+1} ... P_{n-1}, so each
+    squared Clebsch-Gordan coefficient is one exact ratio of integers, rounded
+    once.  A caller that reads only the q = 0 block builds it alone.
+    """
+    t = twice
+    d = t + 1
+    n = d - q  # entry i of the diagonal is T_Kq[i, q + i]
+    c4 = lambda x: t * (t + 2) - x * (x + 2)  # 4 [S(S+1) - k(k+1)] at x = 2k
+    D = [t * (t + 2) - (t - 2 * i) * (t - 2 * i - 2 * q) for i in range(n)]
+    P = [c4(t - 2 * i) * c4(t - 2 * i - 2 * q) for i in range(n)]
+    R = [1] * n
+    for i in range(n - 2, -1, -1):
+        R[i] = R[i + 1] * P[i + 1]
+    out = np.empty((n, n))
+    for K in range(q, d):
+        L = 2 * K * (K + 1)
+        # w_0 = (-1)^q, the Condon-Shortley sign; zip below drops w_1 when n = 1
+        w = [(-1) ** q, 2 * (D[0] - L) * (-1) ** q]
+        for i in range(1, n - 1):
+            w.append(2 * (D[i] - L) * w[i] - P[i] * w[i - 1])
+        sq = [x * x * r for x, r in zip(w, R)]
+        den = (2 * K + 1) * sum(sq)
+        scale = math.sqrt((2 * K + 1) / d)
+        # sqrt((2K+1)/d) times the CG coefficient, whose square is s*d/den
+        out[K - q] = [scale * (((x > 0) - (x < 0)) * math.sqrt(s * d / den)) for x, s in zip(w, sq)]
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
 def _basis(twice: int) -> tuple[np.ndarray, np.ndarray]:
     """The T_Kq of one shell as diagonal blocks, with their flat gather indices.
 
@@ -61,42 +100,13 @@ def _basis(twice: int) -> tuple[np.ndarray, np.ndarray]:
     real array C[2S + q, K, col] = T_Kq[col - q, col], zero where the entry
     falls outside the matrix or |q| > K.  idx[2S + q, col] is the flat index
     of entry (col - q, col), or one past the matrix where there is none.
-
-    For q >= 0 the q-th diagonals of T_Kq, K = q..2S, are the eigenvectors x
-    of the adjoint Casimir X -> sum_i [S_i, [S_i, X]] restricted to that
-    diagonal: a tridiagonal operator with diagonal D_i / 2, off-diagonal
-    -sqrt(P_i) / 4 (entry i has m' = S - i) and eigenvalue K(K+1).  With the
-    eigenvalue fixed, the eigen-equation is a three-term recurrence (Schulten
-    & Gordon, J. Math. Phys. 16, 1961 (1975)) for w_i = x_i sqrt(P_1 ... P_i),
-    which stays in exact integers.  Then x_i^2 = w_i^2 R_i / sum_k w_k^2 R_k
-    with R_i = P_{i+1} ... P_{n-1}, so each squared Clebsch-Gordan
-    coefficient is one exact ratio of integers, rounded once.
+    The blocks q >= 0 come from `_basis_diagonal`, and T_K,-q = (-1)^q T_Kq^T.
     """
     t = twice
     d = t + 1
     C = np.zeros((2 * d - 1, d, d))
-    c4 = lambda x: t * (t + 2) - x * (x + 2)  # 4 [S(S+1) - k(k+1)] at x = 2k
     for q in range(d):
-        n = d - q  # entry i of the diagonal is T_Kq[i, q + i]
-        D = [t * (t + 2) - (t - 2 * i) * (t - 2 * i - 2 * q) for i in range(n)]
-        P = [c4(t - 2 * i) * c4(t - 2 * i - 2 * q) for i in range(n)]
-        R = [1] * n
-        for i in range(n - 2, -1, -1):
-            R[i] = R[i + 1] * P[i + 1]
-        for K in range(q, d):
-            L = 2 * K * (K + 1)
-            # w_0 = (-1)^q, the Condon-Shortley sign; zip below drops w_1 when n = 1
-            w = [(-1) ** q, 2 * (D[0] - L) * (-1) ** q]
-            for i in range(1, n - 1):
-                w.append(2 * (D[i] - L) * w[i] - P[i] * w[i - 1])
-            sq = [x * x * r for x, r in zip(w, R)]
-            den = (2 * K + 1) * sum(sq)
-            scale = math.sqrt((2 * K + 1) / d)
-            # sqrt((2K+1)/d) times the CG coefficient, whose square is s*d/den
-            C[t + q, K, q:] = [
-                scale * (((x > 0) - (x < 0)) * math.sqrt(s * d / den)) for x, s in zip(w, sq)
-            ]
-        # T_K,-q = (-1)^q T_Kq^T
+        C[t + q, q:, q:] = _basis_diagonal(t, q)
         C[t - q, :, :d - q] = (-1) ** q * C[t + q, :, q:]
     rows = np.arange(d) - np.arange(-t, d)[:, None]
     idx = np.where((rows >= 0) & (rows < d), rows * d + np.arange(d), d * d)

@@ -2,7 +2,8 @@
 
 * diagonal / axially symmetric — the constraints are linear in the
   eigenvalues and Tr rho^2 is convex, so the maximum sits at a vertex of
-  the eigenvalue polytope; vertices are enumerated exactly.
+  the eigenvalue polytope; vertices are enumerated exactly, every support
+  of one size solved by one batched SVD.
 * general mixed — rho = V V^dagger / |V|^2 with V of size d x (K+1), which
   loses no optimum (Barvinok-Pataki).  A restart retracts a random V onto
   A_K = 0, then steps along the purity gradient projected onto the tangent
@@ -12,11 +13,14 @@
   1e-10 certifies an anticoherent state, a reported minimum otherwise.
 
 Both use one Levenberg-Marquardt core on the residual u_Kq, 1 <= K <= order
-and q >= 0, with |u|^2 = A_K and a Jacobian gathered from the multipole basis
-blocks.  Every restart records why it ended, one of `STOP_REASONS`:
-"converged" (the solver's optimality test held), "stalled" (A_K could no
-longer be lowered at float resolution, or a general start could not be
-retracted onto A_K = 0) or "max-iter" (its iteration budget ran out).
+and q >= 0, with |u|^2 = A_K.  Its Jacobian is real arithmetic on a plan
+cached per (2S, order): two gathers of the factor against coefficient rows
+read from the basis diagonals q <= order, and u = J x / 2.  Each trial point
+is evaluated once, with its Jacobian.  Every restart records why it ended,
+one of `STOP_REASONS`: "converged" (the solver's optimality test held),
+"stalled" (A_K could no longer be lowered at float resolution, or a general
+start could not be retracted onto A_K = 0) or "max-iter" (its iteration
+budget ran out).
 """
 
 from __future__ import annotations
@@ -25,12 +29,13 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .angmom import HalfInt, half
 from .catalog import three_photon_first_order_eigs
-from .multipole import _basis, _strengths_cumulative_degrees, components, synthesize
+from .multipole import _basis_diagonal, _strengths_cumulative_degrees, components, synthesize
 from .states import SpinSector, _ginibre, diag_sector, maximally_mixed, pure_sector
 
 __all__ = [
@@ -62,10 +67,16 @@ RETRACT_MAX_ITER = 100    # Levenberg-Marquardt iterations per retraction onto A
 PURE_MAX_ITER = 4000      # Levenberg-Marquardt iterations per pure restart
 PURE_GTOL = 1e-13         # |J^T u| at which a pure restart has converged
 LM_MU_MAX = 1e20          # damping at which a step that does not lower A_K ends the run
-LM_MAX_ENTRIES = 2_000_000  # Jacobian entries a Levenberg-Marquardt run may allocate (~100 MB at peak)
+LM_MAX_ENTRIES = 2_000_000  # Jacobian entries a Levenberg-Marquardt run may allocate: J is then 16 MB
+# and a run peaks near 51 MB, plus a 32 MB cached residual plan (pure 2S = 200, K = 69, tracemalloc)
 DIAG_MAX_SUPPORTS = 50_000  # eigenvalue supports the diagonal vertex enumeration may try
 
 STOP_REASONS = ("converged", "stalled", "max-iter")
+
+
+def _check_order(S: HalfInt, order: int) -> None:
+    if not 1 <= order <= S.twice:
+        raise ValueError(f"order must lie in [1, 2S] = [1, {S.twice}], got {order}")
 
 
 class InfeasibleError(ValueError):
@@ -93,10 +104,7 @@ class SearchProblem:
         object.__setattr__(self, "constraint_class", cls)
         if self.restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
-        if not 1 <= self.order <= self.spin.twice:
-            raise ValueError(
-                f"order must lie in [1, 2S] = [1, {self.spin.twice}], got {self.order}"
-            )
+        _check_order(self.spin, self.order)
 
 
 @dataclass(frozen=True)
@@ -151,12 +159,53 @@ def _a_k(rho: np.ndarray, S: HalfInt, order: int) -> float:
 
 
 def project_multipole_free(rho: np.ndarray, S, order: int) -> np.ndarray:
-    """Orthogonal projection onto {rho: Tr rho = 1, rho_Kq = 0 for 1 <= K <= order}."""
+    """Orthogonal projection onto {rho: Tr rho = 1, rho_Kq = 0 for 1 <= K <= order <= 2S}."""
     S = half(S)
+    _check_order(S, order)
     rho = np.asarray(rho, dtype=complex)
     c = components(rho, S, order)
     c[0, order] -= 1.0 / math.sqrt(S.twice + 1)  # leave the monopole of I/d, so Tr = 1
     return rho - synthesize(c, S)
+
+
+@lru_cache(maxsize=32)
+def _residual_plan(t: int, order: int) -> tuple[np.ndarray, ...]:
+    """What `_residual` needs of the shell 2S = t at one order, computed once and read-only.
+
+    Row p of u is u_K0 (K = 1..order), then sqrt(2) Re u_Kq, then sqrt(2) Im
+    u_Kq (0 < q <= K <= order).  For a_Kq = Tr[V V^dagger T_Kq^dagger],
+    da/dconj V[i] = T_Kq[i - q, i] V[i - q] and da/dV[i] = T_Kq[i, i + q]
+    conj V[i + q], so with V = A + iB the row's derivative by (Re V, Im V) is
+    ch[p, i] F[i + q] + cl[p, i] F[i - q], where F = (A, B) on an Re row and
+    (-B, A) on an Im row, ch = w T_Kq[i, i + q], cl = w T_Kq[i - q, i] (negated
+    on an Im row) and w = sqrt(2) for q > 0, 1 for q = 0.
+
+    Returns `shift[hi/lo, 2q + im, Re V/Im V, i]`, the row of the stacked
+    blocks (A, B, -B, A) that holds F[i + q] or F[i - q] (row i where that
+    falls outside the matrix: its coefficient is zero), `pick[p] = 2q + im`,
+    and ch, cl shaped [p, Re V/Im V, i, 1] like the gathered factor, so that at
+    rank 1 no product broadcasts (a broadcasting product allocates a buffer).
+    """
+    d = t + 1
+    pairs = [(q, K) for q in range(order + 1) for K in range(max(q, 1), order + 1)]
+    pairs += pairs[order:]  # the Im rows repeat the pairs with q > 0
+    m = len(pairs)
+    i = np.arange(d)
+    q = np.arange(order + 1)[:, None, None, None]
+    block = np.arange(4).reshape(1, 2, 2, 1) * d  # [q, im, Re V/Im V, i]
+    shift = np.stack([block + np.where(i + q < d, i + q, i), block + np.where(i >= q, i - q, i)])
+    pick = np.empty(m, dtype=np.intp)
+    ch, cl = np.zeros((2, m, 2, d, 1))
+    for p, (q, K) in enumerate(pairs):
+        im = p >= (m + order) // 2
+        c = (1.0 if q == 0 else math.sqrt(2.0)) * _basis_diagonal(t, q)[K - q]  # T_Kq[i, i + q]
+        pick[p] = 2 * q + im
+        ch[p, :, :d - q, 0] = c
+        cl[p, :, q:, 0] = -c if im else c
+    plan = (shift.reshape(2, -1, 2, d), pick, ch, cl)
+    for a in plan:
+        a.setflags(write=False)
+    return plan
 
 
 def _residual(x: np.ndarray, S: HalfInt, order: int, rank: int, jacobian: bool = True):
@@ -164,26 +213,28 @@ def _residual(x: np.ndarray, S: HalfInt, order: int, rank: int, jacobian: bool =
 
     x holds Re V and Im V of the d x rank factor V, each flattened row-major.
     The rows are u_K0, then sqrt(2) Re u_Kq and sqrt(2) Im u_Kq for 0 < q <= K
-    (u_K,-q = (-1)^q conj u_Kq adds nothing).  For a_Kq = Tr[V V^dagger
-    T_Kq^dagger], da/dconj V[i] = T_Kq[i - q, i] V[i - q] and da/dV[i] =
-    T_Kq[i, i + q] conj V[i + q] are read off the diagonal blocks of the basis.
+    (u_K,-q = (-1)^q conj u_Kq adds nothing), laid out by `_residual_plan`.
+    Everything is real: J is two gathers of the factor scaled by 1/|V|^2
+    against the plan's coefficients, and u = J x / 2, as each row of u is a
+    quadratic form in x.
     """
-    t, d = S.twice, S.twice + 1
-    V, n = _factor(x, d), float(x @ x)
-    q, i = np.arange(order + 1)[:, None], np.arange(d)
-    pad = np.vstack([V, np.zeros((1, rank))])  # row d stands in for rows outside the matrix
-    keep = np.arange(1, order + 1) >= q[1:]  # [q - 1, K - 1]: the components with q <= K
-    rows = lambda z: np.concatenate(  # [q, K, ...] complex -> the real rows
-        [z[0].real, math.sqrt(2) * z[1:][keep].real, math.sqrt(2) * z[1:][keep].imag])
-    C = _basis(t)[0][:, 1:order + 1, :, None]
-    lo = C[t:t + order + 1] * pad[np.where(i >= q, i - q, d)][:, None]
-    u = rows(np.einsum("qkir,ir->qk", lo, V.conj())) / n
+    shift, pick, ch, cl = _residual_plan(S.twice, order)
+    y = x / float(x @ x)
+    h = y.size // 2
+    F = np.concatenate([y, -y[h:], y[:h]]).reshape(-1, rank).take(shift, axis=0)
+    T = F[0].take(pick, axis=0)  # [p, Re V/Im V, i, r]
+    J = T * ch
+    F[1].take(pick, axis=0, out=T, mode="clip")  # every index is in range; "raise" would buffer out
+    T *= cl
+    J += T
+    J = J.reshape(len(pick), -1)
+    u = 0.5 * (J @ x)
     if not jacobian:
         return u
-    # T_Kq[i, i + q] = (-1)^q T_K,-q[i + q, i], read from the block q below the diagonal one
-    hi = C[t::-1][:order + 1] * ((-1.0) ** q[..., None] * pad[np.where(i + q < d, i + q, d)].conj())[:, None]
-    da = np.stack([hi + lo, 1j * (hi - lo)], axis=2).reshape(order + 1, order, -1)  # d/dRe V, d/dIm V
-    return u, rows(da) / n - np.outer(u, (2.0 / n) * x)  # the last term differentiates 1/|V|^2
+    T = T.reshape(J.shape)
+    np.matmul(u[:, None], 2.0 * y[None, :], out=T)  # the outer product, without a ufunc's buffer
+    J -= T  # the derivative of 1/|V|^2
+    return u, J
 
 
 def _levenberg_marquardt(x: np.ndarray, S: HalfInt, order: int, rank: int, max_iter: int, gtol: float):
@@ -192,7 +243,8 @@ def _levenberg_marquardt(x: np.ndarray, S: HalfInt, order: int, rank: int, max_i
     The step -J^T (J J^T + mu I)^-1 u is solved as -(J^T J + mu I)^-1 J^T u
     when that Gram matrix is the smaller; mu falls tenfold after a step that
     lowers A_K and rises tenfold after one that does not.  A run converges
-    at A_K < 1e-24 or at |J^T u| < gtol.
+    at A_K < 1e-24 or at |J^T u| < gtol.  Each trial point is evaluated once,
+    with its Jacobian, which an accepted trial carries into the next step.
     """
     m = order * (order + 2)
     if m * x.size > LM_MAX_ENTRIES:
@@ -201,25 +253,25 @@ def _levenberg_marquardt(x: np.ndarray, S: HalfInt, order: int, rank: int, max_i
     x = x / np.linalg.norm(x)
     u, J = _residual(x, S, order, rank)
     f, mu = float(u @ u), 1e-3
+    small = m <= x.size
     for it in range(max_iter):
         g = J.T @ u
         if f < 1e-24 or np.linalg.norm(g) < gtol:
             return x, f, J, it, "converged"
+        gram = J @ J.T if small else J.T @ J
         while True:
-            if m <= x.size:
-                y = x - J.T @ np.linalg.solve(J @ J.T + mu * np.eye(m), u)
-            else:
-                y = x - np.linalg.solve(J.T @ J + mu * np.eye(x.size), g)
+            damped = gram.copy()
+            damped.flat[::len(gram) + 1] += mu
+            y = x - (J.T @ np.linalg.solve(damped, u) if small else np.linalg.solve(damped, g))
             y /= np.linalg.norm(y)
-            uy = _residual(y, S, order, rank, jacobian=False)
+            uy, Jy = _residual(y, S, order, rank)
             fy = float(uy @ uy)
             if fy < f:
                 break
             if mu >= LM_MU_MAX:  # no strict decrease even from a step of float resolution
                 return x, f, J, it, "stalled"
             mu *= 10.0
-        x, f, mu = y, fy, max(mu / 10.0, 1e-15)
-        u, J = _residual(x, S, order, rank)
+        x, u, J, f, mu = y, uy, Jy, fy, max(mu / 10.0, 1e-15)
     return x, f, J, max_iter, "max-iter"
 
 
@@ -267,7 +319,7 @@ def _ascend_general(problem: SearchProblem, V0: np.ndarray):
 
 def _diag_constraint_rows(S: HalfInt, order: int) -> np.ndarray:
     # on diagonal states only q = 0 multipoles are nonzero; constrain those
-    return np.vstack([_basis(S.twice)[0][S.twice, 1:order + 1], np.ones(S.twice + 1)])
+    return np.vstack([_basis_diagonal(S.twice, 0)[1:order + 1], np.ones(S.twice + 1)])
 
 
 def _diag_vertices(S: HalfInt, order: int) -> list[np.ndarray]:
@@ -279,19 +331,21 @@ def _diag_vertices(S: HalfInt, order: int) -> list[np.ndarray]:
             f"eigenvalue supports, more than the limit of {DIAG_MAX_SUPPORTS}"
         )
     c = _diag_constraint_rows(S, order)
-    rhs = np.zeros(n_eq)
-    rhs[-1] = 1.0
     verts = np.empty((0, d))
     for size in range(1, min(n_eq, d) + 1):
-        for support in itertools.combinations(range(d), size):
-            sub = c[:, support]
-            sol, res, rank, _ = np.linalg.lstsq(sub, rhs, rcond=None)
-            if rank < size:
-                continue
-            if np.linalg.norm(sub @ sol - rhs) > 1e-10 or np.any(sol < -1e-12):
-                continue
+        # every support of this size at once: the least-squares solution of c[:, support] x = e,
+        # e = (0, ..., 0, 1) the trace row, as V diag(1/s) U^T e from one batched SVD
+        supports = np.array(list(itertools.combinations(range(d), size)))
+        sub = c.T[supports].swapaxes(1, 2)  # [support, n_eq, size]
+        U, sv, Vt = np.linalg.svd(sub, full_matrices=False)
+        full = sv[:, -1] > np.finfo(float).eps * max(n_eq, size) * sv[:, 0]  # lstsq's rank rule at rcond=None
+        sol = np.einsum("nki,nk->ni", Vt, np.divide(U[:, -1], sv, out=np.zeros_like(sv), where=full[:, None]))
+        res = np.einsum("nji,ni->nj", sub, sol)
+        res[:, -1] -= 1.0
+        ok = full & (np.linalg.norm(res, axis=1) <= 1e-10) & np.all(sol >= -1e-12, axis=1)
+        for support, x in zip(supports[ok], sol[ok]):
             v = np.zeros(d)
-            v[list(support)] = np.clip(sol, 0.0, None)
+            v[support] = np.clip(x, 0.0, None)
             # np.allclose(v, u, atol=1e-10) against every vertex u found so far, at once
             if not np.any(np.all(np.abs(v - verts) <= 1e-10 + 1e-5 * np.abs(verts), axis=1)):
                 verts = np.vstack([verts, v])
@@ -347,16 +401,30 @@ def max_purity_unpolarized(problem: SearchProblem) -> SearchResult:
 
 
 def anticoherence_objective(psi: np.ndarray, S, order: int) -> float:
-    """A_order of the normalized pure state with amplitudes psi."""
-    return _a_k(pure_sector(S, psi).rho, half(S), order)
+    """A_order of the normalized pure state with amplitudes psi, 1 <= order <= 2S."""
+    S = half(S)
+    _check_order(S, order)
+    return _a_k(pure_sector(S, psi).rho, S, order)
 
 
 def anticoherence_gradient(x: np.ndarray, S, order: int) -> np.ndarray:
     """Gradient 2 J^T u of A_order in the 2(2S+1) real coordinates (re, im) of psi.
 
-    Exact at every |psi|, as A_order is evaluated on psi/|psi|.
+    Exact at every |psi|, as A_order is evaluated on psi/|psi|.  Raises
+    ValueError for an order outside [1, 2S], and for x that is not 2(2S+1)
+    finite reals or whose squared norm is zero or overflows.
     """
-    u, J = _residual(np.asarray(x, dtype=float), half(S), order, 1)
+    S = half(S)
+    _check_order(S, order)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (2 * (S.twice + 1),):
+        raise ValueError(f"x must hold 2(2S + 1) = {2 * (S.twice + 1)} coordinates, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("x holds a non-finite coordinate")
+    with np.errstate(over="ignore"):
+        if not 0.0 < float(x @ x) < math.inf:
+            raise ValueError("x is zero, or its squared norm is outside the float range")
+    u, J = _residual(x, S, order, 1)
     return 2.0 * (J.T @ u)
 
 
@@ -402,7 +470,7 @@ def _diagonal_rows(p: np.ndarray):
     Such a state has only rho_K0 = sum_m T_K0[m, m] p_m: one product with the q = 0 basis block.
     """
     t = p.shape[-1] - 1
-    _, A, P = _strengths_cumulative_degrees((p @ _basis(t)[0][t].T)[..., None], t)
+    _, A, P = _strengths_cumulative_degrees((p @ _basis_diagonal(t, 0).T)[..., None], t)
     return np.einsum("nm,nm->n", p, p), A, P
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angmom import HalfInt, _d_column, _spin_arrays, half
-from .multipole import _basis, _strengths_cumulative_degrees
+from .multipole import _basis_diagonal, _strengths_cumulative_degrees
 from .states import Direction, SpinSector, as_shells
 
 __all__ = [
@@ -202,7 +202,7 @@ def _design_rows(samples, S: HalfInt, k_max: int):
     theta, phi = np.array([(s.direction.theta, s.direction.phi) for s in samples]).T
     ell = np.array([s.ell for s in samples])
     powers = (np.arange(S.twice, -S.twice - 1, -2) / 2.0)[:, None] ** np.arange(k_max + 1)  # m^l, [m, l]
-    z = _basis(S.twice)[0][S.twice, :k_max + 1] @ powers  # the q = 0 block against Sz^l
+    z = _basis_diagonal(S.twice, 0)[:k_max + 1] @ powers  # the q = 0 block against Sz^l
     t = np.zeros((len(samples), k_max + 1, k_max + 1), dtype=complex)  # [sample, K, q >= 0]
     for K in range(1, k_max + 1):
         q = np.arange(K + 1)

@@ -1,8 +1,10 @@
 """Extremal-state searches: exact vertex solutions, projected ascent, pure descent."""
 
 import dataclasses
+import itertools
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +16,7 @@ from numpy.testing import assert_allclose
 from qpolar import search
 from qpolar.angmom import half
 from qpolar.catalog import three_photon_first_order_eigs
-from qpolar.multipole import degree, state_multipoles, tensor_matrix, unpolarization_order
+from qpolar.multipole import _basis, _basis_diagonal, degree, state_multipoles, tensor_matrix, unpolarization_order
 from qpolar.search import (
     STOP_REASONS,
     SearchProblem,
@@ -93,6 +95,54 @@ def per_point_three_photon(points):
     return rows
 
 
+def basis_blocks(t, order):
+    """The blocks C[2S + q], |q| <= order, of `_basis(2S)[0]`, from the diagonals alone."""
+    d = t + 1
+    C = np.zeros((2 * order + 1, d, d))
+    for q in range(order + 1):
+        C[order + q, q:, q:] = _basis_diagonal(t, q)
+        C[order - q, q:, :d - q] = (-1) ** q * _basis_diagonal(t, q)
+    return C
+
+
+def reference_residual(x, S, order, rank):
+    """(u, J) of `search._residual` by complex gathers on a (q, K) grid of basis blocks."""
+    t, d = S.twice, S.twice + 1
+    V, n = search._factor(x, d), float(x @ x)
+    q, i = np.arange(order + 1)[:, None], np.arange(d)
+    pad = np.vstack([V, np.zeros((1, rank))])  # row d stands in for rows outside the matrix
+    keep = np.arange(1, order + 1) >= q[1:]  # [q - 1, K - 1]: the components with q <= K
+    rows = lambda z: np.concatenate(  # [q, K, ...] complex -> the real rows
+        [z[0].real, math.sqrt(2) * z[1:][keep].real, math.sqrt(2) * z[1:][keep].imag])
+    C = basis_blocks(t, order)[:, 1:order + 1, :, None]
+    lo = C[order:] * pad[np.where(i >= q, i - q, d)][:, None]
+    u = rows(np.einsum("qkir,ir->qk", lo, V.conj())) / n
+    # T_Kq[i, i + q] = (-1)^q T_K,-q[i + q, i], read from the block q below the diagonal one
+    hi = C[order::-1] * ((-1.0) ** q[..., None] * pad[np.where(i + q < d, i + q, d)].conj())[:, None]
+    da = np.stack([hi + lo, 1j * (hi - lo)], axis=2).reshape(order + 1, order, -1)  # d/dRe V, d/dIm V
+    return u, rows(da) / n - np.outer(u, (2.0 / n) * x)
+
+
+def reference_vertices(S, order):
+    """Vertices of the diagonal eigenvalue polytope, one `lstsq` per support, in combination order."""
+    n_eq, d = order + 1, S.twice + 1
+    c = search._diag_constraint_rows(S, order)
+    rhs = np.zeros(n_eq)
+    rhs[-1] = 1.0
+    verts = []
+    for size in range(1, min(n_eq, d) + 1):
+        for support in itertools.combinations(range(d), size):
+            sub = c[:, support]
+            sol, _, rank, _ = np.linalg.lstsq(sub, rhs, rcond=None)
+            if rank < size or np.linalg.norm(sub @ sol - rhs) > 1e-10 or np.any(sol < -1e-12):
+                continue
+            v = np.zeros(d)
+            v[list(support)] = np.clip(sol, 0.0, None)
+            if not any(np.allclose(v, u, atol=1e-10) for u in verts):
+                verts.append(v)
+    return verts
+
+
 class TestProblemValidation:
     def test_bad_class(self):
         with pytest.raises(ValueError):
@@ -107,6 +157,44 @@ class TestProblemValidation:
     def test_pure_class_rejected_by_max_purity(self):
         with pytest.raises(ValueError):
             max_purity_unpolarized(SearchProblem(1, 1, constraint_class="pure"))
+
+
+class TestInputContract:
+    PSI = np.ones(3)  # spin 1: 2S + 1 = 3 amplitudes, 6 real coordinates
+    X = np.concatenate([np.ones(3), np.zeros(3)])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda o: anticoherence_objective(TestInputContract.PSI, 1, o),
+            lambda o: project_multipole_free(np.eye(3) / 3, 1, o),
+            lambda o: anticoherence_gradient(TestInputContract.X, 1, o),
+        ],
+        ids=["objective", "projector", "gradient"],
+    )
+    @pytest.mark.parametrize("order", [5, 3, 0, -1])
+    def test_order_outside_one_to_two_s_is_refused(self, call, order):
+        with pytest.raises(ValueError, match=re.escape(f"order must lie in [1, 2S] = [1, 2], got {order}")):
+            call(order)
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            (np.ones(5), re.escape("2(2S + 1) = 6 coordinates, got shape (5,)")),
+            (np.ones((2, 3)), re.escape("2(2S + 1) = 6 coordinates, got shape (2, 3)")),
+            (np.array([1.0, math.nan, 0, 0, 0, 0]), "non-finite"),
+            (np.array([1.0, 0, 0, 0, 0, -math.inf]), "non-finite"),
+            (np.zeros(6), "is zero"),
+            (np.full(6, 1e-170), "is zero"),
+            (np.full(6, 1e160), "outside the float range"),
+        ],
+        ids=["short", "matrix", "nan", "minus-inf", "zero", "norm-underflows", "norm-overflows"],
+    )
+    def test_gradient_refuses_malformed_coordinates(self, x, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                anticoherence_gradient(x, 1, 1)
 
 
 class TestProjector:
@@ -193,6 +281,13 @@ class TestDiagonalSolver:
         assert expected > search.DIAG_MAX_SUPPORTS
         with pytest.raises(ValueError, match=f"{expected} eigenvalue supports"):
             max_purity_unpolarized(SearchProblem(10, 6, constraint_class="diagonal"))
+
+    @pytest.mark.parametrize("twice_s,order", [(3, 1), (3, 2), (10, 4), (12, 3), (14, 5)])
+    def test_batched_vertices_match_per_support_reference(self, twice_s, order):
+        S = half(twice_s / 2)
+        got, expected = search._diag_vertices(S, order), reference_vertices(S, order)
+        assert len(got) == len(expected) > 0
+        assert_allclose(np.array(got), np.array(expected), rtol=0, atol=1e-14)
 
     def test_result_revalidates_and_reclassifies(self):
         res = max_purity_unpolarized(SearchProblem(1.5, 2, constraint_class="axial"))
@@ -353,6 +448,42 @@ class TestLevenbergMarquardtCore:
         assert u.shape == ((order + 1) ** 2 - 1,)
         rho = SpinSector(twice_s / 2, V @ V.conj().T / np.vdot(V, V).real)
         assert abs(u @ u - state_multipoles(rho).cumulative_all[order - 1]) < 1e-15
+
+    @pytest.mark.parametrize(
+        "twice_s,order,rank",
+        [(t, K, r) for t, K in [(1, 1), (3, 2), (6, 3), (10, 4), (40, 10)] for r in sorted({1, 2, K + 1})]
+        + [(200, 3, 1)],
+    )
+    def test_matches_complex_gather_reference(self, twice_s, order, rank):
+        S = half(twice_s / 2)
+        rng = np.random.default_rng(70 + twice_s + rank)
+        for scale in (1.0, 1e-3, 30.0):
+            x = scale * rng.standard_normal(2 * (twice_s + 1) * rank) / math.sqrt(2 * (twice_s + 1) * rank)
+            u, J = search._residual(x, S, order, rank)
+            u_ref, J_ref = reference_residual(x, S, order, rank)
+            assert J.shape == J_ref.shape == ((order + 1) ** 2 - 1, x.size)
+            # u is scale-free and J falls as 1/|x|: compare both at unit norm
+            assert_allclose(u, u_ref, rtol=0, atol=1e-15)
+            assert_allclose(J * scale, J_ref * scale, rtol=0, atol=1e-15)
+            assert np.array_equal(search._residual(x, S, order, rank, jacobian=False), u)
+
+    @pytest.mark.parametrize("twice_s,order", [(3, 2), (10, 4), (12, 12)])
+    def test_reference_blocks_are_the_basis_blocks(self, twice_s, order):
+        C = _basis(twice_s)[0][twice_s - order:twice_s + order + 1]
+        assert np.array_equal(basis_blocks(twice_s, order), C)
+
+    def test_jacobian_peak_memory_is_bounded_by_its_size(self):
+        # pure 2S = 40, K = 10: J is 120 x 82; the cached plan is built outside the measurement
+        S, order = half(20), 10
+        x = np.random.default_rng(75).standard_normal(2 * 41)
+        search._residual(x, S, order, 1)
+        tracemalloc.start()
+        try:
+            _, J = search._residual(x, S, order, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * J.nbytes
 
     def test_refuses_an_oversized_jacobian_before_building_it(self, monkeypatch):
         def never(*args, **kwargs):
