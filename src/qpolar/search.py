@@ -322,7 +322,7 @@ def _diag_constraint_rows(S: HalfInt, order: int) -> np.ndarray:
     return np.vstack([_basis_diagonal(S.twice, 0)[1:order + 1], np.ones(S.twice + 1)])
 
 
-def _diag_vertices(S: HalfInt, order: int) -> list[np.ndarray]:
+def _diag_vertices(S: HalfInt, order: int) -> np.ndarray:
     n_eq, d = order + 1, S.twice + 1
     supports = sum(math.comb(d, size) for size in range(1, min(n_eq, d) + 1))
     if supports > DIAG_MAX_SUPPORTS:
@@ -349,25 +349,25 @@ def _diag_vertices(S: HalfInt, order: int) -> list[np.ndarray]:
             # np.allclose(v, u, atol=1e-10) against every vertex u found so far, at once
             if not np.any(np.all(np.abs(v - verts) <= 1e-10 + 1e-5 * np.abs(verts), axis=1)):
                 verts = np.vstack([verts, v])
-    return list(verts)
+    return verts
 
 
 def _solve_diagonal(problem: SearchProblem):
     verts = _diag_vertices(problem.spin, problem.order)
-    if not verts:
+    if not len(verts):
         raise InfeasibleError(
             f"no feasible diagonal state at order {problem.order} for spin {problem.spin}"
         )
-    history = []
-    best_v, best_p = None, -1.0
-    for i, v in enumerate(verts):
-        p = float(np.dot(v, v))
-        sec = diag_sector(problem.spin, v / v.sum())
-        history.append(RestartRecord(i, p, _a_k(sec.rho, problem.spin, problem.order), 1, "converged"))
-        if p > best_p + 1e-15:
-            best_v, best_p = v, p
-    state = diag_sector(problem.spin, best_v / best_v.sum())
-    return state, best_p, tuple(history)
+    purity = [float(v @ v) for v in verts]
+    # every vertex's A_K from one product with the q = 0 basis block
+    a_k = _diagonal_rows(verts / verts.sum(axis=1, keepdims=True))[1][:, problem.order - 1].tolist()
+    history = tuple(RestartRecord(i, p, a, 1, "converged") for i, (p, a) in enumerate(zip(purity, a_k)))
+    best = 0
+    for i, p in enumerate(purity):
+        if p > purity[best] + 1e-15:
+            best = i
+    state = diag_sector(problem.spin, verts[best] / verts[best].sum())
+    return state, purity[best], a_k[best], history
 
 
 def max_purity_unpolarized(problem: SearchProblem) -> SearchResult:
@@ -383,7 +383,7 @@ def max_purity_unpolarized(problem: SearchProblem) -> SearchResult:
     if problem.constraint_class == "pure":
         raise ValueError("use pure_anticoherent_search for the pure class")
     if problem.constraint_class in ("diagonal-in-z-basis", "axially-symmetric"):
-        state, best, history = _solve_diagonal(problem)
+        state, best, residual, history = _solve_diagonal(problem)
     else:
         d = problem.spin.twice + 1
         rng = np.random.default_rng(problem.seed)
@@ -396,8 +396,8 @@ def max_purity_unpolarized(problem: SearchProblem) -> SearchResult:
             if reason != "stalled" and p > best + 1e-15:
                 state, best = SpinSector(problem.spin, rho, validate=False), p
         history = tuple(history)
-    return SearchResult(problem, state, best, _a_k(state.rho, problem.spin, problem.order),
-                        _digest(history), history)
+        residual = _a_k(state.rho, problem.spin, problem.order)
+    return SearchResult(problem, state, best, residual, _digest(history), history)
 
 
 def anticoherence_objective(psi: np.ndarray, S, order: int) -> float:

@@ -1,11 +1,11 @@
 """Stokes operators on a shell, directional moments, and moment-based tomography.
 
-On the spin-S shell the Stokes vector acts as the standard angular-momentum
-triple (Sz diagonal with entries m, ladder action for S+/S-).  Directional
-moments <(n.S)^l> probe the multipoles of rank <= l, so isotropy of all
-moments up to order K is equivalent to K-th-order unpolarization, and
-moments measured along enough directions determine the multipole components
-up to a chosen rank by linear least squares.
+Every moment routine reads one linear model: with s = max(S, 1),
+<(n.S/s)^l> = sum_{K <= min(l, 2S)} z[K, l] rho_K0(n), where z[K, l] = Tr[T_K0 (Sz/s)^l]
+and rho_K0(n) = sum_q exp(i q phi) d^K_q0(theta) rho_Kq (K = 0 is the monopole).
+So isotropy of all moments up to order K is K-th-order unpolarization, and
+moments along enough directions determine the multipoles up to a chosen rank
+by least squares on the same rows.  A raw moment (scaled times s^l) past the float range is refused.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angmom import HalfInt, _d_column, _spin_arrays, half
+from .angmom import HalfInt, _spin_arrays, half
 from .multipole import _basis_diagonal, _strengths_cumulative_degrees
 from .states import Direction, SpinSector, as_shells
 
@@ -70,34 +70,55 @@ def spin_along(S, direction: Direction) -> np.ndarray:
     return n[0] * ops.sx + n[1] * ops.sy + n[2] * ops.sz
 
 
+def _axial_factors(directions, k: int):
+    """Yield K and exp(i q phi) d^K_q0(theta), q = 0..K, as [direction, q] for K = 0..k.
+
+    d^K_q0, the m = 0 column of d^K, by the Legendre recurrence in K: no spin-K matrix is formed.
+    """
+    theta, phi = np.array([(d.theta, d.phi) for d in directions], dtype=float).reshape(-1, 2).T
+    cos, sin = np.cos(theta)[:, None], np.sin(theta)
+    phase = np.exp(1j * phi[:, None] * np.arange(k + 1))
+    rank, q2 = np.arange(k + 1.0)[:, None], np.arange(k + 1.0) ** 2
+    den = np.sqrt(np.maximum(rank ** 2 - q2, 1.0))  # the coefficients at q >= K meet zeros of d^(K-1), d^(K-2)
+    a, b = (2 * rank - 1) / den, np.sqrt(np.maximum((rank - 1) ** 2 - q2, 0.0)) / den
+    prev, col = np.zeros((len(theta), k + 1)), np.zeros((len(theta), k + 1))  # d^(K-2), d^(K-1); 0 at q >= K
+    col[:, 0] = 1.0
+    for K in range(k + 1):
+        if K:
+            prev, col = col, a[K] * cos * col - b[K] * prev
+            col[:, K] = -math.sqrt(1 - 0.5 / K) * sin * prev[:, K - 1]
+        yield K, col[:, :K + 1] * phase[:, :K + 1]
+
+
+def _z_table(t: int, k: int, max_ell: int) -> np.ndarray:
+    """z[K, l] = Tr[T_K0 (Sz/s)^l], exactly 0 for K > l, at K <= k, l <= max_ell, 2S = t, s = max(S, 1)."""
+    powers = (np.arange(t, -t - 1, -2) / max(t, 2))[:, None] ** np.arange(max_ell + 1)  # (m/s)^l, [m, l]
+    return np.triu(_basis_diagonal(t, 0)[:k + 1] @ powers)
+
+
+def _scaled_moments(sector: SpinSector, directions, max_ell: int) -> np.ndarray:
+    """<(n.S/s)^l> for l = 1..max_ell along each direction, as [direction, l - 1]."""
+    t, k = sector.spin.twice, min(max_ell, sector.spin.twice)
+    c = np.zeros((k + 1, k + 1), dtype=complex)  # rho_Kq as [K, q]
+    for q in range(k + 1):  # from the diagonals q <= k alone; the 2 adds each q < 0 conjugate
+        c[q:, q] = (2 - (q == 0)) * (_basis_diagonal(t, q)[:k + 1 - q] @ np.diagonal(sector.rho, q))
+    axial = np.column_stack([(f @ c[K, :K + 1]).real for K, f in _axial_factors(directions, k)])  # rho_K0(n)
+    return axial @ _z_table(t, k, max_ell)[:, 1:]
+
+
 def directional_moment(obj, direction: Direction, ell: int) -> float:
     """Moment <(n.S)^ell>; shell results are weighted by P_S for multi-shell states."""
     if not isinstance(ell, (int, np.integer)) or ell < 1:
         raise ValueError(f"moment order must be a positive integer, got {ell}")
-    return float(sum(w * _moments_up_to(sec, direction, int(ell))[-1] for w, sec in as_shells(obj)))
-
-
-def _moments_up_to(sector: SpinSector, direction: Direction, max_ell: int) -> np.ndarray:
-    sn = spin_along(sector.spin, direction)
-    out = np.empty(max_ell)
-    acc = sector.rho
-    for ell in range(1, max_ell + 1):
-        acc = acc @ sn
-        out[ell - 1] = float(np.trace(acc).real)
-    return out
+    return float(sum(w * sample_moments(sec, [direction], int(ell))[-1].value for w, sec in as_shells(obj)))
 
 
 def total_variance(obj) -> float:
-    """Total Stokes variance, sum_i (<S_i^2> - <S_i>^2); >= S on a fixed shell."""
+    """Total Stokes variance, sum_i (<S_i^2> - <S_i>^2) = S(S+1) - |<S>|^2 per shell; >= S on one shell."""
+    axes = [Direction(math.pi / 2, 0.0), Direction(math.pi / 2, math.pi / 2), Direction(0.0, 0.0)]
     shells = as_shells(obj)
-    sq = 0.0
-    mean = np.zeros(3)
-    for w, sec in shells:
-        ops = stokes_matrices(sec.spin)
-        for i, s in enumerate(ops.vector):
-            sq += w * float(np.trace(sec.rho @ s @ s).real)
-            mean[i] += w * float(np.trace(sec.rho @ s).real)
-    return sq - float(np.dot(mean, mean))
+    mean = sum(w * np.array([m.value for m in sample_moments(sec, axes, 1)]) for w, sec in shells)
+    return sum(w * float(sec.spin) * (float(sec.spin) + 1) for w, sec in shells) - float(mean @ mean)
 
 
 def tomography_directions(n: int) -> list[Direction]:
@@ -126,8 +147,9 @@ def isotropy_order(
 ) -> int:
     """Largest l* <= max_ell with <(n.S)^l> direction-independent for all l <= l*.
 
-    Counts orders the same way as the multipole classifier: a state with
-    <n.S> identically zero is isotropic at l = 1 and scores at least 1.
+    Order l is isotropic when <(n.S/s)^l>, s = max(S, 1), spreads by at most tol
+    (positive and finite) across the directions.  Counts orders like the
+    multipole classifier: <n.S> identically zero scores at least 1.
     Directions are a deterministic spiral so the verdict is reproducible.
     Pass a SpinSector; multi-shell states should be classified shell by
     shell, where isotropy and vanishing multipoles are equivalent.
@@ -136,18 +158,12 @@ def isotropy_order(
         raise TypeError("isotropy_order classifies one shell at a time")
     if max_ell < 1:
         raise ValueError("max_ell must be >= 1")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if n_directions < 2 * max_ell + 1:
-        raise ValueError(
-            f"need at least 2*max_ell+1 = {2 * max_ell + 1} directions, got {n_directions}"
-        )
-    table = np.stack([_moments_up_to(sector, d, max_ell) for d in tomography_directions(n_directions)])
-    order = 0
-    for ell in range(1, max_ell + 1):
-        col = table[:, ell - 1]
-        if col.max() - col.min() > tol:
-            break
-        order = ell
-    return order
+        raise ValueError(f"need at least 2*max_ell+1 = {2 * max_ell + 1} directions, got {n_directions}")
+    spread = np.ptp(_scaled_moments(sector, tomography_directions(n_directions), max_ell), axis=0)
+    return int(np.append(spread <= tol, False).argmin())  # the orders before the first anisotropic one
 
 
 @dataclass(frozen=True)
@@ -160,12 +176,15 @@ class MomentSample:
 
 
 def sample_moments(sector: SpinSector, directions, max_ell: int) -> list[MomentSample]:
-    """Forward-compute noiseless moments l = 1..max_ell along each direction."""
-    out = []
-    for d in directions:
-        vals = _moments_up_to(sector, d, max_ell)
-        out.extend(MomentSample(d, ell, float(vals[ell - 1])) for ell in range(1, max_ell + 1))
-    return out
+    """Forward-compute noiseless moments l = 1..max_ell >= 1 along each direction."""
+    if max_ell < 1:
+        raise ValueError(f"max_ell must be >= 1, got {max_ell}")
+    s = max(float(sector.spin), 1.0)
+    if max_ell * math.log(s) >= math.log(np.finfo(float).max):
+        raise ValueError(f"raw moments of order l = {max_ell} at spin {sector.spin} are past the float range")
+    directions = list(directions)
+    vals = (_scaled_moments(sector, directions, max_ell) * s ** np.arange(1.0, max_ell + 1)).tolist()
+    return [MomentSample(d, ell, v) for d, row in zip(directions, vals) for ell, v in enumerate(row, 1)]
 
 
 @dataclass(frozen=True)
@@ -194,23 +213,16 @@ def _real_unknowns(k_max: int) -> np.ndarray:
 
 
 def _design_rows(samples, S: HalfInt, k_max: int):
-    """Rows of the moment map over `_real_unknowns`, and each sample's monopole Tr[(n.S)^l]/(2S+1).
-
-    (n.S)^l = R Sz^l R^dagger with R = D(phi, theta, 0), so by rotation covariance
-    Tr[T_Kq (n.S)^l] = z[K, l] exp(i q phi) d^K_{q0}(theta), with z[K, l] = Tr[T_K0 Sz^l].
-    """
-    theta, phi = np.array([(s.direction.theta, s.direction.phi) for s in samples]).T
+    """Rows of `_scaled_moments`'s model over `_real_unknowns`, and each sample's monopole part."""
     ell = np.array([s.ell for s in samples])
-    powers = (np.arange(S.twice, -S.twice - 1, -2) / 2.0)[:, None] ** np.arange(k_max + 1)  # m^l, [m, l]
-    z = _basis_diagonal(S.twice, 0)[:k_max + 1] @ powers  # the q = 0 block against Sz^l
+    z = _z_table(S.twice, k_max, int(ell.max()))
     t = np.zeros((len(samples), k_max + 1, k_max + 1), dtype=complex)  # [sample, K, q >= 0]
-    for K in range(1, k_max + 1):
-        q = np.arange(K + 1)
-        t[:, K, q] = z[K, ell, None] * _d_column(2 * K, K, theta)[:, K::-1] * np.exp(1j * q * phi[:, None])
+    for K, f in _axial_factors([s.direction for s in samples], k_max):
+        t[:, K, :K + 1] = z[K, ell, None] * f
     ks, qs, parts = _real_unknowns(k_max)
-    t = t[:, ks, qs]
-    rows = np.where(qs == 0, t.real, np.where(parts == 0, 2.0 * t.real, -2.0 * t.imag))
-    return rows, powers.mean(axis=0)[ell]
+    rows = t[:, ks, qs]
+    rows = np.where(qs == 0, rows.real, np.where(parts == 0, 2.0 * rows.real, -2.0 * rows.imag))
+    return rows, z[0, ell] / math.sqrt(S.twice + 1)
 
 
 def moments_to_multipoles(samples, S, k_max: int) -> ReconstructionResult:
@@ -218,10 +230,12 @@ def moments_to_multipoles(samples, S, k_max: int) -> ReconstructionResult:
 
     Each sample (direction n, order l, value <(n.S)^l>) is linear in the
     rho_Kq with K <= l, because (n.S)^l expands over tensors of rank <= l.
-    Needs moments up to l = k_max on at least 2*k_max+1 distinct directions,
-    and none above: their ranks above k_max would alias into the fit, so
-    they raise ValueError, as does a non-finite value (naming its sample).
-    Raises IllConditionedError when the assembled system is rank deficient
+    Each equation is divided by s^l, s = max(S, 1); the rank test,
+    `condition_number` and `residual` are those of that system.  Needs
+    moments up to l = k_max on at least 2*k_max+1 distinct directions, and
+    none above: their ranks above k_max would alias into the fit, so they
+    raise ValueError, as does a non-finite value (naming its sample).
+    Raises IllConditionedError when the scaled system is rank deficient
     (smallest singular value below 1e-10 of the largest).
     """
     S = half(S)
@@ -249,9 +263,9 @@ def moments_to_multipoles(samples, S, k_max: int) -> ReconstructionResult:
             f"{len(dirs)} distinct directions cannot span rank {k_max}; "
             f"need at least {2 * k_max + 1}"
         )
-    d = S.twice + 1
     a, monopole = _design_rows(samples, S, k_max)
-    b = values - monopole
+    root = max(float(S), 1.0) ** (np.array(ells) / 2.0)  # s^l in two factors, each inside the float range
+    b = values / root / root - monopole
     sol, res, rank, sing = np.linalg.lstsq(a, b, rcond=None)
     if sing[0] == 0 or sing[-1] < 1e-10 * sing[0]:
         raise IllConditionedError(
@@ -263,7 +277,7 @@ def moments_to_multipoles(samples, S, k_max: int) -> ReconstructionResult:
     ks, qs, parts = _real_unknowns(k_max)
 
     c = np.zeros((k_max + 1, 2 * k_max + 1), dtype=complex)
-    c[0, k_max] = 1.0 / math.sqrt(d)
+    c[0, k_max] = 1.0 / math.sqrt(S.twice + 1)
     np.add.at(c, (ks, k_max + qs), np.where(parts == 0, sol, 1j * sol))
     # hermiticity: rho_K,-q = (-1)^q rho_Kq^*
     c[:, :k_max] = (c[:, k_max + 1:].conj() * (-1.0) ** np.arange(1, k_max + 1))[:, ::-1]

@@ -16,7 +16,7 @@ from qpolar.catalog import PRESETS
 from qpolar.cli import main
 from qpolar.husimi import read_qgrid
 from qpolar.stateio import MAX_TWO_S, SchemaError, load_state, state_from_dict
-from qpolar.states import diag_sector
+from qpolar.states import diag_sector, random_sector
 from qpolar.stokes import sample_moments, tomography_directions, write_moments
 
 
@@ -254,6 +254,12 @@ class TestReconstruct:
         captured = capfd.readouterr()
         assert "moment sample 5 " in captured.err and "non-finite value" in captured.err
         assert captured.out == ""
+
+    def test_large_spin_minimal_directions(self, tmp_path):
+        sec = random_sector(20, np.random.default_rng(48))
+        moments = tmp_path / "m.csv"
+        write_moments(sample_moments(sec, tomography_directions(21), 10), moments)
+        assert run_cli("reconstruct", moments, "--two-s", 40, "--order", 10) == 0
 
     def test_rank_deficient_exit_code(self, tmp_path):
         sec = diag_sector(1, [0.2, 0.6, 0.2])

@@ -1,13 +1,14 @@
 """Stokes matrices, directional moments, isotropy, and moment tomography."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import qpolar.catalog as catalog
-from qpolar.angmom import half
+from qpolar.angmom import _d_column, half
 from qpolar.multipole import components, cumulative, state_multipoles, unpolarization_order
 from qpolar.search import project_multipole_free
 from qpolar.states import (
@@ -24,6 +25,7 @@ from qpolar.states import (
 from qpolar.stokes import (
     IllConditionedError,
     MomentSample,
+    _axial_factors,
     _design_rows,
     _real_unknowns,
     directional_moment,
@@ -37,6 +39,17 @@ from qpolar.stokes import (
     total_variance,
     write_moments,
 )
+
+
+def reference_moments(sector, direction, max_ell):
+    """<(n.S)^l> for l = 1..max_ell from successive matrix products with n.S."""
+    sn = spin_along(sector.spin, direction)
+    out = np.empty(max_ell)
+    acc = sector.rho
+    for ell in range(1, max_ell + 1):
+        acc = acc @ sn
+        out[ell - 1] = float(np.trace(acc).real)
+    return out
 
 
 class TestStokesMatrices:
@@ -93,6 +106,33 @@ class TestDirectionalMoments:
         with pytest.raises(ValueError):
             directional_moment(maximally_mixed(1), Direction(0, 0), 0)
 
+    @pytest.mark.parametrize("twice_s", [*range(1, 13), 25])
+    def test_match_matrix_power_reference(self, twice_s):
+        rng = np.random.default_rng(700 + twice_s)
+        sec = random_sector(twice_s / 2, rng)
+        dirs = tomography_directions(7) + [random_direction(rng) for _ in range(3)] + [Direction(0.0, 0.0)]
+        max_ell = twice_s + 2
+        size = max(twice_s / 2, 1.0) ** np.arange(1, max_ell + 1)  # s^l
+        want = np.array([reference_moments(sec, d, max_ell) for d in dirs])
+        got = np.array([s.value for s in sample_moments(sec, dirs, max_ell)]).reshape(want.shape)
+        assert np.all(np.abs(got - want) <= 1e-13 * size)
+        for ell in range(1, max_ell + 1):
+            assert abs(directional_moment(sec, dirs[-2], ell) - want[-2, ell - 1]) <= 1e-13 * size[ell - 1]
+
+    def test_raw_moment_past_float_range_is_refused(self):
+        # s^l = 100^160 overflows: refused, never returned as inf or nan
+        sec = random_sector(100, np.random.default_rng(45))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="order l = 160 at spin 100 are past the float range"):
+                directional_moment(sec, Direction(0.7, 0.2), 160)
+            with pytest.raises(ValueError, match="order l = 160 at spin 100 are past the float range"):
+                sample_moments(sec, [Direction(0.7, 0.2)], 160)
+
+    def test_sample_moments_needs_an_order(self):
+        with pytest.raises(ValueError, match="max_ell must be >= 1"):
+            sample_moments(maximally_mixed(1), tomography_directions(3), 0)
+
 
 class TestTotalVariance:
     def test_examples(self):
@@ -142,6 +182,30 @@ class TestIsotropyOrder:
             spec = state_multipoles(sec)
             assert isotropy_order(sec, twice_s) == unpolarization_order(spec, 1e-10)
 
+    @pytest.mark.parametrize("twice_s", [20, 40, 100, 200])
+    def test_large_spin_matches_multipole_order(self, twice_s):
+        # raw moments grow as S^l: an absolute tolerance on them misses isotropy at these spins
+        max_ell = 4 if twice_s == 200 else 10
+        S = twice_s / 2
+        assert isotropy_order(maximally_mixed(S), max_ell) == max_ell
+        assert isotropy_order(fock_sector(S, 0), max_ell) == 1
+        assert isotropy_order(su2_coherent(S, Direction(0.4, 1.1)), max_ell) == 0
+
+    @pytest.mark.parametrize("twice_s", [20, 40])
+    def test_large_spin_engineered_states(self, twice_s):
+        rng = np.random.default_rng(70 + twice_s)
+        for order in range(1, 11):
+            sec = self._engineered_sector(twice_s, order, rng)
+            want = min(unpolarization_order(state_multipoles(sec), 1e-10), 10)
+            assert want == order
+            assert isotropy_order(sec, 10) == want
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        sec = random_sector(1.5, np.random.default_rng(46))
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            isotropy_order(sec, 3, tol=tol)
+
 
 def reference_rows(samples, S, k_max):
     """Design rows from a matrix power of n.S per sample, through the analysis kernel."""
@@ -157,6 +221,15 @@ def reference_rows(samples, S, k_max):
 class TestDesignRows:
     """Rows from rotation covariance, z_{K,l} exp(iq phi) d^K_q0(theta), against matrix powers."""
 
+    def test_axial_factors_match_d_columns(self):
+        # the Legendre recurrence in K against the m = 0 column of the spin-K d-matrix, poles included
+        theta = np.concatenate([[0.0, 1e-9, 1e-3, math.pi / 2, math.pi - 1e-3, math.pi], np.linspace(0.05, 3.1, 15)])
+        phi = np.linspace(0.0, 6.0, len(theta))
+        factors = _axial_factors([Direction(a, b) for a, b in zip(theta, phi)], 60)
+        for K, f in factors:
+            want = _d_column(2 * K, K, theta)[:, K::-1] * np.exp(1j * np.outer(phi, np.arange(K + 1)))
+            assert_allclose(f, want, rtol=0, atol=1e-12, err_msg=f"K = {K}")
+
     @pytest.mark.parametrize("twice_s", [*range(1, 13), 25])
     def test_match_matrix_power_rows(self, twice_s):
         rng = np.random.default_rng(600 + twice_s)
@@ -165,11 +238,13 @@ class TestDesignRows:
             dirs = tomography_directions(3 * (2 * k_max + 1)) + [random_direction(rng) for _ in range(4)]
             samples = sample_moments(random_sector(S, rng), dirs, k_max)
             rows, monopole = _design_rows(samples, S, k_max)
+            # the rows are those of the scaled moments <(n.S/s)^l>, s = max(S, 1)
+            size = np.array([max(twice_s / 2, 1.0) ** s.ell for s in samples])
             want_rows, want_monopole = reference_rows(samples, S, k_max)
+            want_rows, want_monopole = want_rows / size[:, None], want_monopole / size
             scale = np.abs(want_rows).max(axis=1, keepdims=True)
             assert np.all(np.abs(rows - want_rows) <= 1e-13 * scale), (twice_s, k_max)
             # relative to the largest eigenvalue of (n.S)^l, S^l; odd orders have a zero monopole
-            size = np.array([max(twice_s / 2, 1.0) ** s.ell for s in samples])
             assert np.all(np.abs(monopole - want_monopole) <= 1e-13 * size)
 
 
@@ -206,6 +281,14 @@ class TestReconstruction:
         rec = moments_to_multipoles(samples, 1, 2)
         assert rec.cumulative[0] < 1e-12
         assert_allclose(rec.cumulative[1], (3 * lam - 1) ** 2 * 2 / 3, atol=1e-10)
+
+    def test_large_spin_minimal_directions(self):
+        # raw moment rows span 13 decades here; the scaled rows are well conditioned
+        sec = random_sector(20, np.random.default_rng(47))
+        spec = state_multipoles(sec)
+        rec = moments_to_multipoles(sample_moments(sec, tomography_directions(21), 10), 20, 10)
+        assert max(abs(rec.components[key] - spec.component(*key)) for key in rec.components) <= 1e-12
+        assert rec.condition_number < 1e7
 
     def test_identical_directions_rank_deficient(self):
         sec = maximally_mixed(1)
