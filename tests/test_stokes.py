@@ -230,6 +230,15 @@ class TestDesignRows:
             want = _d_column(2 * K, K, theta)[:, K::-1] * np.exp(1j * np.outer(phi, np.arange(K + 1)))
             assert_allclose(f, want, rtol=0, atol=1e-12, err_msg=f"K = {K}")
 
+    @pytest.mark.parametrize("rank", [100, 200])
+    def test_axial_factors_match_d_columns_at_large_rank(self, rank):
+        # the top ranks `isotropy_order` and `moments_to_multipoles` reach at 2S <= 200, one rank at a time
+        theta = np.array([0.0, 1e-9, 1e-3, 0.3, math.pi / 2, 2.0, math.pi - 1e-3, math.pi - 1e-9, math.pi])
+        phi = np.linspace(0.0, 6.0, len(theta))
+        f = list(_axial_factors([Direction(a, b) for a, b in zip(theta, phi)], rank))[rank][1]
+        want = _d_column(2 * rank, rank, theta)[:, rank::-1] * np.exp(1j * np.outer(phi, np.arange(rank + 1)))
+        assert_allclose(f, want, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("twice_s", [*range(1, 13), 25])
     def test_match_matrix_power_rows(self, twice_s):
         rng = np.random.default_rng(600 + twice_s)
@@ -244,8 +253,8 @@ class TestDesignRows:
             want_rows, want_monopole = want_rows / size[:, None], want_monopole / size
             scale = np.abs(want_rows).max(axis=1, keepdims=True)
             assert np.all(np.abs(rows - want_rows) <= 1e-13 * scale), (twice_s, k_max)
-            # relative to the largest eigenvalue of (n.S)^l, S^l; odd orders have a zero monopole
-            assert np.all(np.abs(monopole - want_monopole) <= 1e-13 * size)
+            # the scaled monopole is at most 1, the largest eigenvalue of (n.S/s)^l; odd orders have none
+            assert np.all(np.abs(monopole - want_monopole) <= 1e-13), (twice_s, k_max)
 
 
 class TestReconstruction:
