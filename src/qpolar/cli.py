@@ -9,7 +9,6 @@ and search reports their seed.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -306,10 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    tol = getattr(args, "tol", 1.0)
-    if not (math.isfinite(tol) and tol > 0):
-        print(f"error: --tol must be a positive finite number, got {tol!r}", file=sys.stderr)
-        return EXIT_INVALID
     try:
         return args.func(args)
     except (stokes.IllConditionedError, search.InfeasibleError) as exc:

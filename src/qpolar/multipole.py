@@ -53,6 +53,11 @@ def _check_rank(S: HalfInt, K: int, q: int | None = None) -> None:
         raise ValueError(f"component q must be an integer with |q| <= K = {K}, got {q}")
 
 
+def _check_tol(tol: float) -> None:
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
 @lru_cache(maxsize=None)
 def _basis_diagonal(twice: int, q: int) -> np.ndarray:
     """The q-th diagonals of T_Kq, K = q..2S, for q >= 0: row K - q holds T_Kq[i, i + q], read-only.
@@ -188,6 +193,7 @@ def _order_from_cumulative(cum: np.ndarray, tol: float) -> int:
 
 def state_multipoles(sector: SpinSector, *, tol: float = DEFAULT_ORDER_TOL) -> MultipoleSpectrum:
     """Full multipole spectrum rho_Kq = Tr[rho T_Kq^dagger] of one shell."""
+    _check_tol(tol)
     S = sector.spin
     t = S.twice
     c = components(sector.rho, S, t)
@@ -257,8 +263,7 @@ def degree(spectrum: MultipoleSpectrum, K: int) -> float:
 
 def unpolarization_order(spectrum: MultipoleSpectrum, tol: float = DEFAULT_ORDER_TOL) -> int:
     """Largest K with A_K <= tol; 0 if the dipole survives, 2S if fully unpolarized."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     return _order_from_cumulative(spectrum.cumulative_all, tol)
 
 
@@ -275,6 +280,7 @@ class AxialProfile:
 
 def axial_profile(sector: SpinSector, tol: float = DEFAULT_ORDER_TOL) -> AxialProfile:
     """Check for axial symmetry about z (only q = 0 multipoles) and z-reversal parity."""
+    _check_tol(tol)
     t = sector.spin.twice
     mags = np.abs(components(sector.rho, sector.spin, t))
     odd = float(np.max(mags[1::2, t], initial=0.0))

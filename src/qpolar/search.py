@@ -6,9 +6,9 @@
   of one size solved by one batched SVD.
 * general mixed — rho = V V^dagger / |V|^2 with V of size d x (K+1), which
   loses no optimum (Barvinok-Pataki).  A restart retracts a random V onto
-  A_K = 0, then steps along the purity gradient projected onto the tangent
-  space of A_K = 0 and retracts again, halving the step when purity does
-  not rise.
+  A_K = 0, then steps along the purity gradient projected onto its tangent
+  space and retracts again, halving the step when purity does not rise,
+  until that projected gradient passes a first-order test.
 * pure — the rank-1 case: A_K is minimized from random amplitudes; A_K <
   1e-10 certifies an anticoherent state, a reported minimum otherwise.
 
@@ -66,6 +66,8 @@ ASCENT_MAX_STEPS = 400    # ascent steps per general restart
 RETRACT_MAX_ITER = 100    # Levenberg-Marquardt iterations per retraction onto A_K = 0
 PURE_MAX_ITER = 4000      # Levenberg-Marquardt iterations per pure restart
 PURE_GTOL = 1e-13         # |J^T u| at which a pure restart has converged
+ASCENT_GTOL = 1e-6        # |projected purity gradient| / |rho V| at which a general restart has converged
+RETRACT_MU = 1e-9         # initial damping of a retraction: each starts one short step from A_K = 0
 LM_MU_MAX = 1e20          # damping at which a step that does not lower A_K ends the run
 LM_MAX_ENTRIES = 2_000_000  # Jacobian entries a Levenberg-Marquardt run may allocate: J is then 16 MB
 # and a run peaks near 51 MB, plus a 32 MB cached residual plan (pure 2S = 200, K = 69, tracemalloc)
@@ -97,10 +99,8 @@ class SearchProblem:
         object.__setattr__(self, "spin", half(self.spin))
         cls = _CLASS_ALIASES.get(self.constraint_class)
         if cls is None:
-            raise ValueError(
-                f"unknown constraint class {self.constraint_class!r}; "
-                f"choose from {CONSTRAINT_CLASSES}"
-            )
+            raise ValueError(f"unknown constraint class {self.constraint_class!r}; "
+                             f"choose from {CONSTRAINT_CLASSES}")
         object.__setattr__(self, "constraint_class", cls)
         if self.restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
@@ -150,12 +150,6 @@ def _digest(history) -> str:
             f"{rec.index}:{rec.objective.hex()}:{rec.residual.hex()}:{rec.iterations}:{rec.reason}\n".encode()
         )
     return h.hexdigest()
-
-
-def _a_k(rho: np.ndarray, S: HalfInt, order: int) -> float:
-    """A_order = sum of |rho_Kq|^2 over 1 <= K <= order."""
-    c = components(rho, S, order)[1:]
-    return float(np.sum(c.real ** 2 + c.imag ** 2))
 
 
 def project_multipole_free(rho: np.ndarray, S, order: int) -> np.ndarray:
@@ -237,12 +231,13 @@ def _residual(x: np.ndarray, S: HalfInt, order: int, rank: int, jacobian: bool =
     return u, J
 
 
-def _levenberg_marquardt(x: np.ndarray, S: HalfInt, order: int, rank: int, max_iter: int, gtol: float):
+def _levenberg_marquardt(x: np.ndarray, S: HalfInt, order: int, rank: int, max_iter: int, gtol: float,
+                         mu: float = 1e-3):
     """Minimize A_order = |u|^2 from x by damped minimum-norm Gauss-Newton steps.
 
     The step -J^T (J J^T + mu I)^-1 u is solved as -(J^T J + mu I)^-1 J^T u
-    when that Gram matrix is the smaller; mu falls tenfold after a step that
-    lowers A_K and rises tenfold after one that does not.  A run converges
+    when that Gram matrix is the smaller; mu starts at `mu`, falls tenfold after
+    a step that lowers A_K and rises tenfold after one that does not.  A run converges
     at A_K < 1e-24 or at |J^T u| < gtol.  Each trial point is evaluated once,
     with its Jacobian, which an accepted trial carries into the next step.
     """
@@ -252,7 +247,7 @@ def _levenberg_marquardt(x: np.ndarray, S: HalfInt, order: int, rank: int, max_i
                          f"Jacobian of {m * x.size} entries, more than the limit of {LM_MAX_ENTRIES}")
     x = x / np.linalg.norm(x)
     u, J = _residual(x, S, order, rank)
-    f, mu = float(u @ u), 1e-3
+    f = float(u @ u)
     small = m <= x.size
     for it in range(max_iter):
         g = J.T @ u
@@ -284,37 +279,44 @@ def _factor(x: np.ndarray, d: int) -> np.ndarray:
 
 
 def _ascend_general(problem: SearchProblem, V0: np.ndarray):
-    """Purity ascent on A_K = 0 from the factor V0: (rho, purity, steps, stop reason)."""
+    """Purity ascent on A_K = 0 from the factor V0: (V, purity, A_K, steps, stop reason).
+
+    Converged when the projected purity gradient, computed once per accepted
+    point, is at most ASCENT_GTOL |rho V|; a step below 1e-10 is a safety net.
+    """
     S, order = problem.spin, problem.order
     d, rank = V0.shape
 
     def retract(x):
         # no gradient test: a retraction succeeds only at A_K < 1e-24, and one
         # stopped just above it where J is small costs the ascent a rejected step
-        x, f, J, _, _ = _levenberg_marquardt(x, S, order, rank, RETRACT_MAX_ITER, 0.0)
+        x, f, J, _, _ = _levenberg_marquardt(x, S, order, rank, RETRACT_MAX_ITER, 0.0, RETRACT_MU)
         V = _factor(x, d)
         rho = V @ V.conj().T
-        return x, f < 1e-24, J, V, rho, float(np.vdot(rho, rho).real)
+        return x, f, J, V, rho, float(np.vdot(rho, rho).real)
 
-    x, feasible, J, V, rho, best = retract(_coords(V0))
-    if not feasible:
-        return rho, best, 0, "stalled"
-    step, iters = 0.5, 0
+    x, f, J, V, rho, best = retract(_coords(V0))
+    if not f < 1e-24:
+        return V, best, f, 0, "stalled"
+    step, iters, moved = 0.5, 0, True
     while step > 1e-10 and iters < ASCENT_MAX_STEPS:
+        if moved:
+            # the purity gradient rho V - Tr(rho^2) V less its least-squares fit by the rows of J:
+            # its part in null(J), the tangent space of A_K = 0
+            rhoV = rho @ V
+            g = _coords(rhoV - best * V)
+            g -= J.T @ np.linalg.lstsq(J.T, g, rcond=1e-10)[0]
+            norm = np.linalg.norm(g)
+            if norm <= ASCENT_GTOL * np.linalg.norm(rhoV):
+                return V, best, f, iters, "converged"
         iters += 1
-        # the purity gradient rho V - Tr(rho^2) V less its least-squares fit by the rows of J:
-        # its part in null(J), the tangent space of A_K = 0
-        g = _coords(rho @ V - best * V)
-        g -= J.T @ np.linalg.lstsq(J.T, g, rcond=1e-10)[0]
-        norm = np.linalg.norm(g)
-        if norm == 0.0:  # a critical point: there is no ascent direction
-            return rho, best, iters, "converged"
-        y, ok, Jy, W, cand, p = retract(x + (step / norm) * g)
-        if ok and p > best + 1e-15:
-            x, J, V, rho, best = y, Jy, W, cand, p
+        y, fy, Jy, W, cand, p = retract(x + (step / norm) * g)
+        moved = fy < 1e-24 and p > best + 1e-15
+        if moved:
+            x, f, J, V, rho, best = y, fy, Jy, W, cand, p
         else:
             step *= 0.5
-    return rho, best, iters, "converged" if step <= 1e-10 else "max-iter"
+    return V, best, f, iters, "converged" if step <= 1e-10 else "max-iter"
 
 
 def _diag_constraint_rows(S: HalfInt, order: int) -> np.ndarray:
@@ -326,10 +328,8 @@ def _diag_vertices(S: HalfInt, order: int) -> np.ndarray:
     n_eq, d = order + 1, S.twice + 1
     supports = sum(math.comb(d, size) for size in range(1, min(n_eq, d) + 1))
     if supports > DIAG_MAX_SUPPORTS:
-        raise ValueError(
-            f"diagonal search at order {order} for spin {S} would try {supports} "
-            f"eigenvalue supports, more than the limit of {DIAG_MAX_SUPPORTS}"
-        )
+        raise ValueError(f"diagonal search at order {order} for spin {S} would try {supports} "
+                         f"eigenvalue supports, more than the limit of {DIAG_MAX_SUPPORTS}")
     c = _diag_constraint_rows(S, order)
     verts = np.empty((0, d))
     for size in range(1, min(n_eq, d) + 1):
@@ -355,9 +355,7 @@ def _diag_vertices(S: HalfInt, order: int) -> np.ndarray:
 def _solve_diagonal(problem: SearchProblem):
     verts = _diag_vertices(problem.spin, problem.order)
     if not len(verts):
-        raise InfeasibleError(
-            f"no feasible diagonal state at order {problem.order} for spin {problem.spin}"
-        )
+        raise InfeasibleError(f"no feasible diagonal state at order {problem.order} for spin {problem.spin}")
     purity = [float(v @ v) for v in verts]
     # every vertex's A_K from one product with the q = 0 basis block
     a_k = _diagonal_rows(verts / verts.sum(axis=1, keepdims=True))[1][:, problem.order - 1].tolist()
@@ -386,17 +384,15 @@ def max_purity_unpolarized(problem: SearchProblem) -> SearchResult:
         state, best, residual, history = _solve_diagonal(problem)
     else:
         d = problem.spin.twice + 1
-        rng = np.random.default_rng(problem.seed)
-        history = []
-        state, best = maximally_mixed(problem.spin), 1.0 / d
+        rng, history = np.random.default_rng(problem.seed), []
+        state, best, residual = maximally_mixed(problem.spin), 1.0 / d, 0.0  # Tr T_Kq = 0 for K > 0
         for i in range(problem.restarts):
-            rho, p, iters, reason = _ascend_general(problem, _ginibre(d, problem.order + 1, rng))
-            history.append(RestartRecord(i, p, _a_k(rho, problem.spin, problem.order), iters, reason))
+            V, p, f, iters, reason = _ascend_general(problem, _ginibre(d, problem.order + 1, rng))
+            history.append(RestartRecord(i, p, f, iters, reason))
             # a start that could not be retracted onto A_K = 0 is no candidate
             if reason != "stalled" and p > best + 1e-15:
-                state, best = SpinSector(problem.spin, rho, validate=False), p
+                state, best, residual = SpinSector(problem.spin, V @ V.conj().T, validate=False), p, f
         history = tuple(history)
-        residual = _a_k(state.rho, problem.spin, problem.order)
     return SearchResult(problem, state, best, residual, _digest(history), history)
 
 
@@ -404,7 +400,10 @@ def anticoherence_objective(psi: np.ndarray, S, order: int) -> float:
     """A_order of the normalized pure state with amplitudes psi, 1 <= order <= 2S."""
     S = half(S)
     _check_order(S, order)
-    return _a_k(pure_sector(S, psi).rho, S, order)
+    pure_sector(S, psi)  # refuses malformed, zero or overflowing amplitudes
+    psi = np.asarray(psi, dtype=complex)
+    u = _residual(_coords(psi / np.linalg.norm(psi)), S, order, 1, jacobian=False)
+    return float(u @ u)
 
 
 def anticoherence_gradient(x: np.ndarray, S, order: int) -> np.ndarray:

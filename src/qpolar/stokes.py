@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angmom import HalfInt, _spin_arrays, half
-from .multipole import _basis_diagonal, _strengths_cumulative_degrees
+from .multipole import _basis_diagonal, _check_tol, _strengths_cumulative_degrees
 from .states import Direction, SpinSector, as_shells
 
 __all__ = [
@@ -158,8 +158,7 @@ def isotropy_order(
         raise TypeError("isotropy_order classifies one shell at a time")
     if max_ell < 1:
         raise ValueError("max_ell must be >= 1")
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _check_tol(tol)
     if n_directions < 2 * max_ell + 1:
         raise ValueError(f"need at least 2*max_ell+1 = {2 * max_ell + 1} directions, got {n_directions}")
     spread = np.ptp(_scaled_moments(sector, tomography_directions(n_directions), max_ell), axis=0)

@@ -311,6 +311,22 @@ class TestClassification:
         with pytest.raises(ValueError):
             unpolarization_order(spec, tol=0.0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s, tol: unpolarization_order(state_multipoles(s), tol),
+            lambda s, tol: state_multipoles(s, tol=tol),
+            lambda s, tol: analyze(s, tol=tol),
+            lambda s, tol: axial_profile(s, tol),
+        ],
+        ids=["unpolarization_order", "state_multipoles", "analyze", "axial_profile"],
+    )
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_bad_tolerance_is_refused(self, call, tol):
+        # tol = inf once called a coherent 2S = 3 state fully unpolarized, and nan gave order 0
+        with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol}"):
+            call(su2_coherent(1.5, Direction(0.3, 1.1)), tol)
+
     def test_strengths_copy_and_cumulative_range(self):
         spec = state_multipoles(maximally_mixed(1))
         w = strengths(spec)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qpolar import search
+from qpolar import multipole, search
 from qpolar.angmom import half
 from qpolar.catalog import three_photon_first_order_eigs
 from qpolar.multipole import _basis, _basis_diagonal, degree, state_multipoles, tensor_matrix, unpolarization_order
@@ -28,7 +28,7 @@ from qpolar.search import (
     scan_three_photon_family,
     scan_two_photon_family,
 )
-from qpolar.states import SpinSector, diag_sector, random_sector, validate
+from qpolar.states import SpinSector, diag_sector, pure_sector, random_sector, validate
 
 
 def polytope_grid_oracle(twice_s, order, rounds=6, n=61):
@@ -332,6 +332,94 @@ class TestGeneralSolver:
         res = max_purity_unpolarized(SearchProblem(5, 4, restarts=1, seed=0))
         assert abs(res.objective - 0.8528) < 1e-9
         assert res.stop_reasons["converged"] == 1
+
+    def test_step_floor_still_ends_a_restart(self, monkeypatch):
+        # with the first-order stop switched off, the step halves down to 1e-10, the safety net
+        monkeypatch.setattr(search, "ASCENT_GTOL", 0.0)
+        res = max_purity_unpolarized(SearchProblem(5, 4, restarts=1, seed=0))
+        assert abs(res.objective - 0.8528) < 1e-9
+        assert res.stop_reasons["converged"] == 1
+        assert res.history[0].iterations < search.ASCENT_MAX_STEPS
+
+    @pytest.mark.parametrize("twice_s,order,seed", [(2, 1, 0), (3, 2, 1), (6, 3, 0), (10, 4, 0)])
+    def test_one_projection_per_accepted_point(self, monkeypatch, twice_s, order, seed):
+        # a rejected step leaves the point as it was, so the tangent direction is not recomputed
+        solves, retractions = [], []
+        lstsq, lm = np.linalg.lstsq, search._levenberg_marquardt
+
+        def counting_lstsq(*args, **kwargs):
+            solves.append(1)
+            return lstsq(*args, **kwargs)
+
+        def recording_lm(*args, **kwargs):
+            out = lm(*args, **kwargs)
+            retractions.append(out[:2])
+            return out
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        monkeypatch.setattr(search, "_levenberg_marquardt", recording_lm)
+        res = max_purity_unpolarized(SearchProblem(twice_s / 2, order, restarts=1, seed=seed))
+        (rec,) = res.history
+        assert rec.reason == "converged"
+        assert len(retractions) == rec.iterations + 1
+        # replay the acceptance rule: a step is taken when it lands on A_K = 0 with purity up by 1e-15
+        best, accepted = None, 0
+        for x, f in retractions:
+            V = search._factor(x, twice_s + 1)
+            rho = V @ V.conj().T
+            p = float(np.vdot(rho, rho).real)
+            if best is None:
+                best = p
+            elif f < 1e-24 and p > best + 1e-15:
+                best, accepted = p, accepted + 1
+        assert best == rec.objective
+        assert 0 < accepted < rec.iterations
+        assert len(solves) == accepted + 1
+
+    @pytest.mark.parametrize("twice_s,order,seed", [(2, 1, 0), (3, 2, 0), (6, 3, 1), (10, 4, 0)])
+    def test_converged_restarts_meet_the_first_order_test(self, twice_s, order, seed):
+        # the purity gradient at the returned factor, projected onto null(J) by an SVD of J
+        problem = SearchProblem(twice_s / 2, order, seed=seed)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            V, p, f, _, reason = search._ascend_general(problem, search._ginibre(twice_s + 1, order + 1, rng))
+            assert reason == "converged" and f < 1e-24
+            _, J = search._residual(search._coords(V), problem.spin, order, order + 1)
+            _, sv, Vt = np.linalg.svd(J, full_matrices=False)
+            rows = Vt[sv > 1e-10 * sv[0]]
+            rhoV = V @ (V.conj().T @ V)
+            g = search._coords(rhoV - p * V)
+            g -= rows.T @ (rows @ g)
+            assert np.linalg.norm(g) <= search.ASCENT_GTOL * np.linalg.norm(rhoV)
+
+    def test_general_search_and_objective_never_build_the_full_basis(self, monkeypatch):
+        # a restart's A_K is its final retraction's |u|^2, and the objective is |u|^2 of the amplitudes
+        def forbidden(twice):
+            raise AssertionError(f"the full basis of 2S = {twice} was built")
+
+        factors, ascend = [], search._ascend_general
+
+        def recording_ascend(problem, V0):
+            out = ascend(problem, V0)
+            factors.append(out[0])
+            return out
+
+        psi = np.random.default_rng(5).standard_normal((2, 7)).T @ [1, 1j]
+        monkeypatch.setattr(search, "_ascend_general", recording_ascend)
+        monkeypatch.setattr(multipole, "_basis", forbidden)
+        results = [max_purity_unpolarized(SearchProblem(twice_s / 2, order, restarts=3, seed=2))
+                   for twice_s, order in [(2, 1), (3, 2), (6, 3), (9, 2)]]
+        objective = anticoherence_objective(psi, 3, 3)
+        monkeypatch.undo()
+        assert len(factors) == 3 * len(results)
+        for i, V in enumerate(factors):
+            res = results[i // 3]
+            a_k = state_multipoles(SpinSector(res.problem.spin, V @ V.conj().T)).cumulative_all[res.problem.order - 1]
+            assert abs(res.history[i % 3].residual - a_k) <= 1e-20
+        for res in results:
+            a_k = state_multipoles(res.state).cumulative_all[res.problem.order - 1]
+            assert res.residual <= 1e-24 and abs(res.residual - a_k) <= 1e-20
+        assert_allclose(objective, state_multipoles(pure_sector(3, psi)).cumulative_all[2], rtol=1e-13)
 
     def test_start_that_cannot_be_retracted_is_no_candidate(self, monkeypatch):
         # with no retraction iterations no start reaches A_K = 0: every restart
