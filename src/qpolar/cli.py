@@ -233,6 +233,8 @@ def cmd_make_state(args) -> int:
     for key in ("theta", "phi", "alpha", "beta", "lam"):
         v = getattr(args, key)
         if v is not None:
+            if not np.isfinite(v):
+                raise ValueError(f"--{key} must be finite, got {v!r}")
             extra[key] = v
     if args.two_s is not None:
         extra["two_s"] = _bounded_two_s(args.two_s)

@@ -181,14 +181,9 @@ class MultipoleSpectrum:
         return self.spin.twice
 
 
-def _order_from_cumulative(cum: np.ndarray, tol: float) -> int:
-    order = 0
-    for i, a in enumerate(cum):
-        if a <= tol:
-            order = i + 1
-        else:
-            break
-    return order
+def _leading_within(values: np.ndarray, tol: float) -> int:
+    """How many leading values are at most tol; a NaN ends the count."""
+    return int(np.append(values <= tol, False).argmin())
 
 
 def state_multipoles(sector: SpinSector, *, tol: float = DEFAULT_ORDER_TOL) -> MultipoleSpectrum:
@@ -200,7 +195,7 @@ def state_multipoles(sector: SpinSector, *, tol: float = DEFAULT_ORDER_TOL) -> M
     rows = c.tolist()
     comps = {(K, q): rows[K][t + q] for K in range(t + 1) for q in range(-K, K + 1)}
     W, A, P = _strengths_cumulative_degrees(c, t)
-    order = _order_from_cumulative(A, tol)
+    order = _leading_within(A, tol)
     return MultipoleSpectrum(S, comps, W, A, P, order, tol)
 
 
@@ -264,7 +259,7 @@ def degree(spectrum: MultipoleSpectrum, K: int) -> float:
 def unpolarization_order(spectrum: MultipoleSpectrum, tol: float = DEFAULT_ORDER_TOL) -> int:
     """Largest K with A_K <= tol; 0 if the dipole survives, 2S if fully unpolarized."""
     _check_tol(tol)
-    return _order_from_cumulative(spectrum.cumulative_all, tol)
+    return _leading_within(spectrum.cumulative_all, tol)
 
 
 @dataclass(frozen=True)
@@ -326,7 +321,7 @@ def analyze(obj, *, tol: float = DEFAULT_ORDER_TOL) -> PolarizationReport:
     agg = np.zeros(k_top)
     for rep in reports:
         cum = rep.spectrum.cumulative_all
-        for K in range(1, k_top + 1):
-            agg[K - 1] += rep.weight * (cum[min(K, len(cum)) - 1] if len(cum) else 0.0)
+        if len(cum):  # a 2S = 0 shell has no A_K; A_K saturates at A_2S above its top rank
+            agg += rep.weight * cum[np.minimum(np.arange(k_top), len(cum) - 1)]
     block = float(sum(w * w * rep.purity for (w, _), rep in zip(shells, reports)))
-    return PolarizationReport(reports, agg, _order_from_cumulative(agg, tol), block, tol)
+    return PolarizationReport(reports, agg, _leading_within(agg, tol), block, tol)

@@ -3,7 +3,8 @@
 * diagonal / axially symmetric — the constraints are linear in the
   eigenvalues and Tr rho^2 is convex, so the maximum sits at a vertex of
   the eigenvalue polytope; vertices are enumerated exactly, every support
-  of one size solved by one batched SVD.
+  of one size solved by one batched SVD, each vertex kept on its own
+  support, where all its entries are positive.
 * general mixed — rho = V V^dagger / |V|^2 with V of size d x (K+1), which
   loses no optimum (Barvinok-Pataki).  A restart retracts a random V onto
   A_K = 0, then steps along the purity gradient projected onto its tangent
@@ -331,7 +332,7 @@ def _diag_vertices(S: HalfInt, order: int) -> np.ndarray:
         raise ValueError(f"diagonal search at order {order} for spin {S} would try {supports} "
                          f"eigenvalue supports, more than the limit of {DIAG_MAX_SUPPORTS}")
     c = _diag_constraint_rows(S, order)
-    verts = np.empty((0, d))
+    verts = []
     for size in range(1, min(n_eq, d) + 1):
         # every support of this size at once: the least-squares solution of c[:, support] x = e,
         # e = (0, ..., 0, 1) the trace row, as V diag(1/s) U^T e from one batched SVD
@@ -342,14 +343,13 @@ def _diag_vertices(S: HalfInt, order: int) -> np.ndarray:
         sol = np.einsum("nki,nk->ni", Vt, np.divide(U[:, -1], sv, out=np.zeros_like(sv), where=full[:, None]))
         res = np.einsum("nji,ni->nj", sub, sol)
         res[:, -1] -= 1.0
-        ok = full & (np.linalg.norm(res, axis=1) <= 1e-10) & np.all(sol >= -1e-12, axis=1)
-        for support, x in zip(supports[ok], sol[ok]):
-            v = np.zeros(d)
-            v[support] = np.clip(x, 0.0, None)
-            # np.allclose(v, u, atol=1e-10) against every vertex u found so far, at once
-            if not np.any(np.all(np.abs(v - verts) <= 1e-10 + 1e-5 * np.abs(verts), axis=1)):
-                verts = np.vstack([verts, v])
-    return verts
+        # a vertex is solved once, on its own support, where every entry is positive; a larger
+        # support that holds it returns it padded with entries that are zero to rounding
+        ok = full & (np.linalg.norm(res, axis=1) <= 1e-10) & np.all(sol > 1e-10, axis=1)
+        v = np.zeros((np.count_nonzero(ok), d))
+        np.put_along_axis(v, supports[ok], sol[ok], axis=1)
+        verts.append(v)
+    return np.vstack(verts)
 
 
 def _solve_diagonal(problem: SearchProblem):

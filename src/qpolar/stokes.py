@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angmom import HalfInt, _spin_arrays, half
-from .multipole import _basis_diagonal, _check_tol, _strengths_cumulative_degrees
+from .multipole import _basis_diagonal, _check_tol, _leading_within, _strengths_cumulative_degrees
 from .states import Direction, SpinSector, as_shells
 
 __all__ = [
@@ -162,7 +162,7 @@ def isotropy_order(
     if n_directions < 2 * max_ell + 1:
         raise ValueError(f"need at least 2*max_ell+1 = {2 * max_ell + 1} directions, got {n_directions}")
     spread = np.ptp(_scaled_moments(sector, tomography_directions(n_directions), max_ell), axis=0)
-    return int(np.append(spread <= tol, False).argmin())  # the orders before the first anisotropic one
+    return _leading_within(spread, tol)  # the orders before the first anisotropic one
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,19 @@ class TestInputContract:
         assert run_cli(*command, "--two-s", two_s, "--out", tmp_path / "s.json") == 2
         assert f"maximum {MAX_TWO_S}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name,flag,value",
+        [("eq23-pson", "--alpha", "nan"), ("eq23-pson", "--alpha", "inf"),
+         ("eq23-pson", "--beta", "nan"), ("eq29-diag32nd", "--lam", "nan")],
+    )
+    def test_non_finite_parameter_exits_2(self, tmp_path, capsys, name, flag, value):
+        # a RuntimeWarning would fail this test: the suite turns them into errors
+        out = tmp_path / "s.json"
+        capsys.readouterr()
+        assert run_cli("make-state", name, flag, value, "--out", out) == 2
+        assert f"{flag} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestQfunc:
     def test_grid_csv(self, tmp_path):

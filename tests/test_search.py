@@ -282,12 +282,33 @@ class TestDiagonalSolver:
         with pytest.raises(ValueError, match=f"{expected} eigenvalue supports"):
             max_purity_unpolarized(SearchProblem(10, 6, constraint_class="diagonal"))
 
-    @pytest.mark.parametrize("twice_s,order", [(3, 1), (3, 2), (10, 4), (12, 3), (14, 5)])
+    @pytest.mark.parametrize("twice_s,order", [(3, 1), (3, 2), (10, 4), (12, 3), (14, 5), (16, 4)])
     def test_batched_vertices_match_per_support_reference(self, twice_s, order):
         S = half(twice_s / 2)
         got, expected = search._diag_vertices(S, order), reference_vertices(S, order)
         assert len(got) == len(expected) > 0
         assert_allclose(np.array(got), np.array(expected), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("twice_s,order,count", [(60, 2, 8161), (200, 1, 10001)])
+    def test_large_spin_vertices_are_distinct_basic_solutions(self, twice_s, order, count):
+        S = half(twice_s / 2)
+        verts = search._diag_vertices(S, order)
+        assert verts.shape == (count, twice_s + 1)
+        assert verts.min() >= 0.0
+        c = search._diag_constraint_rows(S, order)
+        e = np.zeros(order + 1)
+        e[-1] = 1.0
+        assert np.abs(verts @ c.T - e).max() <= 1e-10
+        support = verts > 0.0
+        # distinct supports: two vertices differ at least by the smaller one's least entry
+        assert len(np.unique(support, axis=0)) == count
+        assert len(np.unique(verts, axis=0)) == count
+        sizes = support.sum(axis=1)
+        assert sizes.min() >= 1 and sizes.max() <= order + 1
+        for size in np.unique(sizes):
+            levels = np.nonzero(support[sizes == size])[1].reshape(-1, size)
+            columns = c.T[levels].swapaxes(1, 2)  # [vertex, n_eq, size]
+            assert np.all(np.linalg.matrix_rank(columns) == size)
 
     def test_result_revalidates_and_reclassifies(self):
         res = max_purity_unpolarized(SearchProblem(1.5, 2, constraint_class="axial"))
