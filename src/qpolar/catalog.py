@@ -125,6 +125,9 @@ PRESETS = {
 
 
 def preset_state(name: str, **args) -> dict:
-    """State-file dict for a named preset; raises KeyError for unknown names."""
+    """State-file dict for a named preset; KeyError for an unknown name, ValueError for non-finite args."""
     builder, _ = PRESETS[name]
+    for key, value in args.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value!r}")
     return {"sectors": [builder(args)]}

@@ -9,6 +9,7 @@ and search reports their seed.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -201,23 +202,19 @@ def cmd_scan(args) -> int:
     if args.family == "two-photon":
         rows = search.scan_two_photon_family(np.linspace(0.0, 0.5, args.points))
         lines.append("lam,purity,P_2")
-        lines.extend(f"{_fmt(r.lam)},{_fmt(r.purity)},{_fmt(r.p2)}" for r in rows)
+        lines.extend("%r,%r,%r" % r for r in rows)
         print(f"two-photon family: {len(rows)} rows, "
               f"purity range [{min(r.purity for r in rows):.6g}, {max(r.purity for r in rows):.6g}]")
     else:
         if args.family == "three-photon-first":
-            axes = np.linspace(0.0, 1.0, args.points), np.linspace(0.0, 0.5, args.points)
-            grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)  # lam3-major
-            rows = search.scan_three_photon_family("first-order", grid)
+            axes = np.linspace(0.0, 1.0, args.points), np.linspace(0.0, 0.5, args.points)  # lam3-major
+            kind, grid = "first-order", np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
         else:
-            rows = search.scan_three_photon_family(
-                "second-order", np.linspace(1 / 6, 1 / 3, args.points)
-            )
+            kind, grid = "second-order", np.linspace(1 / 6, 1 / 3, args.points)
+        rows = search.scan_three_photon_family(kind, grid)
         lines.append("lam3,lam4,feasible,purity,A_1,A_2,A_3")
         # an infeasible row leaves purity and A_K blank
-        lines.extend(f"{_fmt(r.lam3)},{_fmt(r.lam4)},{int(r.feasible)},"
-                     + ",".join("" if v is None else _fmt(v) for v in (r.purity, r.a1, r.a2, r.a3))
-                     for r in rows)
+        lines.extend("%r,%r,%d,%r,%r,%r,%r" % r if r.feasible else "%r,%r,0,,,," % r[:2] for r in rows)
         kept = [r for r in rows if r.feasible]
         best = f", max purity {max(r.purity for r in kept):.9g}" if kept else ""
         print(f"{args.family} family: {len(kept)} feasible of {len(rows)} grid points{best}")
@@ -239,8 +236,6 @@ def cmd_make_state(args) -> int:
     if args.two_s is not None:
         extra["two_s"] = _bounded_two_s(args.two_s)
     obj = catalog.preset_state(args.name, **extra)
-    import json
-
     with open(args.out, "w") as fh:
         json.dump(obj, fh, indent=1)
         fh.write("\n")

@@ -31,6 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -473,8 +474,7 @@ def _diagonal_rows(p: np.ndarray):
     return np.einsum("nm,nm->n", p, p), A, P
 
 
-@dataclass(frozen=True)
-class TwoPhotonRow:
+class TwoPhotonRow(NamedTuple):
     lam: float
     purity: float
     p2: float
@@ -492,11 +492,10 @@ def scan_two_photon_family(lams) -> list[TwoPhotonRow]:
     if outside.any():
         raise ValueError(f"lam = {lams[outside][0]} outside [0, 1/2]")
     purity, _, P = _diagonal_rows(np.column_stack([lams, 1.0 - 2.0 * lams, lams]))
-    return list(map(TwoPhotonRow, lams.tolist(), purity.tolist(), P[:, 1].tolist()))
+    return [tuple.__new__(TwoPhotonRow, r) for r in zip(lams.tolist(), purity.tolist(), P[:, 1].tolist())]
 
 
-@dataclass(frozen=True)
-class ThreePhotonRow:
+class ThreePhotonRow(NamedTuple):
     lam3: float
     lam4: float
     feasible: bool
@@ -527,6 +526,9 @@ def scan_three_photon_family(kind: str, grid) -> list[ThreePhotonRow]:
     feasible = ~np.any((eigs < -1e-12) | (eigs > 1.0 + 1e-12), axis=1)
     p = np.clip(eigs[feasible], 0.0, None)
     purity, A, _ = _diagonal_rows(p / p.sum(axis=1, keepdims=True))
-    found = iter(np.column_stack([purity, A]).tolist())
-    return [ThreePhotonRow(l3, l4, ok, *(next(found) if ok else (None,) * 4))
-            for l3, l4, ok in zip(lam3.tolist(), lam4.tolist(), feasible.tolist())]
+    full, values = np.full(len(feasible), None, dtype=object), []
+    for column in (purity, *A.T):  # purity and A_K, None where a point is infeasible
+        full[feasible] = column
+        values.append(full.tolist())
+    rows = zip(lam3.tolist(), lam4.tolist(), feasible.tolist(), *values)
+    return list(map(tuple.__new__, itertools.repeat(ThreePhotonRow), rows))  # no per-row Python call

@@ -723,13 +723,31 @@ class TestScans:
                 assert_allclose((r.purity, r.a1, r.a2, r.a3), e, rtol=0, atol=1e-15)
 
     def test_three_photon_rows_hold_plain_floats(self):
-        for kind, grid in (("first-order", np.array([[0.5, 1 / 6]])), ("second-order", [0.25])):
-            (r,) = scan_three_photon_family(kind, grid)
+        for kind, grid in (("first-order", np.array([[0.5, 1 / 6], [0.9, 0.9]])), ("second-order", [0.25])):
+            r, *rest = scan_three_photon_family(kind, grid)
             for value in (r.lam3, r.lam4, r.purity, r.a1, r.a2, r.a3):
                 assert type(value) is float
             assert type(r.feasible) is bool
+            for bad in rest:  # an infeasible point
+                assert [type(v) for v in bad] == [float, float, bool] + [type(None)] * 4
         (r,) = scan_two_photon_family(np.array([0.25]))
         assert all(type(v) is float for v in (r.lam, r.purity, r.p2))
+
+    def test_rows_are_immutable_named_tuples(self):
+        (two,) = scan_two_photon_family([0.25])
+        first, bad = scan_three_photon_family("first-order", [(0.5, 1 / 6), (0.9, 0.9)])
+        (second,) = scan_three_photon_family("second-order", [0.25])
+        assert type(two) is search.TwoPhotonRow and type(first) is type(bad) is search.ThreePhotonRow
+        assert search.TwoPhotonRow._fields == ("lam", "purity", "p2")
+        assert search.ThreePhotonRow._fields == ("lam3", "lam4", "feasible", "purity", "a1", "a2", "a3")
+        assert tuple(two) == (two.lam, two.purity, two.p2)
+        for r in (first, bad, second):
+            assert tuple(r) == (r.lam3, r.lam4, r.feasible, r.purity, r.a1, r.a2, r.a3)
+            assert r == tuple(r) and hash(r) == hash(tuple(r))
+        assert tuple(bad) == (0.9, 0.9, False, None, None, None, None)
+        for r, field in ((two, "p2"), (first, "purity"), (bad, "feasible"), (second, "a2")):
+            with pytest.raises(AttributeError):
+                setattr(r, field, 0.0)
 
     @pytest.mark.parametrize(
         "kind, point",
