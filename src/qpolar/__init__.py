@@ -26,7 +26,6 @@ from .states import (
     diag_sector,
     fock_sector,
     maximally_mixed,
-    mix,
     pure_sector,
     purity,
     random_direction,
@@ -38,7 +37,6 @@ from .states import (
 from .multipole import (
     MultipoleSpectrum,
     analyze,
-    axial_profile,
     coherent_cumulative_max,
     cumulative,
     degree,
@@ -55,7 +53,6 @@ from .stokes import (
     sample_moments,
     stokes_matrices,
     tomography_directions,
-    total_variance,
 )
 from .husimi import QGrid, export_qgrid, q_function, q_values
 from .search import (

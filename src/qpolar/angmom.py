@@ -12,9 +12,9 @@ D(alpha, beta, gamma) = exp(-i alpha Jz) exp(-i beta Jy) exp(-i gamma Jz).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,14 +29,18 @@ __all__ = [
 ]
 
 
-@total_ordering
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class HalfInt:
     """An integer or half-integer quantum number, stored exactly as twice its value."""
 
     __slots__ = ("twice",)
 
     def __init__(self, twice: int):
-        if isinstance(twice, bool) or not isinstance(twice, (int, np.integer)):
+        if not _is_int(twice):
             raise ValueError(f"twice must be an integer, got {twice!r}")
         self.twice = int(twice)
 
@@ -47,31 +51,11 @@ class HalfInt:
     def __float__(self) -> float:
         return self.twice / 2.0
 
-    def __add__(self, other):
-        return HalfInt(self.twice + half(other).twice)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return HalfInt(self.twice - half(other).twice)
-
-    def __rsub__(self, other):
-        return HalfInt(half(other).twice - self.twice)
-
-    def __neg__(self):
-        return HalfInt(-self.twice)
-
-    def __abs__(self):
-        return HalfInt(abs(self.twice))
-
     def __eq__(self, other):
         try:
             return self.twice == half(other).twice
-        except (ValueError, TypeError):
+        except ValueError:
             return NotImplemented
-
-    def __lt__(self, other):
-        return self.twice < half(other).twice
 
     def __hash__(self):
         return hash(self.twice)
@@ -86,24 +70,17 @@ class HalfInt:
 
 
 def half(value) -> HalfInt:
-    """Coerce an int, float, Fraction, or HalfInt to a HalfInt."""
+    """Coerce a HalfInt, or a real number other than a bool whose double is an integer.
+
+    Anything else, a non-finite float included, raises ValueError.
+    """
     if isinstance(value, HalfInt):
         return value
-    if isinstance(value, bool):
-        raise ValueError("bool is not a valid half-integer")
-    if isinstance(value, (int, np.integer)):
-        return HalfInt(2 * int(value))
-    if isinstance(value, Fraction):
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
         twice = 2 * value
-        if twice.denominator != 1:
-            raise ValueError(f"{value} is not an integer or half-integer")
-        return HalfInt(twice.numerator)
-    if isinstance(value, (float, np.floating)):
-        twice = 2.0 * float(value)
-        if twice != round(twice):
-            raise ValueError(f"{value} is not an integer or half-integer")
-        return HalfInt(int(round(twice)))
-    raise ValueError(f"cannot interpret {value!r} as a half-integer")
+        if -math.inf < twice < math.inf and twice == int(twice):  # exact for ints past the float range
+            return HalfInt(int(twice))
+    raise ValueError(f"cannot interpret {value!r} as an integer or half-integer")
 
 
 def m_range(j) -> list[HalfInt]:

@@ -16,10 +16,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angmom import HalfInt, _d_column, half
+from .angmom import HalfInt, _d_column, _is_int, half
 from .states import Direction, SpinSector
 
-__all__ = ["QGrid", "q_function", "q_values", "export_qgrid", "read_qgrid"]
+__all__ = ["QGrid", "q_function", "q_values", "export_qgrid"]
 
 
 @dataclass(frozen=True)
@@ -100,9 +100,10 @@ def q_values(sector: SpinSector, directions) -> np.ndarray:
 
 def q_function(sector: SpinSector, grid=(64, 128)) -> QGrid:
     """Q on a Gauss-Legendre x uniform product grid; grid = (n_theta, n_phi)."""
-    n_theta, n_phi = int(grid[0]), int(grid[1])
-    if n_theta < 1 or n_phi < 1:
-        raise ValueError("grid sizes must be positive")
+    n_theta, n_phi = grid
+    for name, n in (("n_theta", n_theta), ("n_phi", n_phi)):
+        if not (_is_int(n) and n >= 1):
+            raise ValueError(f"grid size {name} must be a positive integer, got {n!r}")
     thetas, weights, phis, table = _grid_axes(sector.spin.twice, n_theta, n_phi)
     values = _fourier(sector.rho, thetas).T @ table
     coarse = n_theta < sector.spin.twice + 1
@@ -119,15 +120,3 @@ def export_qgrid(grid: QGrid, path) -> None:
             head, mid = f"{theta!r},", f",{weight!r},"
             fh.write("".join(f"{head}{p}{mid}{v!r}\n" for p, v in zip(phis, row)))
 
-
-def read_qgrid(path) -> list[tuple[float, float, float, float]]:
-    """Read back rows written by export_qgrid."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("theta"):
-                continue
-            a, b, c, d = line.split(",")
-            rows.append((float(a), float(b), float(c), float(d)))
-    return rows

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -35,8 +34,6 @@ __all__ = [
     "coherent_cumulative_max",
     "degree",
     "unpolarization_order",
-    "AxialProfile",
-    "axial_profile",
     "ShellReport",
     "PolarizationReport",
     "analyze",
@@ -228,13 +225,11 @@ def coherent_cumulative_max(S, K: int) -> float:
 
 @lru_cache(maxsize=None)
 def _coherent_maxima(t: int) -> np.ndarray:
-    """Coherent-state A_K for K = 1..2S, evaluated exactly and rounded once."""
+    """Coherent-state A_K for K = 1..2S, each one exact ratio of integers rounded once."""
+    f = math.factorial
     out = np.array([
-        float(Fraction(t, t + 1) - (
-            Fraction(math.factorial(t) ** 2,
-                     math.factorial(t - K - 1) * math.factorial(t + K + 1))
-            if K < t else 0
-        ))
+        (t * f(t - K - 1) * f(t + K + 1) - (t + 1) * f(t) ** 2) / ((t + 1) * f(t - K - 1) * f(t + K + 1))
+        if K < t else t / (t + 1)
         for K in range(1, t + 1)
     ])
     out.setflags(write=False)
@@ -260,28 +255,6 @@ def unpolarization_order(spectrum: MultipoleSpectrum, tol: float = DEFAULT_ORDER
     """Largest K with A_K <= tol; 0 if the dipole survives, 2S if fully unpolarized."""
     _check_tol(tol)
     return _leading_within(spectrum.cumulative_all, tol)
-
-
-@dataclass(frozen=True)
-class AxialProfile:
-    """Axial-symmetry diagnostics of a shell state."""
-
-    axial_about_z: bool
-    off_axis_residual: float  # max |rho_Kq|, q != 0
-    even_ranks_only: bool     # all odd-K rho_K0 vanish (z-reversal symmetry)
-    odd_rank_residual: float
-    tol: float
-
-
-def axial_profile(sector: SpinSector, tol: float = DEFAULT_ORDER_TOL) -> AxialProfile:
-    """Check for axial symmetry about z (only q = 0 multipoles) and z-reversal parity."""
-    _check_tol(tol)
-    t = sector.spin.twice
-    mags = np.abs(components(sector.rho, sector.spin, t))
-    odd = float(np.max(mags[1::2, t], initial=0.0))
-    mags[:, t] = 0.0
-    off = float(mags.max())
-    return AxialProfile(off <= tol, off, odd <= tol, odd, tol)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .angmom import HalfInt, half
 from .catalog import three_photon_first_order_eigs
-from .multipole import _basis_diagonal, _strengths_cumulative_degrees, components, synthesize
+from .multipole import _basis_diagonal, _strengths_cumulative_degrees
 from .states import SpinSector, _ginibre, diag_sector, maximally_mixed, pure_sector
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "pure_anticoherent_search",
     "anticoherence_objective",
     "anticoherence_gradient",
-    "project_multipole_free",
     "TwoPhotonRow",
     "scan_two_photon_family",
     "ThreePhotonRow",
@@ -130,11 +129,6 @@ class SearchResult:
     history: tuple[RestartRecord, ...]
 
     @property
-    def feasible_start_purity(self) -> float:
-        """Purity of the maximally mixed state, the start every class can reach."""
-        return 1.0 / (self.problem.spin.twice + 1)
-
-    @property
     def stop_reasons(self) -> dict[str, int]:
         """How many restarts ended for each of `STOP_REASONS`, in that order."""
         return {r: sum(rec.reason == r for rec in self.history) for r in STOP_REASONS}
@@ -152,16 +146,6 @@ def _digest(history) -> str:
             f"{rec.index}:{rec.objective.hex()}:{rec.residual.hex()}:{rec.iterations}:{rec.reason}\n".encode()
         )
     return h.hexdigest()
-
-
-def project_multipole_free(rho: np.ndarray, S, order: int) -> np.ndarray:
-    """Orthogonal projection onto {rho: Tr rho = 1, rho_Kq = 0 for 1 <= K <= order <= 2S}."""
-    S = half(S)
-    _check_order(S, order)
-    rho = np.asarray(rho, dtype=complex)
-    c = components(rho, S, order)
-    c[0, order] -= 1.0 / math.sqrt(S.twice + 1)  # leave the monopole of I/d, so Tr = 1
-    return rho - synthesize(c, S)
 
 
 @lru_cache(maxsize=32)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angmom import EulerAngles, HalfInt, _d_column, dim, half, wigner_D
+from .angmom import EulerAngles, HalfInt, _d_column, _is_int, dim, half, wigner_D
 
 __all__ = [
     "DEFAULT_TOL",
@@ -30,7 +30,6 @@ __all__ = [
     "pure_sector",
     "maximally_mixed",
     "rotate",
-    "mix",
     "purity",
     "assemble",
     "random_sector",
@@ -125,10 +124,10 @@ def _diagnose(rho: np.ndarray, tol: float) -> ValidationReport:
 class SpinSector:
     """Density matrix on one photon-number shell (spin S, basis |S,m>, m descending).
 
-    Validated on construction by default (Hermitian, unit trace, positive
-    semidefinite, each within `DEFAULT_TOL`); pass ``validate=False`` to
-    skip, e.g. for matrices known valid by construction.  Immutable once
-    built.
+    Non-finite entries are always refused.  Validated on construction by
+    default (Hermitian, unit trace, positive semidefinite, each within
+    `DEFAULT_TOL`); pass ``validate=False`` to skip that, e.g. for matrices
+    known valid by construction.  Immutable once built.
     """
 
     __slots__ = ("spin", "rho")
@@ -141,9 +140,9 @@ class SpinSector:
         d = dim(spin)
         if rho.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} matrix for spin {spin}, got {rho.shape}")
+        if not np.isfinite(rho).all():
+            raise ValueError("invalid density matrix: non-finite entries")
         if validate:
-            if not np.all(np.isfinite(rho)):
-                raise ValueError("invalid density matrix: non-finite entries")
             report = _diagnose(rho, DEFAULT_TOL)
             if not report.ok:
                 raise ValueError(f"invalid density matrix: {report.message()}")
@@ -240,26 +239,6 @@ def rotate(sector: SpinSector, angles: EulerAngles) -> SpinSector:
     return SpinSector(sector.spin, D @ sector.rho @ D.conj().T, validate=False)
 
 
-def mix(entries) -> SpinSector:
-    """Convex combination of same-spin sectors."""
-    entries = list(entries)
-    if not entries:
-        raise ValueError("empty mixture")
-    spin = entries[0][1].spin
-    total = 0.0
-    rho = np.zeros_like(entries[0][1].rho)
-    for w, sec in entries:
-        if sec.spin != spin:
-            raise ValueError(f"mixed spins in mixture: {sec.spin} vs {spin}")
-        if w < -DEFAULT_TOL:
-            raise ValueError(f"negative mixture weight {w}")
-        rho = rho + w * sec.rho
-        total += w
-    if abs(total - 1.0) > DEFAULT_TOL:
-        raise ValueError(f"mixture weights sum to {total}, expected 1")
-    return SpinSector(spin, rho, validate=False)
-
-
 class PolarizationState:
     """Block-diagonal polarization sector: weighted shells (P_S, rho^(S)).
 
@@ -343,9 +322,12 @@ def _ginibre(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_sector(S, rng: np.random.Generator, rank: int | None = None) -> SpinSector:
-    """Random full(ish)-rank density matrix from the Ginibre ensemble."""
+    """Random density matrix of the given rank (default full, 2S+1) from the Ginibre ensemble."""
     d = dim(half(S))
-    g = _ginibre(d, d if rank is None else int(rank), rng)
+    rank = d if rank is None else rank
+    if not (_is_int(rank) and 1 <= rank <= d):
+        raise ValueError(f"rank must be an integer in [1, 2S+1] = [1, {d}], got {rank!r}")
+    g = _ginibre(d, int(rank), rng)
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     return SpinSector(S, rho, validate=False)

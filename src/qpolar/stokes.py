@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angmom import HalfInt, _spin_arrays, half
+from .angmom import HalfInt, _is_int, _spin_arrays, half
 from .multipole import _basis_diagonal, _check_tol, _leading_within, _strengths_cumulative_degrees
 from .states import Direction, SpinSector, as_shells
 
@@ -24,7 +24,6 @@ __all__ = [
     "stokes_matrices",
     "spin_along",
     "directional_moment",
-    "total_variance",
     "isotropy_order",
     "MomentSample",
     "sample_moments",
@@ -113,14 +112,6 @@ def directional_moment(obj, direction: Direction, ell: int) -> float:
     return float(sum(w * sample_moments(sec, [direction], int(ell))[-1].value for w, sec in as_shells(obj)))
 
 
-def total_variance(obj) -> float:
-    """Total Stokes variance, sum_i (<S_i^2> - <S_i>^2) = S(S+1) - |<S>|^2 per shell; >= S on one shell."""
-    axes = [Direction(math.pi / 2, 0.0), Direction(math.pi / 2, math.pi / 2), Direction(0.0, 0.0)]
-    shells = as_shells(obj)
-    mean = sum(w * np.array([m.value for m in sample_moments(sec, axes, 1)]) for w, sec in shells)
-    return sum(w * float(sec.spin) * (float(sec.spin) + 1) for w, sec in shells) - float(mean @ mean)
-
-
 def tomography_directions(n: int) -> list[Direction]:
     """Well-spread deterministic directions for minimal moment tomography.
 
@@ -129,8 +120,8 @@ def tomography_directions(n: int) -> list[Direction]:
     makes small sets rank deficient); a quadratic azimuth offset breaks the
     arithmetic progression while keeping the set deterministic.
     """
-    if n < 1:
-        raise ValueError("need at least one direction")
+    if not (_is_int(n) and n >= 1):
+        raise ValueError(f"n, the number of directions, must be a positive integer, got {n!r}")
     golden = math.pi * (3.0 - math.sqrt(5.0))
     out = []
     for i in range(n):

@@ -23,7 +23,7 @@ def _check_jm(j: HalfInt, m: HalfInt, names: str) -> None:
     if (j.twice - m.twice) % 2 != 0:
         raise ValueError(f"{names}: m = {m} and j = {j} must differ by an integer")
     if abs(m.twice) > j.twice:
-        raise ValueError(f"{names}: |m| = {abs(m)} exceeds j = {j}")
+        raise ValueError(f"{names}: |m| = {HalfInt(abs(m.twice))} exceeds j = {j}")
 
 
 @dataclass(frozen=True)

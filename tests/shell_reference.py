@@ -1,0 +1,26 @@
+"""Test-side shell operations the library does not need: the Stokes variance and the multipole-free projection."""
+
+import math
+
+import numpy as np
+
+from qpolar.angmom import half
+from qpolar.multipole import components, synthesize
+from qpolar.stokes import stokes_matrices
+
+
+def total_variance(sector) -> float:
+    """sum_i <S_i^2> - <S_i>^2 of one shell, read off the Stokes matrices; at least S."""
+    return sum(
+        np.trace(sector.rho @ s @ s).real - np.trace(sector.rho @ s).real ** 2
+        for s in stokes_matrices(sector.spin).vector
+    )
+
+
+def project_multipole_free(rho, S, order: int) -> np.ndarray:
+    """Orthogonal projection onto {rho: Tr rho = 1, rho_Kq = 0 for 1 <= K <= order}."""
+    S = half(S)
+    rho = np.asarray(rho, dtype=complex)
+    c = components(rho, S, order)
+    c[0, order] -= 1.0 / math.sqrt(S.twice + 1)  # leave the monopole of I/d, so Tr = 1
+    return rho - synthesize(c, S)

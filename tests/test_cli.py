@@ -14,7 +14,6 @@ from numpy.testing import assert_allclose
 
 from qpolar.catalog import PRESETS
 from qpolar.cli import main
-from qpolar.husimi import read_qgrid
 from qpolar.stateio import MAX_TWO_S, SchemaError, load_state, state_from_dict
 from qpolar.states import diag_sector, random_sector
 from qpolar.stokes import sample_moments, tomography_directions, write_moments
@@ -206,9 +205,9 @@ class TestQfunc:
         out = tmp_path / "q.csv"
         run_cli("make-state", "eq27-3p", "--out", state)
         assert run_cli("qfunc", state, "--grid", "12x24", "--out", out) == 0
-        rows = read_qgrid(out)
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
         assert len(rows) == 12 * 24
-        total = sum(w * v for _, _, w, v in rows)
+        total = rows[:, 2] @ rows[:, 3]
         assert_allclose(4 / (4 * math.pi) * total, 1.0, atol=1e-9)
 
     def test_multi_shell_outputs(self, tmp_path):
@@ -403,3 +402,13 @@ class TestDeterminism:
             assert res.returncode == 0, res.stderr
             outs.append((tmp_path / name).read_bytes())
         assert outs[0] == outs[1]
+
+
+def test_import_loads_neither_fractions_nor_decimal():
+    # the coherent-state ceilings are int/int divisions, so start-up needs no rational arithmetic
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, qpolar.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 import qpolar.catalog as catalog
 from qpolar.angmom import rotation_matrix
-from qpolar.husimi import export_qgrid, q_function, q_values, read_qgrid
+from qpolar.husimi import export_qgrid, q_function, q_values
 from qpolar.states import (
     Direction,
     SpinSector,
@@ -177,6 +177,16 @@ class TestQFunction:
         with pytest.raises(ValueError):
             q_function(maximally_mixed(1), (0, 8))
 
+    @pytest.mark.parametrize(
+        "grid, name",
+        [((2.5, 5), "n_theta"), ((True, 5), "n_theta"), ((4, 8.0), "n_phi"), ((4, -1), "n_phi"), ((4, "8"), "n_phi")],
+        ids=["fractional", "bool", "float", "negative", "string"],
+    )
+    def test_grid_sizes_must_be_positive_integers(self, grid, name):
+        with pytest.raises(ValueError, match=f"grid size {name} must be a positive integer"):
+            q_function(maximally_mixed(1), grid)
+        assert q_function(maximally_mixed(1), (np.int64(3), np.int64(4))).values.shape == (3, 4)
+
 
 class TestExport:
     def test_round_trip_and_ordering(self, tmp_path):
@@ -184,7 +194,7 @@ class TestExport:
         grid = q_function(random_sector(1, rng), (6, 10))
         path = tmp_path / "q.csv"
         export_qgrid(grid, path)
-        rows = read_qgrid(path)
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
         assert len(rows) == 6 * 10
         # theta-major, phi-minor ordering, bit-identical values
         k = 0
@@ -199,7 +209,7 @@ class TestExport:
         grid = q_function(maximally_mixed(1), (4, 8))
         path = tmp_path / "flat.csv"
         export_qgrid(grid, path)
-        vals = np.array([v for _, _, _, v in read_qgrid(path)])
+        vals = np.loadtxt(path, delimiter=",", skiprows=1)[:, 3]
         assert np.ptp(vals) < 1e-14 and abs(vals[0] - 1 / 3) < 1e-14
 
     @pytest.mark.parametrize("twice_s, shape", [(1, (6, 10)), (25, (64, 128)), (40, (3, 7))])

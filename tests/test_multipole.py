@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ import qpolar.catalog as catalog
 from qpolar.angmom import half, m_range
 from qpolar.multipole import (
     _basis,
+    _coherent_maxima,
     analyze,
-    axial_profile,
     coherent_cumulative_max,
     components,
     cumulative,
@@ -251,6 +252,15 @@ class TestCoherentMaxAndDegrees:
         assert_allclose(coherent_cumulative_max(1, 2), 2 / 3, atol=1e-15)
         assert_allclose(coherent_cumulative_max(1.5, 1), 9 / 20, atol=1e-15)
 
+    @pytest.mark.parametrize("twice_s", [1, 2, 3, 10, 40, 120, 200])
+    def test_maxima_are_the_exact_fractions_rounded_once(self, twice_s):
+        t, f = twice_s, math.factorial
+        exact = [
+            Fraction(t, t + 1) - (Fraction(f(t) ** 2, f(t - K - 1) * f(t + K + 1)) if K < t else 0)
+            for K in range(1, t + 1)
+        ]
+        assert _coherent_maxima(t).tobytes() == np.array([float(a) for a in exact]).tobytes()
+
     def test_k_range_errors(self):
         with pytest.raises(ValueError):
             coherent_cumulative_max(1, 0)
@@ -317,9 +327,8 @@ class TestClassification:
             lambda s, tol: unpolarization_order(state_multipoles(s), tol),
             lambda s, tol: state_multipoles(s, tol=tol),
             lambda s, tol: analyze(s, tol=tol),
-            lambda s, tol: axial_profile(s, tol),
         ],
-        ids=["unpolarization_order", "state_multipoles", "analyze", "axial_profile"],
+        ids=["unpolarization_order", "state_multipoles", "analyze"],
     )
     @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
     def test_bad_tolerance_is_refused(self, call, tol):
@@ -339,20 +348,27 @@ class TestClassification:
 
 
 class TestAxialProfile:
+    # axial symmetry about z leaves only q = 0 multipoles; z-reversal symmetry kills every odd-K rho_K0
+    @staticmethod
+    def _residuals(sector):
+        spec = state_multipoles(sector)
+        off_axis = max(abs(c) for (K, q), c in spec.components.items() if q != 0)
+        odd = max(abs(spec.component(K, 0)) for K in range(1, spec.max_rank + 1, 2))
+        return off_axis, odd
+
     def test_diagonal_states_are_axial(self):
-        prof = axial_profile(diag_sector(1.5, [0.4, 0.3, 0.2, 0.1]))
-        assert prof.axial_about_z and not prof.even_ranks_only
+        off_axis, odd = self._residuals(diag_sector(1.5, [0.4, 0.3, 0.2, 0.1]))
+        assert off_axis <= 1e-10 and odd > 1e-10
 
     def test_palindrome_is_even_rank_only(self):
-        prof = axial_profile(diag_sector(1.5, [0.5, 0, 0, 0.5]))
-        assert prof.axial_about_z and prof.even_ranks_only
+        off_axis, odd = self._residuals(diag_sector(1.5, [0.5, 0, 0, 0.5]))
+        assert off_axis <= 1e-10 and odd <= 1e-10
 
     def test_rotated_diagonal_loses_z_axiality(self):
         from qpolar.angmom import EulerAngles
 
         sec = rotate(diag_sector(1.5, [0.4, 0.3, 0.2, 0.1]), EulerAngles(0.0, math.pi / 3, 0.0))
-        prof = axial_profile(sec)
-        assert not prof.axial_about_z
+        assert self._residuals(sec)[0] > 1e-10
         # rotation invariants unchanged: still unitarily equivalent to an axial state
         assert_allclose(
             state_multipoles(sec).strengths,

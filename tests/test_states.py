@@ -1,4 +1,4 @@
-"""Shell density matrices: constructors, rotation, mixing, validation."""
+"""Shell density matrices: constructors, rotation, mixtures, validation."""
 
 import math
 import warnings
@@ -17,7 +17,6 @@ from qpolar.states import (
     diag_sector,
     fock_sector,
     maximally_mixed,
-    mix,
     pure_sector,
     purity,
     random_angles,
@@ -27,7 +26,9 @@ from qpolar.states import (
     su2_coherent,
     validate,
 )
-from qpolar.stokes import spin_along, total_variance
+from qpolar.stokes import spin_along
+
+from shell_reference import total_variance
 
 
 class TestDirection:
@@ -157,30 +158,22 @@ class TestRotate:
 
 
 class TestMix:
-    def test_single_entry(self):
-        rng = np.random.default_rng(2)
-        sec = random_sector(1, rng)
-        assert_allclose(mix([(1.0, sec)]).rho, sec.rho, atol=1e-15)
-
+    # convex combinations of same-spin sectors, built as w_a rho_a + w_b rho_b
     def test_pole_mixture(self):
-        got = mix([(0.5, fock_sector(1.5, 1.5)), (0.5, fock_sector(1.5, -1.5))])
-        assert_allclose(got.rho, np.diag([0.5, 0, 0, 0.5]), atol=1e-15)
+        got = 0.5 * fock_sector(1.5, 1.5).rho + 0.5 * fock_sector(1.5, -1.5).rho
+        assert_allclose(got, np.diag([0.5, 0, 0, 0.5]), atol=1e-15)
 
     def test_equal_fock_mixture_is_maximally_mixed(self):
         S = 1.5
-        entries = [(0.25, fock_sector(S, m)) for m in (1.5, 0.5, -0.5, -1.5)]
-        assert_allclose(mix(entries).rho, maximally_mixed(S).rho, atol=1e-15)
-
-    def test_mismatched_spins(self):
-        with pytest.raises(ValueError):
-            mix([(0.5, fock_sector(1, 0)), (0.5, fock_sector(0.5, 0.5))])
+        got = sum(0.25 * fock_sector(S, m).rho for m in (1.5, 0.5, -0.5, -1.5))
+        assert_allclose(got, maximally_mixed(S).rho, atol=1e-15)
 
     def test_purity_bounded_by_components(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
             a, b = random_sector(1, rng), random_sector(1, rng)
             w = rng.uniform(0, 1)
-            mixed = mix([(w, a), (1 - w, b)])
+            mixed = SpinSector(1, w * a.rho + (1 - w) * b.rho)
             assert mixed.purity() <= max(a.purity(), b.purity()) + 1e-12
 
 
@@ -203,12 +196,36 @@ class TestValidate:
         with pytest.raises(ValueError):
             SpinSector(0.5, np.diag([1.2, -0.2]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    @pytest.mark.parametrize("check", [True, False], ids=["validated", "unvalidated"])
+    def test_non_finite_entries_are_refused(self, bad, check):
+        rho = np.diag([bad, 0.5]).astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite entries"):
+                SpinSector(0.5, rho, validate=check)
+
     def test_uncertainty_floor_for_random_sectors(self):
         rng = np.random.default_rng(4)
         for twice_s in (1, 2, 4, 7):
             for _ in range(20):
                 sec = random_sector(twice_s / 2, rng)
                 assert total_variance(sec) >= twice_s / 2 - 1e-10
+
+
+class TestRandomSector:
+    @pytest.mark.parametrize("rank", [1, 2, np.int64(3)])
+    def test_rank_is_kept(self, rank):
+        sec = random_sector(1, np.random.default_rng(6), rank=rank)
+        assert np.linalg.matrix_rank(sec.rho, tol=1e-10) == rank
+        assert validate(sec).ok
+
+    @pytest.mark.parametrize("rank", [0, -1, 4, 2.7, 2.0, True, "2"])
+    def test_bad_rank_is_refused(self, rank):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"rank must be an integer in \[1, 2S\+1\] = \[1, 3\]"):
+                random_sector(1, np.random.default_rng(6), rank=rank)
 
 
 class TestPurity:

@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 import qpolar.catalog as catalog
 from qpolar.angmom import _d_column, half
 from qpolar.multipole import components, cumulative, state_multipoles, unpolarization_order
-from qpolar.search import project_multipole_free
 from qpolar.states import (
     Direction,
     SpinSector,
@@ -36,9 +35,10 @@ from qpolar.stokes import (
     spin_along,
     stokes_matrices,
     tomography_directions,
-    total_variance,
     write_moments,
 )
+
+from shell_reference import project_multipole_free, total_variance
 
 
 def reference_moments(sector, direction, max_ell):
@@ -309,6 +309,12 @@ class TestReconstruction:
     def test_needs_at_least_one_direction(self):
         with pytest.raises(ValueError):
             tomography_directions(0)
+
+    @pytest.mark.parametrize("n", [True, 2.5, 3.0, -2, "3"])
+    def test_direction_count_must_be_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="n, the number of directions, must be a positive integer"):
+            tomography_directions(n)
+        assert len(tomography_directions(np.int64(3))) == 3
 
     def test_k_max_validation(self):
         with pytest.raises(ValueError):
