@@ -200,24 +200,24 @@ def cmd_scan(args) -> int:
         raise ValueError(f"--points must be at least 1, got {args.points}")
     lines = [f"# scan family={args.family} points={args.points}"]
     if args.family == "two-photon":
-        rows = search.scan_two_photon_family(np.linspace(0.0, 0.5, args.points))
+        scan = search.scan_two_photon_family(np.linspace(0.0, 0.5, args.points))
         lines.append("lam,purity,P_2")
-        lines.extend("%r,%r,%r" % r for r in rows)
-        print(f"two-photon family: {len(rows)} rows, "
-              f"purity range [{min(r.purity for r in rows):.6g}, {max(r.purity for r in rows):.6g}]")
+        print(f"two-photon family: {len(scan)} rows, purity range [{scan.purity.min():.6g}, {scan.purity.max():.6g}]")
     else:
         if args.family == "three-photon-first":
             axes = np.linspace(0.0, 1.0, args.points), np.linspace(0.0, 0.5, args.points)  # lam3-major
             kind, grid = "first-order", np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
         else:
             kind, grid = "second-order", np.linspace(1 / 6, 1 / 3, args.points)
-        rows = search.scan_three_photon_family(kind, grid)
+        scan = search.scan_three_photon_family(kind, grid)
         lines.append("lam3,lam4,feasible,purity,A_1,A_2,A_3")
-        # an infeasible row leaves purity and A_K blank
-        lines.extend("%r,%r,%d,%r,%r,%r,%r" % r if r.feasible else "%r,%r,0,,,," % r[:2] for r in rows)
-        kept = [r for r in rows if r.feasible]
-        best = f", max purity {max(r.purity for r in kept):.9g}" if kept else ""
-        print(f"{args.family} family: {len(kept)} feasible of {len(rows)} grid points{best}")
+        kept = int(np.count_nonzero(scan.feasible))
+        best = f", max purity {scan.purity[scan.feasible].max():.9g}" if kept else ""
+        print(f"{args.family} family: {kept} feasible of {len(scan)} grid points{best}")
+    # straight from the columns: 1 or 0 for a flag, a float as %r writes it, blank for NaN (an infeasible point)
+    cells = [np.where(c, "1", "0").tolist() if c.dtype == bool else ["" if x != x else repr(x) for x in c.tolist()]
+             for c in (getattr(scan, name) for name in scan.row._fields)]
+    lines.extend(map(",".join, zip(*cells)))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("\n".join(lines) + "\n")

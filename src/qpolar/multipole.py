@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angmom import HalfInt, half
+from .angmom import HalfInt, _is_int, half
 from .states import SpinSector, as_shells
 
 __all__ = [
@@ -44,9 +44,9 @@ DEFAULT_ORDER_TOL = 1e-10
 
 
 def _check_rank(S: HalfInt, K: int, q: int | None = None) -> None:
-    if not isinstance(K, (int, np.integer)) or not 0 <= K <= S.twice:
+    if not _is_int(K) or not 0 <= K <= S.twice:
         raise ValueError(f"rank K must be an integer in [0, 2S] = [0, {S.twice}], got {K}")
-    if q is not None and (not isinstance(q, (int, np.integer)) or abs(q) > K):
+    if q is not None and (not _is_int(q) or abs(q) > K):
         raise ValueError(f"component q must be an integer with |q| <= K = {K}, got {q}")
 
 

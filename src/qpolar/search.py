@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angmom import HalfInt, half
+from .angmom import HalfInt, _is_int, half
 from .catalog import three_photon_first_order_eigs
 from .multipole import _basis_diagonal, _strengths_cumulative_degrees
 from .states import SpinSector, _ginibre, diag_sector, maximally_mixed, pure_sector
@@ -51,6 +51,7 @@ __all__ = [
     "pure_anticoherent_search",
     "anticoherence_objective",
     "anticoherence_gradient",
+    "FamilyScan",
     "TwoPhotonRow",
     "scan_two_photon_family",
     "ThreePhotonRow",
@@ -78,8 +79,8 @@ STOP_REASONS = ("converged", "stalled", "max-iter")
 
 
 def _check_order(S: HalfInt, order: int) -> None:
-    if not 1 <= order <= S.twice:
-        raise ValueError(f"order must lie in [1, 2S] = [1, {S.twice}], got {order}")
+    if not (_is_int(order) and 1 <= order <= S.twice):
+        raise ValueError(f"order must lie in [1, 2S] = [1, {S.twice}], got {order!r} (an integer is required)")
 
 
 class InfeasibleError(ValueError):
@@ -103,8 +104,8 @@ class SearchProblem:
             raise ValueError(f"unknown constraint class {self.constraint_class!r}; "
                              f"choose from {CONSTRAINT_CLASSES}")
         object.__setattr__(self, "constraint_class", cls)
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        if not (_is_int(self.restarts) and self.restarts >= 1):
+            raise ValueError(f"restarts must be an integer of at least 1, got {self.restarts!r}")
         _check_order(self.spin, self.order)
 
 
@@ -437,8 +438,11 @@ def pure_anticoherent_search(S, order: int, restarts: int = 64, seed: int = 0) -
 def _grid_points(grid, shape: tuple[int, ...], what: str) -> np.ndarray:
     """A scan grid as a float array [point, *shape]; a malformed or non-finite point is refused."""
     try:
-        pts = np.asarray(grid, dtype=float)
-    except ValueError:  # points of unequal lengths, or entries that are no numbers
+        # fromiter stops silently at its count, so [(0.5,), (0.2, 0.3, 0.4)] would pass for two pairs unchecked
+        pts = (np.fromiter(itertools.chain.from_iterable(grid), float, 2 * len(grid)).reshape(-1, 2)
+               if shape == (2,) and not isinstance(grid, np.ndarray) and set(map(len, grid)) == {2}
+               else np.array(grid, dtype=float))  # a copy: no column aliases the caller's grid
+    except (TypeError, ValueError):  # points of unequal lengths, or entries that are no numbers
         pts = None
     if pts is None or pts.shape != (len(pts),) + shape or not np.isfinite(pts).all():
         for i, point in enumerate(grid):
@@ -458,13 +462,35 @@ def _diagonal_rows(p: np.ndarray):
     return np.einsum("nm,nm->n", p, p), A, P
 
 
+class FamilyScan:
+    """Read-only columns named by the fields of the row type `scan.row`; iterating makes the rows, in one pass."""
+
+    def __init__(self, row: type, *columns: np.ndarray):
+        for column in columns:
+            column.setflags(write=False)
+        vars(self).update(zip(row._fields, columns), row=row)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a FamilyScan is read-only: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __len__(self) -> int:
+        return len(vars(self)[self.row._fields[0]])
+
+    def __iter__(self):
+        values = ((np.where(np.isnan(c), None, c.astype(object)) if c.dtype == float else c).tolist()
+                  for c in map(vars(self).get, self.row._fields))
+        return map(tuple.__new__, itertools.repeat(self.row), zip(*values))  # no per-row Python call
+
+
 class TwoPhotonRow(NamedTuple):
     lam: float
     purity: float
     p2: float
 
 
-def scan_two_photon_family(lams) -> list[TwoPhotonRow]:
+def scan_two_photon_family(lams) -> FamilyScan:
     """Scan diag(lam, 1-2lam, lam) on the two-photon shell.
 
     These are the first-order unpolarized axially symmetric states; positivity
@@ -476,7 +502,7 @@ def scan_two_photon_family(lams) -> list[TwoPhotonRow]:
     if outside.any():
         raise ValueError(f"lam = {lams[outside][0]} outside [0, 1/2]")
     purity, _, P = _diagonal_rows(np.column_stack([lams, 1.0 - 2.0 * lams, lams]))
-    return [tuple.__new__(TwoPhotonRow, r) for r in zip(lams.tolist(), purity.tolist(), P[:, 1].tolist())]
+    return FamilyScan(TwoPhotonRow, lams, purity, P[:, 1])
 
 
 class ThreePhotonRow(NamedTuple):
@@ -489,14 +515,14 @@ class ThreePhotonRow(NamedTuple):
     a3: float | None
 
 
-def scan_three_photon_family(kind: str, grid) -> list[ThreePhotonRow]:
+def scan_three_photon_family(kind: str, grid) -> FamilyScan:
     """Scan the diagonal three-photon families without first-order polarization.
 
     kind = "first-order": grid holds (lam3, lam4) pairs; the eigenvalues are
     (lam3+2lam4-1/2, -2lam3-3lam4+3/2, lam3, lam4).  kind = "second-order"
     adds the quadrupole-killing constraint lam3 = 1-3lam4 and grid holds
-    lam4 values.  Grid points violating positivity are flagged, not errors;
-    a non-finite or malformed grid point is refused.
+    lam4 values.  A point violating positivity is flagged infeasible, with NaN
+    purity and A_K (None in its row); a non-finite or malformed point is refused.
     """
     if kind not in ("first-order", "second-order"):
         raise ValueError(f"kind must be 'first-order' or 'second-order', got {kind!r}")
@@ -510,9 +536,6 @@ def scan_three_photon_family(kind: str, grid) -> list[ThreePhotonRow]:
     feasible = ~np.any((eigs < -1e-12) | (eigs > 1.0 + 1e-12), axis=1)
     p = np.clip(eigs[feasible], 0.0, None)
     purity, A, _ = _diagonal_rows(p / p.sum(axis=1, keepdims=True))
-    full, values = np.full(len(feasible), None, dtype=object), []
-    for column in (purity, *A.T):  # purity and A_K, None where a point is infeasible
-        full[feasible] = column
-        values.append(full.tolist())
-    rows = zip(lam3.tolist(), lam4.tolist(), feasible.tolist(), *values)
-    return list(map(tuple.__new__, itertools.repeat(ThreePhotonRow), rows))  # no per-row Python call
+    values = np.full((4, len(feasible)), np.nan)  # purity and A_K, NaN where a point is infeasible
+    values[0, feasible], values[1:, feasible] = purity, A.T
+    return FamilyScan(ThreePhotonRow, lam3, lam4, feasible, *values)

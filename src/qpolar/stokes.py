@@ -107,7 +107,7 @@ def _scaled_moments(sector: SpinSector, directions, max_ell: int) -> np.ndarray:
 
 def directional_moment(obj, direction: Direction, ell: int) -> float:
     """Moment <(n.S)^ell>; shell results are weighted by P_S for multi-shell states."""
-    if not isinstance(ell, (int, np.integer)) or ell < 1:
+    if not _is_int(ell) or ell < 1:
         raise ValueError(f"moment order must be a positive integer, got {ell}")
     return float(sum(w * sample_moments(sec, [direction], int(ell))[-1].value for w, sec in as_shells(obj)))
 
@@ -150,8 +150,8 @@ def isotropy_order(
     if max_ell < 1:
         raise ValueError("max_ell must be >= 1")
     _check_tol(tol)
-    if n_directions < 2 * max_ell + 1:
-        raise ValueError(f"need at least 2*max_ell+1 = {2 * max_ell + 1} directions, got {n_directions}")
+    if not (_is_int(n_directions) and n_directions >= 2 * max_ell + 1):
+        raise ValueError(f"n_directions must be an integer >= 2*max_ell+1 = {2 * max_ell + 1}, got {n_directions!r}")
     spread = np.ptp(_scaled_moments(sector, tomography_directions(n_directions), max_ell), axis=0)
     return _leading_within(spread, tol)  # the orders before the first anisotropic one
 
@@ -173,6 +173,8 @@ def sample_moments(sector: SpinSector, directions, max_ell: int) -> list[MomentS
     if max_ell * math.log(s) >= math.log(np.finfo(float).max):
         raise ValueError(f"raw moments of order l = {max_ell} at spin {sector.spin} are past the float range")
     directions = list(directions)
+    if not directions:
+        raise ValueError("sample_moments needs at least one direction")
     vals = (_scaled_moments(sector, directions, max_ell) * s ** np.arange(1.0, max_ell + 1)).tolist()
     return [MomentSample(d, ell, v) for d, row in zip(directions, vals) for ell, v in enumerate(row, 1)]
 

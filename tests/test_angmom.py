@@ -17,7 +17,10 @@ from qpolar.angmom import (
     wigner_D,
     wigner_small_d,
 )
-from qpolar.states import coherent_amplitudes, random_angles
+from qpolar.multipole import coherent_cumulative_max, tensor_matrix
+from qpolar.search import SearchProblem, anticoherence_objective
+from qpolar.states import Direction, coherent_amplitudes, maximally_mixed, random_angles
+from qpolar.stokes import directional_moment
 
 from cg_reference import _cg_parts, clebsch_gordan
 
@@ -54,6 +57,26 @@ class TestHalfInt:
 
     def test_m_range_descends(self):
         assert [m.twice for m in m_range(1.5)] == [3, 1, -1, -3]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda b: coherent_cumulative_max(1, b),
+        lambda b: tensor_matrix(1, b, False),
+        lambda b: tensor_matrix(1, 1, b),
+        lambda b: directional_moment(maximally_mixed(1), Direction(0.3, 0.4), b),
+        lambda b: SearchProblem(1, b),
+        lambda b: SearchProblem(1, 1, restarts=b),
+        lambda b: anticoherence_objective(np.ones(3), 1, b),
+    ],
+    ids=["rank", "tensor-rank", "tensor-component", "moment-order", "search-order", "restarts",
+         "objective-order"],
+)
+def test_integer_arguments_refuse_bool(call):
+    # bool subclasses int, so True would pass for 1 without the check
+    with pytest.raises(ValueError, match="integer"):
+        call(True)
 
 
 def cg_float_oracle(j1, m1, j2, m2, J, M):

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from qpolar import search
 from qpolar.catalog import PRESETS
 from qpolar.cli import main
 from qpolar.stateio import MAX_TWO_S, SchemaError, load_state, state_from_dict
@@ -370,6 +371,33 @@ class TestSearchAndScan:
         assert run_cli("scan", "--family", "three-photon-first", "--points", 1, "--out", out) == 0
         assert "three-photon-first family: 0 feasible of 1 grid points\n" in capsys.readouterr().out
         assert out.read_text().splitlines()[1:] == ["lam3,lam4,feasible,purity,A_1,A_2,A_3", "0.0,0.0,0,,,,"]
+
+
+    @pytest.mark.parametrize("points", [1, 2, 7, 101])
+    @pytest.mark.parametrize("family", ["two-photon", "three-photon-first", "three-photon-second"])
+    def test_scan_csv_is_the_row_formatting_of_the_scan(self, tmp_path, capsys, family, points):
+        # the CSV is written from the columns; it must hold the bytes that formatting each row gives
+        out = tmp_path / "scan.csv"
+        assert run_cli("scan", "--family", family, "--points", points, "--out", out) == 0
+        if family == "two-photon":
+            rows = list(search.scan_two_photon_family(np.linspace(0.0, 0.5, points)))
+            lines = ["lam,purity,P_2"] + ["%r,%r,%r" % r for r in rows]
+            summary = (f"two-photon family: {len(rows)} rows, purity range "
+                       f"[{min(r.purity for r in rows):.6g}, {max(r.purity for r in rows):.6g}]")
+        else:
+            if family == "three-photon-first":
+                grid = [(l3, l4) for l3 in np.linspace(0.0, 1.0, points) for l4 in np.linspace(0.0, 0.5, points)]
+                rows = list(search.scan_three_photon_family("first-order", grid))
+            else:
+                rows = list(search.scan_three_photon_family("second-order", np.linspace(1 / 6, 1 / 3, points)))
+            lines = ["lam3,lam4,feasible,purity,A_1,A_2,A_3"] + [
+                "%r,%r,%d,%r,%r,%r,%r" % r if r.feasible else "%r,%r,0,,,," % r[:2] for r in rows]
+            kept = [r for r in rows if r.feasible]
+            best = f", max purity {max(r.purity for r in kept):.9g}" if kept else ""
+            summary = f"{family} family: {len(kept)} feasible of {len(rows)} grid points{best}"
+        head = f"# scan family={family} points={points}\n"
+        assert out.read_bytes() == (head + "\n".join(lines) + "\n").encode()
+        assert capsys.readouterr().out.splitlines()[0] == summary
 
 
 class TestDeterminism:

@@ -96,6 +96,38 @@ def per_point_three_photon(points):
     return rows
 
 
+def row_list_two_photon(lams):
+    """The rows as a list, one NamedTuple per point: how the scan returned them before its columns."""
+    lams = np.asarray(lams, dtype=float)
+    purity, _, P = search._diagonal_rows(np.column_stack([lams, 1.0 - 2.0 * lams, lams]))
+    return [tuple.__new__(search.TwoPhotonRow, r) for r in zip(lams.tolist(), purity.tolist(), P[:, 1].tolist())]
+
+
+def row_list_three_photon(kind, grid):
+    """The three-photon rows as a list of NamedTuples, with None in an infeasible row."""
+    if kind == "first-order":
+        lam3, lam4 = np.asarray(grid, dtype=float).reshape(-1, 2).T
+    else:
+        lam4 = np.asarray(grid, dtype=float)
+        lam3 = 1.0 - 3.0 * lam4
+    with np.errstate(over="ignore", invalid="ignore"):
+        eigs = np.column_stack(three_photon_first_order_eigs(lam3, lam4))
+    feasible = ~np.any((eigs < -1e-12) | (eigs > 1.0 + 1e-12), axis=1)
+    p = np.clip(eigs[feasible], 0.0, None)
+    purity, A, _ = search._diagonal_rows(p / p.sum(axis=1, keepdims=True))
+    full, values = np.full(len(feasible), None, dtype=object), []
+    for column in (purity, *A.T):
+        full[feasible] = column
+        values.append(full.tolist())
+    rows = zip(lam3.tolist(), lam4.tolist(), feasible.tolist(), *values)
+    return [tuple.__new__(search.ThreePhotonRow, r) for r in rows]
+
+
+def typed(rows):
+    """Each row as its type and the (type, value) of every field, so that 1 == 1.0 == True tell apart."""
+    return [(type(r), [(type(v), v) for v in r]) for r in rows]
+
+
 def basis_blocks(t, order):
     """The blocks C[2S + q], |q| <= order, of `_basis(2S)[0]`, from the diagonals alone."""
     d = t + 1
@@ -783,6 +815,84 @@ class TestScans:
         assert not r.feasible and r.purity is None
 
     def test_empty_grids_give_no_rows(self):
-        assert scan_three_photon_family("first-order", []) == []
-        assert scan_three_photon_family("second-order", []) == []
-        assert scan_two_photon_family([]) == []
+        for scan in (scan_three_photon_family("first-order", []), scan_three_photon_family("second-order", []),
+                     scan_two_photon_family([])):
+            assert list(scan) == [] and len(scan) == 0
+
+
+# the grids of the CLI and of the benchmark's analysis workload
+FIRST_ORDER_GRID = [(l3, l4) for l3 in np.linspace(0.0, 1.0, 101) for l4 in np.linspace(0.0, 0.5, 101)]
+
+
+class TestFamilyScanColumns:
+    SCANS = {
+        "two-photon": lambda: scan_two_photon_family(np.linspace(0.0, 0.5, 11)),
+        "first-order": lambda: scan_three_photon_family("first-order", [(0.5, 1 / 6), (0.9, 0.9), (0.0, 0.25)]),
+        "second-order": lambda: scan_three_photon_family("second-order", [0.25, 0.5, 1 / 6]),
+    }
+
+    @pytest.mark.parametrize("family", sorted(SCANS))
+    def test_column_contract(self, family):
+        scan = self.SCANS[family]()
+        assert type(scan) is search.FamilyScan
+        names = ("lam", "purity", "p2") if family == "two-photon" else (
+            "lam3", "lam4", "feasible", "purity", "a1", "a2", "a3")
+        assert scan.row._fields == names
+        assert len(scan) == (11 if family == "two-photon" else 3)
+        for name in names:
+            column = getattr(scan, name)
+            assert type(column) is np.ndarray and column.shape == (len(scan),)
+            assert column.dtype == (bool if name == "feasible" else np.float64)
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[0]
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(scan, name, column)
+            with pytest.raises(AttributeError, match="read-only"):
+                delattr(scan, name)
+        feasible = getattr(scan, "feasible", np.ones(len(scan), dtype=bool))
+        assert family == "two-photon" or 0 < feasible.sum() < len(scan)
+        for name in set(names) - {"feasible"}:
+            gaps = ~feasible if name in ("purity", "a1", "a2", "a3") else np.zeros(len(scan), dtype=bool)
+            assert (np.isnan(getattr(scan, name)) == gaps).all(), name
+
+    def test_columns_never_alias_the_grid(self):
+        lams, grid = np.array([0.1, 0.2]), np.array([[0.5, 1 / 6], [0.25, 0.25]])
+        two, first = scan_two_photon_family(lams), scan_three_photon_family("first-order", grid)
+        lams[:], grid[:] = 0.0, 0.0
+        assert two.lam.tolist() == [0.1, 0.2] and first.lam3.tolist() == [0.5, 0.25]
+
+    @pytest.mark.parametrize(
+        "kind, grid",
+        [("two-photon", np.linspace(0.0, 0.5, 101)),
+         ("two-photon", [0.0, 0.25, 1 / 3, 0.5]),
+         ("first-order", FIRST_ORDER_GRID),
+         ("first-order", np.array(FIRST_ORDER_GRID)),
+         ("first-order", [(0.5, 1 / 6), (0.9, 0.9), (1.7e308, -1.7e308), (0, 1), (0.25, 0.25)]),
+         ("second-order", np.linspace(1 / 6, 1 / 3, 101)),
+         ("second-order", [0.25, 0.5, 1 / 6, 2])],
+        ids=["two-array", "two-list", "first-workload", "first-array", "first-mixed", "second-array",
+             "second-mixed"],
+    )
+    def test_rows_equal_the_row_list(self, kind, grid):
+        if kind == "two-photon":
+            scan, want = scan_two_photon_family(grid), row_list_two_photon(grid)
+        else:
+            scan, want = scan_three_photon_family(kind, grid), row_list_three_photon(kind, grid)
+        assert typed(scan) == typed(want)
+        assert typed(scan) == typed(want)  # each iteration makes the rows afresh
+
+    @pytest.mark.parametrize("kind", ["float", "float64", "int"])
+    def test_list_grid_is_read_like_asarray(self, kind):
+        cast = {"float": float, "float64": np.float64, "int": int}[kind]
+        values = range(-3, 4) if kind == "int" else np.linspace(-0.5, 1.5, 7).tolist() + [1e-310, 1 / 3]
+        grid = [(cast(a), cast(b)) for a in values for b in values]
+        got = search._grid_points(grid, (2,), "a pair")
+        want = np.asarray(grid, dtype=float)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_list_grid_whose_lengths_sum_to_two_pairs_is_refused(self):
+        # np.fromiter with a count would read it as two pairs; TestScans'
+        # test_three_photon_refuses_bad_points[three-entries] is the case where it would drop an entry
+        with pytest.raises(ValueError, match=re.escape("grid point 0 = (0.5,) is not")):
+            scan_three_photon_family("first-order", [(0.5,), (0.2, 0.3, 0.4)])

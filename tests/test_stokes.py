@@ -1,6 +1,7 @@
 """Stokes matrices, directional moments, isotropy, and moment tomography."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -129,6 +130,11 @@ class TestDirectionalMoments:
             with pytest.raises(ValueError, match="order l = 160 at spin 100 are past the float range"):
                 sample_moments(sec, [Direction(0.7, 0.2)], 160)
 
+    @pytest.mark.parametrize("directions", [[], iter(())], ids=["list", "iterator"])
+    def test_sample_moments_needs_a_direction(self, directions):
+        with pytest.raises(ValueError, match="sample_moments needs at least one direction"):
+            sample_moments(maximally_mixed(1), directions, 2)
+
     def test_sample_moments_needs_an_order(self):
         with pytest.raises(ValueError, match="max_ell must be >= 1"):
             sample_moments(maximally_mixed(1), tomography_directions(3), 0)
@@ -155,6 +161,13 @@ class TestIsotropyOrder:
     def test_needs_enough_directions(self):
         with pytest.raises(ValueError):
             isotropy_order(maximally_mixed(1), 3, n_directions=5)
+
+    @pytest.mark.parametrize("n", [50.0, True, np.float64(7.0), 6, -7])
+    def test_n_directions_must_be_an_integer_of_at_least_2_max_ell_plus_1(self, n):
+        message = f"n_directions must be an integer >= 2*max_ell+1 = 7, got {n!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            isotropy_order(maximally_mixed(1), 3, n_directions=n)
+        assert isotropy_order(maximally_mixed(1), 3, n_directions=np.int64(7)) == 3
 
     def test_rejects_multi_shell_states(self):
         state = assemble([(1.0, maximally_mixed(1))])
