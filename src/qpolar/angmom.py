@@ -169,7 +169,7 @@ def wigner_D(j, angles: EulerAngles) -> np.ndarray:
     """Wigner D-matrix D^j_{m'm} = exp(-i m' alpha) d^j_{m'm}(beta) exp(-i m gamma)."""
     j = half(j)
     d = wigner_small_d(j, angles.beta)
-    ms = np.array([m.twice for m in m_range(j)]) / 2.0
+    ms = np.arange(j.twice, -j.twice - 1, -2) / 2.0  # m descending
     return (
         np.exp(-1j * ms[:, None] * angles.alpha)
         * d

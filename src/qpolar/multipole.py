@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -152,10 +152,18 @@ def tensor_matrix(S, K: int, q: int) -> np.ndarray:
     return synthesize(c, S)
 
 
+@cached_property
+def _components(result) -> dict[tuple[int, int], complex]:
+    """A result's `components`: {(K, q): coefficients[K, k_max + q]} for |q| <= K, as complex, made on first read."""
+    rows = result.coefficients.tolist()
+    return {(K, q): row[len(row) // 2 + q] for K, row in enumerate(rows) for q in range(-K, K + 1)}
+
+
 @dataclass(frozen=True)
 class MultipoleSpectrum:
     """Multipole decomposition of one shell: components, strengths, and degrees.
 
+    `coefficients[K, 2S + q]` is rho_Kq (zero where |q| > K), read-only, and `components` its dict.
     `strengths[K]` is W_K for K = 0..2S; `cumulative_all[K-1]` is A_K and
     `degrees_all[K-1]` is P_K for K = 1..2S.  `unpol_order` is the largest K
     with A_K <= tol (0 if the dipole already survives, 2S if fully
@@ -163,12 +171,14 @@ class MultipoleSpectrum:
     """
 
     spin: HalfInt
-    components: dict[tuple[int, int], complex]
+    coefficients: np.ndarray
     strengths: np.ndarray
     cumulative_all: np.ndarray
     degrees_all: np.ndarray
     unpol_order: int
     tol: float
+
+    components = _components
 
     def component(self, K: int, q: int) -> complex:
         return self.components[(int(K), int(q))]
@@ -189,11 +199,9 @@ def state_multipoles(sector: SpinSector, *, tol: float = DEFAULT_ORDER_TOL) -> M
     S = sector.spin
     t = S.twice
     c = components(sector.rho, S, t)
-    rows = c.tolist()
-    comps = {(K, q): rows[K][t + q] for K in range(t + 1) for q in range(-K, K + 1)}
+    c.setflags(write=False)
     W, A, P = _strengths_cumulative_degrees(c, t)
-    order = _leading_within(A, tol)
-    return MultipoleSpectrum(S, comps, W, A, P, order, tol)
+    return MultipoleSpectrum(S, c, W, A, P, _leading_within(A, tol), tol)
 
 
 def strengths(spectrum: MultipoleSpectrum) -> np.ndarray:

@@ -26,9 +26,11 @@ budget ran out).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -437,6 +439,8 @@ def pure_anticoherent_search(S, order: int, restarts: int = 64, seed: int = 0) -
 
 def _grid_points(grid, shape: tuple[int, ...], what: str) -> np.ndarray:
     """A scan grid as a float array [point, *shape]; a malformed or non-finite point is refused."""
+    if isinstance(grid, (str, bytes)) or not (isinstance(grid, Sequence) or isinstance(grid, np.ndarray) and grid.ndim):
+        raise ValueError(f"the grid must be a sequence of points, got {grid!r}")
     try:
         # fromiter stops silently at its count, so [(0.5,), (0.2, 0.3, 0.4)] would pass for two pairs unchecked
         pts = (np.fromiter(itertools.chain.from_iterable(grid), float, 2 * len(grid)).reshape(-1, 2)
@@ -446,8 +450,10 @@ def _grid_points(grid, shape: tuple[int, ...], what: str) -> np.ndarray:
         pts = None
     if pts is None or pts.shape != (len(pts),) + shape or not np.isfinite(pts).all():
         for i, point in enumerate(grid):
-            if np.shape(point) != shape or not np.isfinite(np.asarray(point, dtype=float)).all():
-                raise ValueError(f"grid point {i} = {point!r} is not {what}")
+            with contextlib.suppress(TypeError, ValueError):  # a ragged point, or entries that are no numbers
+                if np.shape(point) == shape and np.isfinite(np.asarray(point, dtype=float)).all():
+                    continue
+            raise ValueError(f"grid point {i} = {point!r} is not {what}")
         pts = np.asarray(grid, dtype=float).reshape((0,) + shape)  # an empty grid
     return pts
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angmom import HalfInt, _is_int, _spin_arrays, half
-from .multipole import _basis_diagonal, _check_tol, _leading_within, _strengths_cumulative_degrees
+from .multipole import _basis_diagonal, _check_tol, _components, _leading_within, _strengths_cumulative_degrees
 from .states import Direction, SpinSector, as_shells
 
 __all__ = [
@@ -181,17 +181,19 @@ def sample_moments(sector: SpinSector, directions, max_ell: int) -> list[MomentS
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Multipoles recovered from directional moments by least squares."""
+    """Multipoles recovered from directional moments by least squares, kept as in MultipoleSpectrum."""
 
     spin: HalfInt
     k_max: int
-    components: dict[tuple[int, int], complex]
+    coefficients: np.ndarray
     strengths: np.ndarray       # W_K for K = 0..k_max (monopole value fixed by trace)
     cumulative: np.ndarray      # A_K for K = 1..k_max
     degrees: np.ndarray         # P_K for K = 1..k_max
     condition_number: float
     residual: float
     n_samples: int
+
+    components = _components
 
 
 def _real_unknowns(k_max: int) -> np.ndarray:
@@ -204,12 +206,11 @@ def _real_unknowns(k_max: int) -> np.ndarray:
     ]).T
 
 
-def _design_rows(samples, S: HalfInt, k_max: int):
-    """Rows of `_scaled_moments`'s model over `_real_unknowns`, and each sample's monopole part."""
-    ell = np.array([s.ell for s in samples])
+def _design_rows(directions, ell: np.ndarray, S: HalfInt, k_max: int):
+    """Rows of `_scaled_moments`'s model over `_real_unknowns` for orders ell along directions, and their monopoles."""
     z = _z_table(S.twice, k_max, int(ell.max()))
-    t = np.zeros((len(samples), k_max + 1, k_max + 1), dtype=complex)  # [sample, K, q >= 0]
-    for K, f in _axial_factors([s.direction for s in samples], k_max):
+    t = np.zeros((len(ell), k_max + 1, k_max + 1), dtype=complex)  # [sample, K, q >= 0]
+    for K, f in _axial_factors(directions, k_max):
         t[:, K, :K + 1] = z[K, ell, None] * f
     ks, qs, parts = _real_unknowns(k_max)
     rows = t[:, ks, qs]
@@ -226,37 +227,37 @@ def moments_to_multipoles(samples, S, k_max: int) -> ReconstructionResult:
     `condition_number` and `residual` are those of that system.  Needs
     moments up to l = k_max on at least 2*k_max+1 distinct directions, and
     none above: their ranks above k_max would alias into the fit, so they
-    raise ValueError, as does a non-finite value (naming its sample).
+    raise ValueError, as do a non-finite value and an order that is no integer (naming the sample).
     Raises IllConditionedError when the scaled system is rank deficient
     (smallest singular value below 1e-10 of the largest).
     """
     S = half(S)
-    if not 1 <= k_max <= S.twice:
-        raise ValueError(f"k_max must lie in [1, 2S] = [1, {S.twice}], got {k_max}")
-    samples = [
-        s if isinstance(s, MomentSample) else MomentSample(s[0], int(s[1]), float(s[2]))
-        for s in samples
-    ]
-    if not samples:
+    if not (_is_int(k_max) and 1 <= k_max <= S.twice):
+        raise ValueError(f"k_max must be an integer in [1, 2S] = [1, {S.twice}], got {k_max!r}")
+    columns = [(s.direction, s.ell, s.value) if isinstance(s, MomentSample) else (s[0], s[1], s[2]) for s in samples]
+    if not columns:
         raise ValueError("no moment samples given")
-    values = np.array([s.value for s in samples])
+    directions, ells, raw = zip(*columns)
+    named = lambda i: MomentSample(directions[i], ells[i], raw[i])  # a bad sample, as the error names it
+    values = np.array(raw, dtype=float)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        raise ValueError(f"moment sample {bad[0]} has a non-finite value: {samples[bad[0]]}")
-    ells = [s.ell for s in samples]
-    if min(ells) < 1:
-        raise ValueError("moment order must be >= 1")
+        raise ValueError(f"moment sample {bad[0]} has a non-finite value: {named(bad[0])}")
+    bad = [i for i, ell in enumerate(ells) if not (_is_int(ell) and ell >= 1)]
+    if bad:
+        raise ValueError(f"moment sample {bad[0]} has order {ells[bad[0]]!r}, not an integer >= 1: {named(bad[0])}")
     if max(ells) > k_max:
         raise ValueError(f"moments of order up to l = {max(ells)} carry ranks above k_max = {k_max}; "
                          f"reconstruct with k_max >= {max(ells)} or drop them")
-    dirs = {(round(s.direction.theta, 12), round(s.direction.phi, 12)) for s in samples}
+    dirs = {(round(theta, 12), round(phi, 12)) for theta, phi in {(d.theta, d.phi) for d in directions}}
     if len(dirs) < 2 * k_max + 1:
         raise IllConditionedError(
             f"{len(dirs)} distinct directions cannot span rank {k_max}; "
             f"need at least {2 * k_max + 1}"
         )
-    a, monopole = _design_rows(samples, S, k_max)
-    root = max(float(S), 1.0) ** (np.array(ells) / 2.0)  # s^l in two factors, each inside the float range
+    ell = np.array(ells)
+    a, monopole = _design_rows(directions, ell, S, k_max)
+    root = max(float(S), 1.0) ** (ell / 2.0)  # s^l in two factors, each inside the float range
     b = values / root / root - monopole
     sol, res, rank, sing = np.linalg.lstsq(a, b, rcond=None)
     if sing[0] == 0 or sing[-1] < 1e-10 * sing[0]:
@@ -273,9 +274,9 @@ def moments_to_multipoles(samples, S, k_max: int) -> ReconstructionResult:
     np.add.at(c, (ks, k_max + qs), np.where(parts == 0, sol, 1j * sol))
     # hermiticity: rho_K,-q = (-1)^q rho_Kq^*
     c[:, :k_max] = (c[:, k_max + 1:].conj() * (-1.0) ** np.arange(1, k_max + 1))[:, ::-1]
-    comps = {(K, q): complex(c[K, k_max + q]) for K in range(k_max + 1) for q in range(-K, K + 1)}
+    c.setflags(write=False)
     W, A, P = _strengths_cumulative_degrees(c, S.twice)
-    return ReconstructionResult(S, k_max, comps, W, A, P, cond, residual, len(samples))
+    return ReconstructionResult(S, k_max, c, W, A, P, cond, residual, len(ell))
 
 
 def write_moments(samples, path) -> None:

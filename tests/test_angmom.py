@@ -259,6 +259,15 @@ class TestWignerD:
         expect = np.diag([np.exp(-1j * gamma / 2), np.exp(1j * gamma / 2)])
         assert_allclose(got, expect, atol=1e-15)
 
+    @pytest.mark.parametrize("twice_j", [0, 1, 3, 10, 40, 120])
+    def test_byte_equal_to_m_range_phases(self, twice_j):
+        # the phases exp(-i m alpha), exp(-i m gamma) with m read from the HalfInt list, entry for entry
+        j, ang = twice_j / 2, EulerAngles(0.3, 1.1, -2.7)
+        ms = np.array([m.twice for m in m_range(j)]) / 2.0
+        d = wigner_small_d(j, ang.beta)
+        want = np.exp(-1j * ms[:, None] * ang.alpha) * d * np.exp(-1j * ms[None, :] * ang.gamma)
+        assert wigner_D(j, ang).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("j", [0.5, 1, 1.5, 2])
     def test_unitary(self, j):
         rng = np.random.default_rng(13)

@@ -1,5 +1,6 @@
 """Tensor-operator basis, state multipoles, strengths, degrees, classification."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -244,6 +245,56 @@ class TestStateMultipoles:
                 assert np.max(np.abs(spec.cumulative_all - rspec.cumulative_all)) < 1e-10
                 assert np.max(np.abs(spec.degrees_all - rspec.degrees_all)) < 1e-10
                 assert spec.unpol_order == rspec.unpol_order
+
+
+def eager_components(sector):
+    """The component dict as `state_multipoles` built it before it kept the array."""
+    t = sector.spin.twice
+    rows = components(sector.rho, sector.spin, t).tolist()
+    return {(K, q): rows[K][t + q] for K in range(t + 1) for q in range(-K, K + 1)}
+
+
+class TestLazyComponents:
+    """The spectrum keeps its coefficient array; the (K, q) dict is built on first read, then kept."""
+
+    def test_no_dict_until_read(self):
+        from qpolar.states import assemble
+
+        rng = np.random.default_rng(23)
+        state = assemble([(0.3, random_sector(1.5, rng)), (0.7, random_sector(5, rng))])
+        spec = state_multipoles(state.entries[1][1])
+        assert "components" not in vars(spec)
+        shells = analyze(state).shells
+        assert all("components" not in vars(shell.spectrum) for shell in shells)
+        first = spec.components
+        assert vars(spec)["components"] is first and spec.components is first
+        assert [f.name for f in dataclasses.fields(spec)][:2] == ["spin", "coefficients"]
+        assert "components" not in dataclasses.asdict(spec)
+
+    @pytest.mark.parametrize("twice_s", range(41))
+    def test_dict_equals_the_eager_one(self, twice_s):
+        sec = random_sector(twice_s / 2, np.random.default_rng(900 + twice_s))
+        spec = state_multipoles(sec)
+        want = eager_components(sec)
+        assert type(spec.components) is dict and repr(spec.components) == repr(want)
+        assert all(type(K) is int and type(q) is int and type(c) is complex for (K, q), c in spec.components.items())
+        assert spec.coefficients.shape == (twice_s + 1, 2 * twice_s + 1)
+        assert spec.coefficients.tobytes() == components(sec.rho, sec.spin, twice_s).tobytes()
+        assert not spec.coefficients.flags.writeable
+        with pytest.raises(ValueError):
+            spec.coefficients[0, twice_s] = 0.0
+        with pytest.raises(KeyError):
+            spec.component(0, 1)
+
+    def test_multi_shell_dicts_equal_the_eager_ones(self):
+        from qpolar.states import assemble
+
+        rng = np.random.default_rng(24)
+        sectors = [random_sector(0.5, rng), fock_sector(1.5, 0.5), random_sector(20, rng)]
+        report = analyze(assemble([(w, s) for w, s in zip((0.2, 0.3, 0.5), sectors)]))
+        for shell, sec in zip(report.shells, sectors):
+            assert repr(shell.spectrum.components) == repr(eager_components(sec))
+            assert not shell.spectrum.coefficients.flags.writeable
 
 
 class TestCoherentMaxAndDegrees:

@@ -803,6 +803,28 @@ class TestScans:
             with pytest.raises(ValueError, match=re.escape(f"grid point {index} = {point!r} is not")):
                 scan_three_photon_family(kind, grid)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: scan_two_photon_family(0.25), "the grid must be a sequence of points, got 0.25"),
+            (lambda: scan_two_photon_family(x for x in (0.1, 0.2)),
+             "the grid must be a sequence of points, got <generator"),
+            (lambda: scan_two_photon_family("0.25"), "the grid must be a sequence of points, got '0.25'"),
+            (lambda: scan_three_photon_family("first-order", 0.3), "the grid must be a sequence of points, got 0.3"),
+            (lambda: scan_three_photon_family("second-order", np.array(0.25)),
+             "the grid must be a sequence of points, got array(0.25)"),
+            (lambda: scan_three_photon_family("second-order", ["x"]), "grid point 0 = 'x' is not a finite lam4 value"),
+            (lambda: scan_two_photon_family([0.1, "y"]), "grid point 1 = 'y' is not a finite lam value"),
+            (lambda: scan_three_photon_family("first-order", [(0.25, 0.25), (0.1, "z")]),
+             "grid point 1 = (0.1, 'z') is not a finite (lam3, lam4) pair"),
+        ],
+        ids=["float", "generator", "string", "first-order-float", "0-d-array",
+             "second-string-point", "two-photon-string-point", "first-string-entry"],
+    )
+    def test_grid_that_is_no_sequence_or_point_that_is_no_number_is_named(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
     def test_two_photon_refuses_non_finite_points(self):
         with pytest.raises(ValueError, match="grid point 1 = nan"):
             scan_two_photon_family([0.25, math.nan])

@@ -1,5 +1,6 @@
 """Stokes matrices, directional moments, isotropy, and moment tomography."""
 
+import dataclasses
 import math
 import re
 import warnings
@@ -259,7 +260,7 @@ class TestDesignRows:
         for k_max in range(1, min(twice_s, 6) + 1):
             dirs = tomography_directions(3 * (2 * k_max + 1)) + [random_direction(rng) for _ in range(4)]
             samples = sample_moments(random_sector(S, rng), dirs, k_max)
-            rows, monopole = _design_rows(samples, S, k_max)
+            rows, monopole = _design_rows([s.direction for s in samples], np.array([s.ell for s in samples]), S, k_max)
             # the rows are those of the scaled moments <(n.S/s)^l>, s = max(S, 1)
             size = np.array([max(twice_s / 2, 1.0) ** s.ell for s in samples])
             want_rows, want_monopole = reference_rows(samples, S, k_max)
@@ -351,6 +352,70 @@ class TestReconstruction:
         rows[7] = (rows[7][0], rows[7][1], bad)
         with pytest.raises(ValueError, match=f"moment sample 7 has a non-finite value: .*ell=2, value={bad!r}"):
             moments_to_multipoles(rows, 1, 2)
+
+    @pytest.mark.parametrize(
+        "ell", [2.7, 2.0, np.float64(2.0), True, "2", 0, -1],
+        ids=["fraction", "float", "numpy-float", "bool", "string", "zero", "negative"],
+    )
+    def test_order_must_be_an_integer_of_at_least_one(self, ell):
+        # a fractional order was once truncated and fitted as its integer part
+        sec = diag_sector(1, [0.2, 0.6, 0.2])
+        rows = [(s.direction, s.ell, s.value) for s in sample_moments(sec, tomography_directions(9), 2)]
+        rows[5] = (rows[5][0], ell, rows[5][2])
+        match = re.escape(f"moment sample 5 has order {ell!r}, not an integer >= 1: MomentSample(")
+        with pytest.raises(ValueError, match=match):
+            moments_to_multipoles(rows, 1, 2)
+        with pytest.raises(ValueError, match=match):
+            moments_to_multipoles([MomentSample(*row) for row in rows], 1, 2)
+
+    @pytest.mark.parametrize("k_max", [True, 2.0, np.float64(2.0), "2", 0, 3])
+    def test_k_max_must_be_an_integer_in_range(self, k_max):
+        sec = diag_sector(1, [0.2, 0.6, 0.2])
+        samples = sample_moments(sec, tomography_directions(9), 1)
+        with pytest.raises(ValueError, match=re.escape(f"k_max must be an integer in [1, 2S] = [1, 2], got {k_max!r}")):
+            moments_to_multipoles(samples, 1, k_max)
+        assert moments_to_multipoles(samples, 1, np.int64(1)).k_max == 1
+
+    def test_samples_as_tuples_lists_or_moment_samples_give_the_same_bits(self):
+        sec = random_sector(5, np.random.default_rng(48))
+        samples = sample_moments(sec, tomography_directions(3 * 13), 6)
+        results = [
+            moments_to_multipoles(form, 5, 6)
+            for form in (samples, [(s.direction, s.ell, s.value) for s in samples],
+                         [[s.direction, np.int64(s.ell), np.float64(s.value)] for s in samples])
+        ]
+        for rec in results[1:]:
+            for name in ("coefficients", "strengths", "cumulative", "degrees"):
+                assert getattr(rec, name).tobytes() == getattr(results[0], name).tobytes(), name
+            assert (rec.condition_number, rec.residual, rec.n_samples) == (
+                results[0].condition_number, results[0].residual, results[0].n_samples)
+
+    def test_directions_equal_after_rounding_count_once(self):
+        # five directions, each also given 1e-14 away: ten exact angles, five distinct ones
+        sec = random_sector(2, np.random.default_rng(49))
+        dirs = tomography_directions(5)
+        near = [Direction(d.theta + 1e-14, d.phi + 1e-14) for d in dirs]
+        samples = sample_moments(sec, dirs + near, 3)
+        with pytest.raises(IllConditionedError, match="5 distinct directions cannot span rank 3; need at least 7"):
+            moments_to_multipoles(samples, 2, 3)
+        assert moments_to_multipoles(sample_moments(sec, dirs + near, 2), 2, 2).n_samples == 20
+
+    def test_components_are_built_from_coefficients_on_first_read(self):
+        for twice_s, k_max in ((1, 1), (4, 4), (10, 6), (25, 6), (40, 10)):
+            sec = random_sector(twice_s / 2, np.random.default_rng(50 + twice_s))
+            rec = moments_to_multipoles(sample_moments(sec, tomography_directions(3 * (2 * k_max + 1)), k_max),
+                                        twice_s / 2, k_max)
+            assert "components" not in vars(rec)
+            c = rec.coefficients
+            assert c.shape == (k_max + 1, 2 * k_max + 1) and not c.flags.writeable
+            with pytest.raises(ValueError):
+                c[1, k_max] = 0.0
+            # the dict the result once held, one complex(...) per entry
+            want = {(K, q): complex(c[K, k_max + q]) for K in range(k_max + 1) for q in range(-K, K + 1)}
+            assert type(rec.components) is dict and repr(rec.components) == repr(want)
+            assert all(type(v) is complex for v in rec.components.values())
+            assert vars(rec)["components"] is rec.components
+            assert "components" not in dataclasses.asdict(rec) and "coefficients" in dataclasses.asdict(rec)
 
     def test_moments_csv_round_trip(self, tmp_path):
         sec = diag_sector(1, [0.2, 0.6, 0.2])
