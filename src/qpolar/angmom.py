@@ -34,6 +34,25 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_int(name: str, value, lo: int, hi: int | None = None, span: str | None = None) -> int:
+    """`value` as an int if it is an integer, not a bool, in [lo, hi] (no upper bound when hi is None).
+
+    Anything else raises a ValueError naming the argument and its range; `span` writes the
+    bounds symbolically, as "[1, 2S]" for [lo, hi] or "2*max_ell+1" for lo.
+    """
+    if _is_int(value) and lo <= value and (hi is None or value <= hi):
+        return int(value)
+    bounds = str(lo) if hi is None else f"[{lo}, {hi}]"
+    bounds = f"{span} = {bounds}" if span else bounds
+    raise ValueError(f"{name} must be an integer {'>=' if hi is None else 'in'} {bounds}, got {value!r}")
+
+
+def _check_tol(tol) -> None:
+    """Refuse a tolerance that is not a positive, finite real number, a bool included."""
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 class HalfInt:
     """An integer or half-integer quantum number, stored exactly as twice its value."""
 

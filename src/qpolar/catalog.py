@@ -9,9 +9,12 @@ maximal-purity diagonal states.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
+from .angmom import _check_int
+from .stateio import MAX_TWO_S
 from .states import Direction, SpinSector, diag_sector, pure_sector
 
 __all__ = [
@@ -67,9 +70,9 @@ def max_purity_second_order_diag() -> SpinSector:
 def _preset_coherent(args) -> dict:
     theta = args.get("theta", math.pi / 3)
     phi = args.get("phi", math.pi / 6)
-    two_s = args.get("two_s", 3)
+    two_s = _check_int("two_s", args.get("two_s", 3), 0, MAX_TWO_S, span="[0, MAX_TWO_S]")
     Direction(theta, phi)  # validate early
-    return {"two_S": int(two_s), "weight": 1.0, "form": "coherent",
+    return {"two_S": two_s, "weight": 1.0, "form": "coherent",
             "data": {"theta": float(theta), "phi": float(phi)}}
 
 
@@ -125,9 +128,9 @@ PRESETS = {
 
 
 def preset_state(name: str, **args) -> dict:
-    """State-file dict for a named preset; KeyError for an unknown name, ValueError for non-finite args."""
+    """State-file dict for a named preset; KeyError for an unknown name, ValueError for a bad argument."""
     builder, _ = PRESETS[name]
     for key, value in args.items():
-        if not math.isfinite(value):
+        if isinstance(value, numbers.Real) and not -math.inf < value < math.inf:
             raise ValueError(f"{key} must be finite, got {value!r}")
     return {"sectors": [builder(args)]}

@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import catalog, husimi, multipole, search, stateio, stokes
+from .angmom import _check_int
 from .states import as_shells
 
 EXIT_OK = 0
@@ -37,10 +38,7 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 def _bounded_two_s(two_s: int) -> int:
     """A --two-s argument, refused outside the range that state files have."""
-    if not 0 <= two_s <= stateio.MAX_TWO_S:
-        raise ValueError(f"--two-s {two_s} is outside [0, {stateio.MAX_TWO_S}], "
-                         f"from 0 to the supported maximum {stateio.MAX_TWO_S}")
-    return two_s
+    return _check_int("--two-s", two_s, 0, stateio.MAX_TWO_S, span="[0, MAX_TWO_S]")
 
 
 def _fmt(x: float) -> str:
@@ -196,8 +194,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    if args.points < 1:
-        raise ValueError(f"--points must be at least 1, got {args.points}")
+    _check_int("--points", args.points, 1)
     lines = [f"# scan family={args.family} points={args.points}"]
     if args.family == "two-photon":
         scan = search.scan_two_photon_family(np.linspace(0.0, 0.5, args.points))

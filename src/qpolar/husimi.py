@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angmom import HalfInt, _d_column, _is_int, half
+from .angmom import HalfInt, _check_int, _d_column, half
 from .states import Direction, SpinSector
 
 __all__ = ["QGrid", "q_function", "q_values", "export_qgrid"]
@@ -98,12 +98,10 @@ def q_values(sector: SpinSector, directions) -> np.ndarray:
     return np.einsum("kn,kn->n", _fourier(sector.rho, thetas), _phases(sector.spin.twice, phis))
 
 
-def q_function(sector: SpinSector, grid=(64, 128)) -> QGrid:
+def q_function(sector: SpinSector, grid: tuple[int, int] = (64, 128)) -> QGrid:
     """Q on a Gauss-Legendre x uniform product grid; grid = (n_theta, n_phi)."""
     n_theta, n_phi = grid
-    for name, n in (("n_theta", n_theta), ("n_phi", n_phi)):
-        if not (_is_int(n) and n >= 1):
-            raise ValueError(f"grid size {name} must be a positive integer, got {n!r}")
+    n_theta, n_phi = _check_int("grid size n_theta", n_theta, 1), _check_int("grid size n_phi", n_phi, 1)
     thetas, weights, phis, table = _grid_axes(sector.spin.twice, n_theta, n_phi)
     values = _fourier(sector.rho, thetas).T @ table
     coarse = n_theta < sector.spin.twice + 1

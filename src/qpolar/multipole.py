@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .angmom import HalfInt, _is_int, half
+from .angmom import HalfInt, _check_int, _check_tol, half
 from .states import SpinSector, as_shells
 
 __all__ = [
@@ -41,18 +41,6 @@ __all__ = [
 ]
 
 DEFAULT_ORDER_TOL = 1e-10
-
-
-def _check_rank(S: HalfInt, K: int, q: int | None = None) -> None:
-    if not _is_int(K) or not 0 <= K <= S.twice:
-        raise ValueError(f"rank K must be an integer in [0, 2S] = [0, {S.twice}], got {K}")
-    if q is not None and (not _is_int(q) or abs(q) > K):
-        raise ValueError(f"component q must be an integer with |q| <= K = {K}, got {q}")
-
-
-def _check_tol(tol: float) -> None:
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
 
 
 @lru_cache(maxsize=None)
@@ -146,7 +134,8 @@ def synthesize(c: np.ndarray, S: HalfInt) -> np.ndarray:
 def tensor_matrix(S, K: int, q: int) -> np.ndarray:
     """Dense matrix of T_Kq, read from the diagonal-block basis."""
     S = half(S)
-    _check_rank(S, K, q)
+    K = _check_int("K", K, 0, S.twice, span="[0, 2S]")
+    q = _check_int("q", q, -K, K, span="[-K, K]")
     c = np.zeros((K + 1, 2 * K + 1))
     c[K, K + q] = 1.0
     return synthesize(c, S)
@@ -211,9 +200,7 @@ def strengths(spectrum: MultipoleSpectrum) -> np.ndarray:
 
 def cumulative(spectrum: MultipoleSpectrum, K: int) -> float:
     """Cumulative distribution A_K = W_1 + ... + W_K (monopole excluded)."""
-    _check_rank(spectrum.spin, K)
-    if K < 1:
-        raise ValueError("A_K starts at K = 1; the monopole is excluded")
+    K = _check_int("K", K, 1, spectrum.spin.twice, span="[1, 2S]")
     return float(spectrum.cumulative_all[K - 1])
 
 
@@ -225,9 +212,7 @@ def coherent_cumulative_max(S, K: int) -> float:
     is 2S/(2S+1).
     """
     S = half(S)
-    _check_rank(S, K)
-    if K < 1:
-        raise ValueError("A_K starts at K = 1; the monopole is excluded")
+    K = _check_int("K", K, 1, S.twice, span="[1, 2S]")
     return float(_coherent_maxima(S.twice)[K - 1])
 
 
@@ -253,9 +238,7 @@ def _strengths_cumulative_degrees(c: np.ndarray, t: int):
 
 def degree(spectrum: MultipoleSpectrum, K: int) -> float:
     """Degree of polarization of order K, P_K = sqrt(A_K / A_K,coherent)."""
-    _check_rank(spectrum.spin, K)
-    if K < 1:
-        raise ValueError("P_K starts at K = 1")
+    K = _check_int("K", K, 1, spectrum.spin.twice, span="[1, 2S]")
     return float(spectrum.degrees_all[K - 1])
 
 

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angmom import HalfInt, _is_int, half
+from .angmom import HalfInt, _check_int, half
 from .catalog import three_photon_first_order_eigs
 from .multipole import _basis_diagonal, _strengths_cumulative_degrees
 from .states import SpinSector, _ginibre, diag_sector, maximally_mixed, pure_sector
@@ -80,11 +80,6 @@ DIAG_MAX_SUPPORTS = 50_000  # eigenvalue supports the diagonal vertex enumeratio
 STOP_REASONS = ("converged", "stalled", "max-iter")
 
 
-def _check_order(S: HalfInt, order: int) -> None:
-    if not (_is_int(order) and 1 <= order <= S.twice):
-        raise ValueError(f"order must lie in [1, 2S] = [1, {S.twice}], got {order!r} (an integer is required)")
-
-
 class InfeasibleError(ValueError):
     """The requested constraint class / order combination has no feasible state."""
 
@@ -106,9 +101,9 @@ class SearchProblem:
             raise ValueError(f"unknown constraint class {self.constraint_class!r}; "
                              f"choose from {CONSTRAINT_CLASSES}")
         object.__setattr__(self, "constraint_class", cls)
-        if not (_is_int(self.restarts) and self.restarts >= 1):
-            raise ValueError(f"restarts must be an integer of at least 1, got {self.restarts!r}")
-        _check_order(self.spin, self.order)
+        _check_int("order", self.order, 1, self.spin.twice, span="[1, 2S]")
+        _check_int("restarts", self.restarts, 1)
+        _check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -387,7 +382,7 @@ def max_purity_unpolarized(problem: SearchProblem) -> SearchResult:
 def anticoherence_objective(psi: np.ndarray, S, order: int) -> float:
     """A_order of the normalized pure state with amplitudes psi, 1 <= order <= 2S."""
     S = half(S)
-    _check_order(S, order)
+    _check_int("order", order, 1, S.twice, span="[1, 2S]")
     pure_sector(S, psi)  # refuses malformed, zero or overflowing amplitudes
     psi = np.asarray(psi, dtype=complex)
     u = _residual(_coords(psi / np.linalg.norm(psi)), S, order, 1, jacobian=False)
@@ -402,7 +397,7 @@ def anticoherence_gradient(x: np.ndarray, S, order: int) -> np.ndarray:
     finite reals or whose squared norm is zero or overflows.
     """
     S = half(S)
-    _check_order(S, order)
+    _check_int("order", order, 1, S.twice, span="[1, 2S]")
     x = np.asarray(x, dtype=float)
     if x.shape != (2 * (S.twice + 1),):
         raise ValueError(f"x must hold 2(2S + 1) = {2 * (S.twice + 1)} coordinates, got shape {x.shape}")

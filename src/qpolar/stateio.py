@@ -19,6 +19,7 @@ import json
 
 import numpy as np
 
+from .angmom import _check_int
 from .states import (
     Direction,
     PolarizationState,
@@ -49,10 +50,8 @@ def _sector_from_entry(entry: dict) -> tuple[float, SpinSector]:
     _require(isinstance(entry, dict), "sector entry must be an object")
     for key in ("two_S", "weight", "form", "data"):
         _require(key in entry, f"sector entry missing {key!r}")
-    two_s = entry["two_S"]
-    _require(isinstance(two_s, int) and not isinstance(two_s, bool) and two_s >= 0,
-             f"two_S must be a non-negative integer, got {two_s!r}")
-    _require(two_s <= MAX_TWO_S, f"two_S = {two_s} exceeds the supported maximum {MAX_TWO_S}")
+    # a refusal here is a ValueError, which state_from_dict raises as a SchemaError
+    two_s = _check_int("two_S", entry["two_S"], 0, MAX_TWO_S, span="[0, MAX_TWO_S]")
     weight = entry["weight"]
     _require(isinstance(weight, (int, float)) and not isinstance(weight, bool), "weight must be a number")
     form = entry["form"]
@@ -93,9 +92,8 @@ def state_from_dict(obj: dict) -> PolarizationState:
     _require(isinstance(obj, dict) and "sectors" in obj, "state object needs a 'sectors' list")
     sectors = obj["sectors"]
     _require(isinstance(sectors, list) and sectors, "'sectors' must be a non-empty list")
-    entries = [_sector_from_entry(e) for e in sectors]
     try:
-        return assemble(entries)
+        return assemble([_sector_from_entry(e) for e in sectors])
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 

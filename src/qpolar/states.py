@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angmom import EulerAngles, HalfInt, _d_column, _is_int, dim, half, wigner_D
+from .angmom import EulerAngles, HalfInt, _check_int, _check_tol, _d_column, dim, half, wigner_D
 
 __all__ = [
     "DEFAULT_TOL",
@@ -162,7 +162,8 @@ class SpinSector:
 
 
 def validate(sector: SpinSector, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Diagnostic report for a sector's density matrix (never raises)."""
+    """Diagnostic report for a sector's density matrix; raises only for a tol that is not positive and finite."""
+    _check_tol(tol)
     return _diagnose(np.asarray(sector.rho), tol)
 
 
@@ -188,8 +189,11 @@ def coherent_amplitudes(S, theta, phi) -> np.ndarray:
     axis.
     """
     t = half(S).twice
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
+        raise ValueError("theta and phi must be finite")
     ms = np.arange(t, -t - 1, -2) / 2.0  # m descending
-    return _d_column(t, 0, theta) * np.exp(-1j * ms * np.asarray(phi, dtype=float)[..., None])
+    return _d_column(t, 0, theta) * np.exp(-1j * ms * phi[..., None])
 
 
 def su2_coherent(S, direction: Direction) -> SpinSector:
@@ -309,9 +313,7 @@ def as_shells(obj) -> list[tuple[float, SpinSector]]:
 
 def purity(obj) -> float:
     """Tr rho^2 of a sector, or the block purity of a PolarizationState."""
-    if isinstance(obj, SpinSector):
-        return obj.purity()
-    if isinstance(obj, PolarizationState):
+    if isinstance(obj, (SpinSector, PolarizationState)):
         return obj.purity()
     raise TypeError(f"expected SpinSector or PolarizationState, got {type(obj).__name__}")
 
@@ -324,10 +326,8 @@ def _ginibre(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
 def random_sector(S, rng: np.random.Generator, rank: int | None = None) -> SpinSector:
     """Random density matrix of the given rank (default full, 2S+1) from the Ginibre ensemble."""
     d = dim(half(S))
-    rank = d if rank is None else rank
-    if not (_is_int(rank) and 1 <= rank <= d):
-        raise ValueError(f"rank must be an integer in [1, 2S+1] = [1, {d}], got {rank!r}")
-    g = _ginibre(d, int(rank), rng)
+    rank = d if rank is None else _check_int("rank", rank, 1, d, span="[1, 2S+1]")
+    g = _ginibre(d, rank, rng)
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     return SpinSector(S, rho, validate=False)

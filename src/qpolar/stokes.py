@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angmom import HalfInt, _is_int, _spin_arrays, half
-from .multipole import _basis_diagonal, _check_tol, _components, _leading_within, _strengths_cumulative_degrees
+from .angmom import HalfInt, _check_int, _check_tol, _is_int, _spin_arrays, half
+from .multipole import _basis_diagonal, _components, _leading_within, _strengths_cumulative_degrees
 from .states import Direction, SpinSector, as_shells
 
 __all__ = [
@@ -107,9 +107,8 @@ def _scaled_moments(sector: SpinSector, directions, max_ell: int) -> np.ndarray:
 
 def directional_moment(obj, direction: Direction, ell: int) -> float:
     """Moment <(n.S)^ell>; shell results are weighted by P_S for multi-shell states."""
-    if not _is_int(ell) or ell < 1:
-        raise ValueError(f"moment order must be a positive integer, got {ell}")
-    return float(sum(w * sample_moments(sec, [direction], int(ell))[-1].value for w, sec in as_shells(obj)))
+    ell = _check_int("ell", ell, 1)
+    return float(sum(w * sample_moments(sec, [direction], ell)[-1].value for w, sec in as_shells(obj)))
 
 
 def tomography_directions(n: int) -> list[Direction]:
@@ -120,8 +119,7 @@ def tomography_directions(n: int) -> list[Direction]:
     makes small sets rank deficient); a quadratic azimuth offset breaks the
     arithmetic progression while keeping the set deterministic.
     """
-    if not (_is_int(n) and n >= 1):
-        raise ValueError(f"n, the number of directions, must be a positive integer, got {n!r}")
+    n = _check_int("n", n, 1)
     golden = math.pi * (3.0 - math.sqrt(5.0))
     out = []
     for i in range(n):
@@ -147,11 +145,9 @@ def isotropy_order(
     """
     if not isinstance(sector, SpinSector):
         raise TypeError("isotropy_order classifies one shell at a time")
-    if max_ell < 1:
-        raise ValueError("max_ell must be >= 1")
+    max_ell = _check_int("max_ell", max_ell, 1)
     _check_tol(tol)
-    if not (_is_int(n_directions) and n_directions >= 2 * max_ell + 1):
-        raise ValueError(f"n_directions must be an integer >= 2*max_ell+1 = {2 * max_ell + 1}, got {n_directions!r}")
+    n_directions = _check_int("n_directions", n_directions, 2 * max_ell + 1, span="2*max_ell+1")
     spread = np.ptp(_scaled_moments(sector, tomography_directions(n_directions), max_ell), axis=0)
     return _leading_within(spread, tol)  # the orders before the first anisotropic one
 
@@ -167,8 +163,7 @@ class MomentSample:
 
 def sample_moments(sector: SpinSector, directions, max_ell: int) -> list[MomentSample]:
     """Forward-compute noiseless moments l = 1..max_ell >= 1 along each direction."""
-    if max_ell < 1:
-        raise ValueError(f"max_ell must be >= 1, got {max_ell}")
+    max_ell = _check_int("max_ell", max_ell, 1)
     s = max(float(sector.spin), 1.0)
     if max_ell * math.log(s) >= math.log(np.finfo(float).max):
         raise ValueError(f"raw moments of order l = {max_ell} at spin {sector.spin} are past the float range")
@@ -227,25 +222,33 @@ def moments_to_multipoles(samples, S, k_max: int) -> ReconstructionResult:
     `condition_number` and `residual` are those of that system.  Needs
     moments up to l = k_max on at least 2*k_max+1 distinct directions, and
     none above: their ranks above k_max would alias into the fit, so they
-    raise ValueError, as do a non-finite value and an order that is no integer (naming the sample).
+    raise ValueError, as do a sample that is no (Direction, order, value) triple, a non-finite
+    value and an order that is no integer (each naming the sample).
     Raises IllConditionedError when the scaled system is rank deficient
     (smallest singular value below 1e-10 of the largest).
     """
     S = half(S)
-    if not (_is_int(k_max) and 1 <= k_max <= S.twice):
-        raise ValueError(f"k_max must be an integer in [1, 2S] = [1, {S.twice}], got {k_max!r}")
-    columns = [(s.direction, s.ell, s.value) if isinstance(s, MomentSample) else (s[0], s[1], s[2]) for s in samples]
-    if not columns:
+    k_max = _check_int("k_max", k_max, 1, S.twice, span="[1, 2S]")
+    rows = [(s.direction, s.ell, s.value) if isinstance(s, MomentSample) else s for s in samples]
+    if not rows:
         raise ValueError("no moment samples given")
-    directions, ells, raw = zip(*columns)
+    try:
+        directions, ells, raw = zip(*rows, strict=True)
+    except (TypeError, ValueError):  # some sample is no triple: name the first
+        i = next(i for i, s in enumerate(rows) if not (hasattr(s, "__len__") and len(s) == 3))
+        raise ValueError(f"moment sample {i} is not a (Direction, order, value) triple: {rows[i]!r}") from None
     named = lambda i: MomentSample(directions[i], ells[i], raw[i])  # a bad sample, as the error names it
     values = np.array(raw, dtype=float)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise ValueError(f"moment sample {bad[0]} has a non-finite value: {named(bad[0])}")
-    bad = [i for i, ell in enumerate(ells) if not (_is_int(ell) and ell >= 1)]
+    bad = [i for i, (d, ell) in enumerate(zip(directions, ells))
+           if not (isinstance(d, Direction) and _is_int(ell) and ell >= 1)]
     if bad:
-        raise ValueError(f"moment sample {bad[0]} has order {ells[bad[0]]!r}, not an integer >= 1: {named(bad[0])}")
+        i = bad[0]
+        what = (f"order {ells[i]!r}, not an integer >= 1" if isinstance(directions[i], Direction)
+                else f"direction {directions[i]!r}, not a Direction")
+        raise ValueError(f"moment sample {i} has {what}: {named(i)}")
     if max(ells) > k_max:
         raise ValueError(f"moments of order up to l = {max(ells)} carry ranks above k_max = {k_max}; "
                          f"reconstruct with k_max >= {max(ells)} or drop them")
@@ -291,13 +294,13 @@ def read_moments(path) -> list[MomentSample]:
     """Read moment samples from CSV (theta,phi,ell,value; header optional)."""
     out = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("theta"):
                 continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"malformed moments row: {line!r}")
-            theta, phi, ell, value = float(parts[0]), float(parts[1]), int(parts[2]), float(parts[3])
-            out.append(MomentSample(Direction(theta, phi), ell, value))
+            try:
+                theta, phi, ell, value = line.split(",")
+                out.append(MomentSample(Direction(float(theta), float(phi)), int(ell), float(value)))
+            except ValueError as exc:  # a wrong field count, a field that does not parse, an angle out of range
+                raise ValueError(f"malformed moments row: {line!r} (line {number}: {exc})") from None
     return out

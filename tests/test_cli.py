@@ -184,7 +184,7 @@ class TestInputContract:
     def test_two_s_above_bound_exits_2(self, tmp_path, capsys, command, two_s):
         capsys.readouterr()
         assert run_cli(*command, "--two-s", two_s, "--out", tmp_path / "s.json") == 2
-        assert f"maximum {MAX_TWO_S}" in capsys.readouterr().err
+        assert f"--two-s must be an integer in [0, MAX_TWO_S] = [0, {MAX_TWO_S}], got {two_s}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "name,flag,value",
@@ -363,7 +363,7 @@ class TestSearchAndScan:
     def test_scan_refuses_no_points(self, capsys):
         capsys.readouterr()
         assert run_cli("scan", "--family", "two-photon", "--points", 0) == 2
-        assert "--points must be at least 1" in capsys.readouterr().err
+        assert "--points must be an integer >= 1, got 0" in capsys.readouterr().err
 
     def test_scan_with_no_feasible_point_writes_its_csv(self, tmp_path, capsys):
         out = tmp_path / "f1.csv"

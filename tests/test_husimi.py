@@ -183,7 +183,7 @@ class TestQFunction:
         ids=["fractional", "bool", "float", "negative", "string"],
     )
     def test_grid_sizes_must_be_positive_integers(self, grid, name):
-        with pytest.raises(ValueError, match=f"grid size {name} must be a positive integer"):
+        with pytest.raises(ValueError, match=f"grid size {name} must be an integer >= 1, got"):
             q_function(maximally_mixed(1), grid)
         assert q_function(maximally_mixed(1), (np.int64(3), np.int64(4))).values.shape == (3, 4)
 

@@ -206,7 +206,7 @@ class TestInputContract:
     )
     @pytest.mark.parametrize("order", [5, 3, 0, -1])
     def test_order_outside_one_to_two_s_is_refused(self, call, order):
-        with pytest.raises(ValueError, match=re.escape(f"order must lie in [1, 2S] = [1, 2], got {order}")):
+        with pytest.raises(ValueError, match=re.escape(f"order must be an integer in [1, 2S] = [1, 2], got {order}")):
             call(order)
 
     @pytest.mark.parametrize(

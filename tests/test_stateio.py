@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,7 +81,8 @@ def test_schema_violations_raise(obj):
 
 def test_two_s_above_bound_rejected_before_payload():
     obj = {"sectors": [{"two_S": 10**9, "weight": 1.0, "form": "diag", "data": [1.0]}]}
-    with pytest.raises(SchemaError, match=f"maximum {MAX_TWO_S}"):
+    message = f"two_S must be an integer in [0, MAX_TWO_S] = [0, {MAX_TWO_S}], got {10**9}"
+    with pytest.raises(SchemaError, match=re.escape(message)):
         state_from_dict(obj)
 
 

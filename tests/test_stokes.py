@@ -137,7 +137,7 @@ class TestDirectionalMoments:
             sample_moments(maximally_mixed(1), directions, 2)
 
     def test_sample_moments_needs_an_order(self):
-        with pytest.raises(ValueError, match="max_ell must be >= 1"):
+        with pytest.raises(ValueError, match="max_ell must be an integer >= 1, got 0"):
             sample_moments(maximally_mixed(1), tomography_directions(3), 0)
 
 
@@ -326,7 +326,7 @@ class TestReconstruction:
 
     @pytest.mark.parametrize("n", [True, 2.5, 3.0, -2, "3"])
     def test_direction_count_must_be_a_positive_integer(self, n):
-        with pytest.raises(ValueError, match="n, the number of directions, must be a positive integer"):
+        with pytest.raises(ValueError, match="n must be an integer >= 1, got"):
             tomography_directions(n)
         assert len(tomography_directions(np.int64(3))) == 3
 
