@@ -11,7 +11,6 @@ from .angmom import (
     EulerAngles,
     HalfInt,
     half,
-    m_range,
     rotation_matrix,
     wigner_D,
     wigner_small_d,

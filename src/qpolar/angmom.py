@@ -21,12 +21,13 @@ import numpy as np
 __all__ = [
     "HalfInt",
     "half",
-    "m_range",
     "wigner_small_d",
     "wigner_D",
     "EulerAngles",
     "rotation_matrix",
 ]
+
+MAX_TWO_S = 200  # the spin range the numerics are verified over (see README)
 
 
 def _is_int(value) -> bool:
@@ -45,6 +46,17 @@ def _check_int(name: str, value, lo: int, hi: int | None = None, span: str | Non
     bounds = str(lo) if hi is None else f"[{lo}, {hi}]"
     bounds = f"{span} = {bounds}" if span else bounds
     raise ValueError(f"{name} must be an integer {'>=' if hi is None else 'in'} {bounds}, got {value!r}")
+
+
+def _check_spin(name: str, value) -> HalfInt:
+    """`value` as a HalfInt if it is a spin: an integer or half-integer with 2S in [0, MAX_TWO_S]."""
+    try:
+        if 0 <= (spin := half(value)).twice <= MAX_TWO_S:
+            return spin
+    except ValueError:
+        pass
+    raise ValueError(f"{name} must be an integer or half-integer with 2S in [0, MAX_TWO_S] = [0, {MAX_TWO_S}], "
+                     f"got {value!r}")
 
 
 def _check_tol(tol) -> None:
@@ -102,19 +114,6 @@ def half(value) -> HalfInt:
     raise ValueError(f"cannot interpret {value!r} as an integer or half-integer")
 
 
-def m_range(j) -> list[HalfInt]:
-    """Magnetic quantum numbers m = j, j-1, ..., -j (descending; the index contract)."""
-    tj = half(j).twice
-    if tj < 0:
-        raise ValueError("spin magnitude must be non-negative")
-    return [HalfInt(tm) for tm in range(tj, -tj - 1, -2)]
-
-
-def dim(j) -> int:
-    """Dimension 2j+1 of the spin-j representation."""
-    return half(j).twice + 1
-
-
 @lru_cache(maxsize=None)
 def _spin_arrays(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only spin matrices (Jx, Jy, Jz) of the spin-j representation."""
@@ -159,9 +158,7 @@ def wigner_small_d(j, beta: float) -> np.ndarray:
     Real orthogonal (2j+1)x(2j+1) array, rows/columns indexed by m', m
     descending from +j.
     """
-    j = half(j)
-    if j.twice < 0:
-        raise ValueError("spin magnitude must be non-negative")
+    j = _check_spin("j", j)
     beta = float(beta)
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
@@ -186,7 +183,7 @@ class EulerAngles:
 
 def wigner_D(j, angles: EulerAngles) -> np.ndarray:
     """Wigner D-matrix D^j_{m'm} = exp(-i m' alpha) d^j_{m'm}(beta) exp(-i m gamma)."""
-    j = half(j)
+    j = _check_spin("j", j)
     d = wigner_small_d(j, angles.beta)
     ms = np.arange(j.twice, -j.twice - 1, -2) / 2.0  # m descending
     return (

@@ -13,8 +13,7 @@ import numbers
 
 import numpy as np
 
-from .angmom import _check_int
-from .stateio import MAX_TWO_S
+from .angmom import MAX_TWO_S, _check_int
 from .states import Direction, SpinSector, diag_sector, pure_sector
 
 __all__ = [
@@ -91,46 +90,38 @@ def _preset_3p(args) -> dict:
             "data": [[r, 0.0], [0.0, 0.0], [0.0, 0.0], [r, 0.0]]}
 
 
-def _preset_diag2(args) -> dict:
-    lam = args.get("lam", 0.25)
-    if not 0.0 <= lam <= 0.5:
-        raise ValueError(f"lam = {lam} outside [0, 1/2]")
-    return {"two_S": 2, "weight": 1.0, "form": "diag",
-            "data": [float(lam), float(1.0 - 2.0 * lam), float(lam)]}
-
-
 def _preset_diag32nd(args) -> dict:
     lam4 = args.get("lam", 0.2)
     eigs = [0.5 - lam4, 3.0 * lam4 - 0.5, 1.0 - 3.0 * lam4, lam4]
     if any(e < 0 for e in eigs):
         raise ValueError(f"lam = {lam4} outside [1/6, 1/3]")
-    return {"two_S": 3, "weight": 1.0, "form": "diag", "data": [float(e) for e in eigs]}
+    return _diag_entry(3, eigs)
 
 
-def _preset_fig4_left(args) -> dict:
-    return {"two_S": 3, "weight": 1.0, "form": "diag", "data": [0.0, 0.75, 0.0, 0.25]}
+def _diag_entry(two_s: int, eigenvalues) -> dict:
+    """The state-file entry of the diagonal state with these eigenvalues in the |S,m> basis."""
+    return {"two_S": two_s, "weight": 1.0, "form": "diag", "data": [float(x) for x in eigenvalues]}
 
 
-def _preset_fig4_right(args) -> dict:
-    return {"two_S": 3, "weight": 1.0, "form": "diag", "data": [1 / 3, 0.0, 0.5, 1 / 6]}
-
-
-# preset name -> (builder(args) -> sector entry, description)
+# preset name -> (make(args) -> sector entry, description, the keys of args that make reads)
 PRESETS = {
-    "eq15-coherent": (_preset_coherent, "spin coherent state along (theta, phi)"),
-    "eq23-pson": (_preset_pson, "pure two-photon dipole-free state (rotated |1,0>)"),
-    "eq27-3p": (_preset_3p, "equal superposition of the two S=3/2 pole states"),
-    "eq24-diag2": (_preset_diag2, "two-photon diag(lam, 1-2lam, lam)"),
-    "eq29-diag32nd": (_preset_diag32nd, "three-photon second-order diagonal family"),
-    "fig4-left": (_preset_fig4_left, "diag(0, 3/4, 0, 1/4), purity 5/8"),
-    "fig4-right": (_preset_fig4_right, "diag(1/3, 0, 1/2, 1/6), purity 7/18"),
+    "eq15-coherent": (_preset_coherent, "spin coherent state along (theta, phi)", ("theta", "phi", "two_s")),
+    "eq23-pson": (_preset_pson, "pure two-photon dipole-free state (rotated |1,0>)", ("alpha", "beta")),
+    "eq27-3p": (_preset_3p, "equal superposition of the two S=3/2 pole states", ()),
+    "eq24-diag2": (lambda args: _diag_entry(2, np.diag(two_photon_diag_unpolarized(args.get("lam", 0.25)).rho).real),
+                   "two-photon diag(lam, 1-2lam, lam)", ("lam",)),
+    "eq29-diag32nd": (_preset_diag32nd, "three-photon second-order diagonal family", ("lam",)),
+    "fig4-left": (lambda args: _diag_entry(3, [0.0, 0.75, 0.0, 0.25]), "diag(0, 3/4, 0, 1/4), purity 5/8", ()),
+    "fig4-right": (lambda args: _diag_entry(3, [1 / 3, 0.0, 0.5, 1 / 6]), "diag(1/3, 0, 1/2, 1/6), purity 7/18", ()),
 }
 
 
 def preset_state(name: str, **args) -> dict:
-    """State-file dict for a named preset; KeyError for an unknown name, ValueError for a bad argument."""
-    builder, _ = PRESETS[name]
+    """State-file dict for a named preset; KeyError for an unknown name, ValueError for a bad or unread argument."""
+    make, _, keys = PRESETS[name]
     for key, value in args.items():
+        if key not in keys:
+            raise ValueError(f"{key} is not read by preset {name!r}, which takes {', '.join(keys) or 'no arguments'}")
         if isinstance(value, numbers.Real) and not -math.inf < value < math.inf:
             raise ValueError(f"{key} must be finite, got {value!r}")
-    return {"sectors": [builder(args)]}
+    return {"sectors": [make(args)]}

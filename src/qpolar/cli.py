@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import catalog, husimi, multipole, search, stateio, stokes
-from .angmom import _check_int
+from .angmom import MAX_TWO_S, _check_int
 from .states import as_shells
 
 EXIT_OK = 0
@@ -38,7 +38,7 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 def _bounded_two_s(two_s: int) -> int:
     """A --two-s argument, refused outside the range that state files have."""
-    return _check_int("--two-s", two_s, 0, stateio.MAX_TWO_S, span="[0, MAX_TWO_S]")
+    return _check_int("--two-s", two_s, 0, MAX_TWO_S, span="[0, MAX_TWO_S]")
 
 
 def _fmt(x: float) -> str:
@@ -310,7 +310,3 @@ def main(argv=None) -> int:
     except (stateio.SchemaError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angmom import HalfInt, _check_int, _d_column, half
+from .angmom import HalfInt, _check_int, _d_column
 from .states import Direction, SpinSector
 
 __all__ = ["QGrid", "q_function", "q_values", "export_qgrid"]
@@ -47,8 +47,7 @@ class QGrid:
 
     def normalization(self) -> float:
         """(2S+1)/(4pi) times the integral; 1 for any valid state on a fine grid."""
-        d = half(self.spin).twice + 1
-        return d / (4.0 * math.pi) * self.integral()
+        return (self.spin.twice + 1) / (4.0 * math.pi) * self.integral()
 
     def nodes(self):
         """Iterate (Direction, weight, value) theta-major, phi-minor."""

@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .angmom import HalfInt, _check_int, _check_tol, half
+from .angmom import HalfInt, _check_int, _check_spin, _check_tol, _is_int
 from .states import SpinSector, as_shells
 
 __all__ = [
@@ -133,7 +133,7 @@ def synthesize(c: np.ndarray, S: HalfInt) -> np.ndarray:
 
 def tensor_matrix(S, K: int, q: int) -> np.ndarray:
     """Dense matrix of T_Kq, read from the diagonal-block basis."""
-    S = half(S)
+    S = _check_spin("S", S)
     K = _check_int("K", K, 0, S.twice, span="[0, 2S]")
     q = _check_int("q", q, -K, K, span="[-K, K]")
     c = np.zeros((K + 1, 2 * K + 1))
@@ -170,7 +170,11 @@ class MultipoleSpectrum:
     components = _components
 
     def component(self, K: int, q: int) -> complex:
-        return self.components[(int(K), int(q))]
+        """rho_Kq; a K or q that is no integer is a ValueError, an integer pair outside |q| <= K <= 2S a KeyError."""
+        if not (_is_int(K) and _is_int(q)):
+            _check_int("K", K, 0, self.spin.twice, span="[0, 2S]")
+            _check_int("q", q, -self.spin.twice, self.spin.twice, span="[-2S, 2S]")
+        return self.components[K, q]
 
     @property
     def max_rank(self) -> int:
@@ -211,7 +215,7 @@ def coherent_cumulative_max(S, K: int) -> float:
     term vanishes (its Gamma-function form hits 1/Gamma(0) = 0) and the value
     is 2S/(2S+1).
     """
-    S = half(S)
+    S = _check_spin("S", S)
     K = _check_int("K", K, 1, S.twice, span="[1, 2S]")
     return float(_coherent_maxima(S.twice)[K - 1])
 

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angmom import HalfInt, _check_int, half
+from .angmom import HalfInt, _check_int, _check_spin
 from .catalog import three_photon_first_order_eigs
 from .multipole import _basis_diagonal, _strengths_cumulative_degrees
 from .states import SpinSector, _ginibre, diag_sector, maximally_mixed, pure_sector
@@ -95,7 +95,7 @@ class SearchProblem:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "spin", half(self.spin))
+        object.__setattr__(self, "spin", _check_spin("spin", self.spin))
         cls = _CLASS_ALIASES.get(self.constraint_class)
         if cls is None:
             raise ValueError(f"unknown constraint class {self.constraint_class!r}; "
@@ -381,7 +381,7 @@ def max_purity_unpolarized(problem: SearchProblem) -> SearchResult:
 
 def anticoherence_objective(psi: np.ndarray, S, order: int) -> float:
     """A_order of the normalized pure state with amplitudes psi, 1 <= order <= 2S."""
-    S = half(S)
+    S = _check_spin("S", S)
     _check_int("order", order, 1, S.twice, span="[1, 2S]")
     pure_sector(S, psi)  # refuses malformed, zero or overflowing amplitudes
     psi = np.asarray(psi, dtype=complex)
@@ -396,7 +396,7 @@ def anticoherence_gradient(x: np.ndarray, S, order: int) -> np.ndarray:
     ValueError for an order outside [1, 2S], and for x that is not 2(2S+1)
     finite reals or whose squared norm is zero or overflows.
     """
-    S = half(S)
+    S = _check_spin("S", S)
     _check_int("order", order, 1, S.twice, span="[1, 2S]")
     x = np.asarray(x, dtype=float)
     if x.shape != (2 * (S.twice + 1),):
@@ -417,7 +417,7 @@ def pure_anticoherent_search(S, order: int, restarts: int = 64, seed: int = 0) -
     error: e.g. every pure spin-1/2 state is coherent, so the order-1 minimum
     is 1/2.
     """
-    problem = SearchProblem(half(S), order, constraint_class="pure", restarts=restarts, seed=seed)
+    problem = SearchProblem(_check_spin("S", S), order, constraint_class="pure", restarts=restarts, seed=seed)
     d = problem.spin.twice + 1
     rng = np.random.default_rng(seed)
     history, best_x, best_f = [], None, math.inf

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angmom import EulerAngles, HalfInt, _check_int, _check_tol, _d_column, dim, half, wigner_D
+from .angmom import EulerAngles, HalfInt, _check_int, _check_spin, _check_tol, _d_column, half, wigner_D
 
 __all__ = [
     "DEFAULT_TOL",
@@ -133,11 +133,9 @@ class SpinSector:
     __slots__ = ("spin", "rho")
 
     def __init__(self, spin, rho, *, validate: bool = True):
-        spin = half(spin)
-        if spin.twice < 0:
-            raise ValueError("spin must be non-negative")
+        spin = _check_spin("spin", spin)
         rho = np.array(rho, dtype=complex)
-        d = dim(spin)
+        d = spin.twice + 1
         if rho.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} matrix for spin {spin}, got {rho.shape}")
         if not np.isfinite(rho).all():
@@ -150,15 +148,11 @@ class SpinSector:
         self.spin = spin
         self.rho = rho
 
-    @property
-    def dim(self) -> int:
-        return self.rho.shape[0]
-
     def purity(self) -> float:
         return float(np.vdot(self.rho, self.rho).real)
 
     def __repr__(self):
-        return f"SpinSector(spin={self.spin}, dim={self.dim})"
+        return f"SpinSector(spin={self.spin}, dim={len(self.rho)})"
 
 
 def validate(sector: SpinSector, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -169,10 +163,10 @@ def validate(sector: SpinSector, tol: float = DEFAULT_TOL) -> ValidationReport:
 
 def fock_sector(S, m) -> SpinSector:
     """Pure basis state |S,m><S,m|."""
-    S, m = half(S), half(m)
+    S, m = _check_spin("S", S), half(m)
     if abs(m.twice) > S.twice or (S.twice - m.twice) % 2 != 0:
         raise ValueError(f"m = {m} is not a valid projection for S = {S}")
-    rho = np.zeros((dim(S), dim(S)), dtype=complex)
+    rho = np.zeros((S.twice + 1, S.twice + 1), dtype=complex)
     idx = (S.twice - m.twice) // 2
     rho[idx, idx] = 1.0
     return SpinSector(S, rho, validate=False)
@@ -188,7 +182,7 @@ def coherent_amplitudes(S, theta, phi) -> np.ndarray:
     theta and phi broadcast against each other; the basis index is the last
     axis.
     """
-    t = half(S).twice
+    t = _check_spin("S", S).twice
     theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
         raise ValueError("theta and phi must be finite")
@@ -199,15 +193,15 @@ def coherent_amplitudes(S, theta, phi) -> np.ndarray:
 def su2_coherent(S, direction: Direction) -> SpinSector:
     """Pure spin coherent state along `direction` (eigenstate of n.S, eigenvalue +S)."""
     amps = coherent_amplitudes(S, direction.theta, direction.phi)
-    return SpinSector(half(S), np.outer(amps, amps.conj()), validate=False)
+    return SpinSector(S, np.outer(amps, amps.conj()), validate=False)
 
 
 def diag_sector(S, eigenvalues) -> SpinSector:
     """Diagonal sector diag(p_m) in the |S,m> basis (axially symmetric about z)."""
-    S = half(S)
+    S = _check_spin("S", S)
     p = np.asarray(eigenvalues, dtype=float)
-    if p.shape != (dim(S),):
-        raise ValueError(f"expected {dim(S)} eigenvalues for spin {S}, got {p.shape}")
+    if p.shape != (S.twice + 1,):
+        raise ValueError(f"expected {S.twice + 1} eigenvalues for spin {S}, got {p.shape}")
     if not np.all(np.isfinite(p)):
         raise ValueError("eigenvalues must be finite")
     if np.any(p < -DEFAULT_TOL):
@@ -219,10 +213,10 @@ def diag_sector(S, eigenvalues) -> SpinSector:
 
 def pure_sector(S, amplitudes) -> SpinSector:
     """Normalized pure state |psi><psi| from amplitudes in the |S,m> basis."""
-    S = half(S)
+    S = _check_spin("S", S)
     v = np.asarray(amplitudes, dtype=complex)
-    if v.shape != (dim(S),):
-        raise ValueError(f"expected {dim(S)} amplitudes for spin {S}, got {v.shape}")
+    if v.shape != (S.twice + 1,):
+        raise ValueError(f"expected {S.twice + 1} amplitudes for spin {S}, got {v.shape}")
     with np.errstate(over="ignore"):  # an overflowing norm is rejected just below
         n = np.linalg.norm(v)
     if n == 0 or not math.isfinite(n):
@@ -233,7 +227,7 @@ def pure_sector(S, amplitudes) -> SpinSector:
 
 def maximally_mixed(S) -> SpinSector:
     """The fully unpolarized shell state, identity / (2S+1)."""
-    d = dim(half(S))
+    d = _check_spin("S", S).twice + 1
     return SpinSector(S, np.eye(d, dtype=complex) / d, validate=False)
 
 
@@ -246,8 +240,8 @@ def rotate(sector: SpinSector, angles: EulerAngles) -> SpinSector:
 class PolarizationState:
     """Block-diagonal polarization sector: weighted shells (P_S, rho^(S)).
 
-    Weights are the photon-number distribution; they must be non-negative and
-    sum to 1, with at most one sector per spin.  Immutable.
+    Weights are the photon-number distribution: non-negative, summing
+    to 1, with at most one sector per spin.  Immutable.
     """
 
     __slots__ = ("entries",)
@@ -325,7 +319,7 @@ def _ginibre(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_sector(S, rng: np.random.Generator, rank: int | None = None) -> SpinSector:
     """Random density matrix of the given rank (default full, 2S+1) from the Ginibre ensemble."""
-    d = dim(half(S))
+    d = _check_spin("S", S).twice + 1
     rank = d if rank is None else _check_int("rank", rank, 1, d, span="[1, 2S+1]")
     g = _ginibre(d, rank, rng)
     rho = g @ g.conj().T

@@ -11,18 +11,18 @@ by least squares on the same rows.  A raw moment (scaled times s^l) past the flo
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .angmom import HalfInt, _check_int, _check_tol, _is_int, _spin_arrays, half
+from .angmom import HalfInt, _check_int, _check_spin, _check_tol, _is_int, _spin_arrays
 from .multipole import _basis_diagonal, _components, _leading_within, _strengths_cumulative_degrees
 from .states import Direction, SpinSector, as_shells
 
 __all__ = [
     "StokesTriple",
     "stokes_matrices",
-    "spin_along",
     "directional_moment",
     "isotropy_order",
     "MomentSample",
@@ -55,18 +55,9 @@ class StokesTriple:
 
 def stokes_matrices(S) -> StokesTriple:
     """Stokes operator matrices (Sx, Sy, Sz) on the spin-S shell."""
-    S = half(S)
-    if S.twice < 0:
-        raise ValueError("spin must be non-negative")
+    S = _check_spin("S", S)
     sx, sy, sz = _spin_arrays(S.twice)
     return StokesTriple(S, sx, sy, sz)
-
-
-def spin_along(S, direction: Direction) -> np.ndarray:
-    """Matrix of n . S for the unit vector n of `direction`."""
-    ops = stokes_matrices(S)
-    n = direction.unit_vector
-    return n[0] * ops.sx + n[1] * ops.sy + n[2] * ops.sz
 
 
 def _axial_factors(directions, k: int):
@@ -227,7 +218,7 @@ def moments_to_multipoles(samples, S, k_max: int) -> ReconstructionResult:
     Raises IllConditionedError when the scaled system is rank deficient
     (smallest singular value below 1e-10 of the largest).
     """
-    S = half(S)
+    S = _check_spin("S", S)
     k_max = _check_int("k_max", k_max, 1, S.twice, span="[1, 2S]")
     rows = [(s.direction, s.ell, s.value) if isinstance(s, MomentSample) else s for s in samples]
     if not rows:
@@ -238,7 +229,11 @@ def moments_to_multipoles(samples, S, k_max: int) -> ReconstructionResult:
         i = next(i for i, s in enumerate(rows) if not (hasattr(s, "__len__") and len(s) == 3))
         raise ValueError(f"moment sample {i} is not a (Direction, order, value) triple: {rows[i]!r}") from None
     named = lambda i: MomentSample(directions[i], ells[i], raw[i])  # a bad sample, as the error names it
-    values = np.array(raw, dtype=float)
+    try:
+        values = np.fromiter(raw, float, len(raw))
+    except (TypeError, ValueError):  # some value is no real number: name the first
+        i = next(i for i, v in enumerate(raw) if not isinstance(v, numbers.Real))
+        raise ValueError(f"moment sample {i} has value {raw[i]!r}, not a real number: {named(i)}") from None
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise ValueError(f"moment sample {bad[0]} has a non-finite value: {named(bad[0])}")

@@ -1,12 +1,29 @@
-"""Test-side shell operations the library does not need: the Stokes variance and the multipole-free projection."""
+"""Test-side shell operations the library does not need.
+
+The magnetic quantum numbers of a shell, the matrix of n.S, the Stokes variance and the
+multipole-free projection.
+"""
 
 import math
 
 import numpy as np
 
-from qpolar.angmom import half
+from qpolar.angmom import HalfInt, half
 from qpolar.multipole import components, synthesize
 from qpolar.stokes import stokes_matrices
+
+
+def m_range(j) -> list[HalfInt]:
+    """Magnetic quantum numbers m = j, j-1, ..., -j, descending as the library indexes a shell."""
+    tj = half(j).twice
+    return [HalfInt(tm) for tm in range(tj, -tj - 1, -2)]
+
+
+def spin_along(S, direction) -> np.ndarray:
+    """Matrix of n.S for the unit vector n of `direction`."""
+    ops = stokes_matrices(S)
+    n = direction.unit_vector
+    return n[0] * ops.sx + n[1] * ops.sy + n[2] * ops.sz
 
 
 def total_variance(sector) -> float:

@@ -12,7 +12,6 @@ from qpolar.angmom import (
     EulerAngles,
     HalfInt,
     half,
-    m_range,
     rotation_matrix,
     wigner_D,
     wigner_small_d,
@@ -23,6 +22,7 @@ from qpolar.states import Direction, coherent_amplitudes, maximally_mixed, rando
 from qpolar.stokes import directional_moment
 
 from cg_reference import _cg_parts, clebsch_gordan
+from shell_reference import m_range
 
 
 def euler_from_matrix(r3: np.ndarray) -> EulerAngles:
@@ -309,3 +309,18 @@ class TestWignerD:
                 got = D @ ops[i] @ D.conj().T
                 expect = sum(R[k, i] * ops[k] for k in range(3))
                 assert_allclose(got, expect, atol=1e-10)
+
+
+class TestRefusalsAndRepr:
+    def test_halfint_needs_an_integer(self):
+        with pytest.raises(ValueError, match=r"^twice must be an integer, got 1\.5$"):
+            HalfInt(1.5)
+
+    def test_halfint_repr_shows_the_value(self):
+        assert repr(HalfInt(-2)) == "HalfInt(-1)" and repr(HalfInt(3)) == "HalfInt(3/2)"
+
+    def test_non_finite_angles_are_refused(self):
+        with pytest.raises(ValueError, match="^beta must be finite$"):
+            wigner_small_d(1, math.nan)
+        with pytest.raises(ValueError, match="^gamma must be finite, got inf$"):
+            EulerAngles(0.1, 0.2, math.inf)

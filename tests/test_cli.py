@@ -1,6 +1,7 @@
 """CLI surface: subcommands, file outputs, exit codes, determinism."""
 
 import copy
+import dataclasses
 import json
 import math
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qpolar import search
+from qpolar import husimi, search
 from qpolar.catalog import PRESETS
 from qpolar.cli import main
 from qpolar.stateio import MAX_TWO_S, SchemaError, load_state, state_from_dict
@@ -440,3 +441,57 @@ def test_import_loads_neither_fractions_nor_decimal():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+class TestUncommonPaths:
+    @pytest.mark.parametrize("grid", ["64by128", "8x16x2", "x16"])
+    def test_malformed_grid_exits_2(self, tmp_path, capsys, grid):
+        state, out = tmp_path / "s.json", tmp_path / "q.csv"
+        run_cli("make-state", "eq27-3p", "--out", state)
+        capsys.readouterr()
+        assert run_cli("qfunc", state, "--grid", grid, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: --grid expects NTHETAxNPHI, e.g. 64x128; got {grid!r}\n"
+        assert not out.exists()
+
+    def test_analyze_prints_the_aggregate_of_several_shells(self, tmp_path, capsys):
+        state = tmp_path / "two.json"
+        state.write_text(json.dumps({"sectors": [
+            {"two_S": 1, "weight": 0.5, "form": "fock", "data": {"two_m": 1}},
+            {"two_S": 2, "weight": 0.5, "form": "diag", "data": [1 / 3, 1 / 3, 1 / 3]},
+        ]}))
+        capsys.readouterr()
+        assert run_cli("analyze", state) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # the spin-1/2 shell is coherent, A_1 = 1/2, and its A_K saturates at K = 2
+        assert lines[-2:] == ["aggregate (weighted by P_S): A_1=0.25, A_2=0.25",
+                              "aggregate order: 0; block purity: 0.333333333333"]
+
+    @pytest.mark.parametrize(
+        "argv, entry",
+        [(["eq24-diag2", "--lam", "0.125"], {"two_S": 2, "form": "diag", "data": [0.125, 0.75, 0.125]}),
+         (["eq15-coherent", "--theta", "0.5", "--phi", "1.0", "--two-s", "4"],
+          {"two_S": 4, "form": "coherent", "data": {"theta": 0.5, "phi": 1.0}})],
+        ids=["lam", "theta-phi-two-s"],
+    )
+    def test_make_state_passes_finite_parameters(self, tmp_path, argv, entry):
+        out = tmp_path / "s.json"
+        assert run_cli("make-state", *argv, "--out", out) == 0
+        assert json.loads(out.read_text())["sectors"] == [{**entry, "weight": 1.0}]
+
+    def test_q_normalization_off_on_an_adequate_grid_exits_4(self, tmp_path, capsys, monkeypatch):
+        state, out = tmp_path / "s.json", tmp_path / "q.csv"
+        run_cli("make-state", "eq27-3p", "--out", state)
+        monkeypatch.setattr(husimi.QGrid, "normalization", lambda self: 1.25)
+        capsys.readouterr()
+        assert run_cli("qfunc", state, "--grid", "8x16", "--out", out) == 4
+        assert capsys.readouterr().err == "error: Q normalization 1.25 deviates beyond 1e-6 on an adequate grid\n"
+        assert not out.exists()
+
+    def test_general_solution_off_the_constraint_exits_4(self, tmp_path, capsys, monkeypatch):
+        solve = search.max_purity_unpolarized
+        monkeypatch.setattr(search, "max_purity_unpolarized", lambda p: dataclasses.replace(solve(p), residual=2e-8))
+        out = tmp_path / "g.json"
+        capsys.readouterr()
+        assert run_cli("search", "--two-s", 2, "--order", 1, "--restarts", 1, "--out", out) == 4
+        assert capsys.readouterr().err == "error: solution violates the order-1 constraint: A_K = 2.000e-08\n"
+        assert not out.exists()

@@ -1,17 +1,22 @@
-"""One input contract: every count, size, order, seed and tolerance is refused by name.
+"""One input contract: every count, size, order, seed, tolerance, spin and file number is refused by name.
 
 A counting argument must be an integer that is not a bool, inside its range;
-a tolerance must be a positive, finite real number that is not a bool.  The
-sweep feeds one catalogue of bad values to every such parameter of the
-public API and expects a ValueError whose message starts with the
+a tolerance must be a positive, finite real number that is not a bool; a
+spin must be an integer or half-integer with 2S in [0, MAX_TWO_S].  The
+sweeps feed one catalogue of bad values to every such parameter of the
+public API and expect a ValueError whose message starts with the
 argument's name, and no warning; a fractional or bool order, tolerance or
-seed, and a preset two_s of 2.5, -1 or 10**6, were once coerced or
-accepted.  The coverage check walks each module's `__all__`: a parameter
-annotated as an int or a float is either swept here or exempt with a reason.
+seed, a preset two_s of 2.5, -1 or 10**6, and a spin of 2S = 201, were once
+coerced or accepted.  The coverage checks walk each module's `__all__`: a
+parameter annotated as an int or a float, or named S, j or spin, is either
+swept here or exempt with a reason.  State-file payloads and preset
+arguments follow the same rule: a number is a number, never a string, bool
+or null, and a preset refuses a key it does not read.
 """
 
 import importlib
 import inspect
+import json
 import math
 import re
 import warnings
@@ -20,7 +25,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
-from qpolar.catalog import preset_state
+from qpolar.angmom import EulerAngles, HalfInt, wigner_D, wigner_small_d
+from qpolar.catalog import PRESETS, preset_state
 from qpolar.cli import main
 from qpolar.husimi import q_function
 from qpolar.multipole import (
@@ -33,14 +39,26 @@ from qpolar.multipole import (
     unpolarization_order,
 )
 from qpolar.search import SearchProblem, anticoherence_gradient, anticoherence_objective, pure_anticoherent_search
-from qpolar.stateio import MAX_TWO_S, state_from_dict
-from qpolar.states import Direction, coherent_amplitudes, maximally_mixed, random_sector, validate
+from qpolar.stateio import MAX_TWO_S, SchemaError, state_from_dict
+from qpolar.states import (
+    Direction,
+    SpinSector,
+    coherent_amplitudes,
+    diag_sector,
+    fock_sector,
+    maximally_mixed,
+    pure_sector,
+    random_sector,
+    su2_coherent,
+    validate,
+)
 from qpolar.stokes import (
     directional_moment,
     isotropy_order,
     moments_to_multipoles,
     read_moments,
     sample_moments,
+    stokes_matrices,
     tomography_directions,
     write_moments,
 )
@@ -184,8 +202,10 @@ class TestMomentSamples:
         [(((0.1, 0.2), 1, 0.5), "has direction (0.1, 0.2), not a Direction"),
          ((Direction(0.1, 0.2), 1), "is not a (Direction, order, value) triple"),
          ((Direction(0.1, 0.2), 1, 0.5, 0.0), "is not a (Direction, order, value) triple"),
-         (0.5, "is not a (Direction, order, value) triple")],
-        ids=["tuple-direction", "two-entries", "four-entries", "number"],
+         (0.5, "is not a (Direction, order, value) triple"),
+         ((Direction(0.1, 0.2), 1, "x"), "has value 'x', not a real number"),
+         ((Direction(0.1, 0.2), 1, [0.5]), "has value [0.5], not a real number")],
+        ids=["tuple-direction", "two-entries", "four-entries", "number", "string-value", "list-value"],
     )
     def test_malformed_sample_is_named_by_index(self, bad, message):
         samples = [(s.direction, s.ell, s.value) for s in SAMPLES]
@@ -239,3 +259,192 @@ class TestCli:
         assert captured.err.startswith(f"error: {name} must be "), captured.err
         assert captured.out == ""
         assert not files["out"].exists()
+
+
+# the catalogue of bad spins: 2S negative, fractional, non-finite, no number, or one past MAX_TWO_S
+BAD_SPINS = {"-1": -1, "-0.5": -0.5, "0.25": 0.25, "nan": math.nan, "inf": math.inf, "True": True, "'1'": "1",
+             "HalfInt(-2)": HalfInt(-2), "MAX_TWO_S/2+1/2": MAX_TWO_S / 2 + 0.5}
+
+# where, the parameter, and a call passing the spin to it with every other argument valid at S = 1
+SPIN_SWEEP = [
+    ("angmom.wigner_small_d", "j", lambda v: wigner_small_d(v, 0.3)),
+    ("angmom.wigner_D", "j", lambda v: wigner_D(v, EulerAngles(0.1, 0.2, 0.3))),
+    ("states.SpinSector", "spin", lambda v: SpinSector(v, np.eye(3) / 3)),
+    ("states.fock_sector", "S", lambda v: fock_sector(v, 0)),
+    ("states.coherent_amplitudes", "S", lambda v: coherent_amplitudes(v, 0.3, 0.2)),
+    ("states.su2_coherent", "S", lambda v: su2_coherent(v, Direction(0.3, 0.2))),
+    ("states.diag_sector", "S", lambda v: diag_sector(v, [0.5, 0.25, 0.25])),
+    ("states.pure_sector", "S", lambda v: pure_sector(v, PSI)),
+    ("states.maximally_mixed", "S", maximally_mixed),
+    ("states.random_sector", "S", lambda v: random_sector(v, np.random.default_rng(0))),
+    ("stokes.stokes_matrices", "S", stokes_matrices),
+    ("stokes.moments_to_multipoles", "S", lambda v: moments_to_multipoles(SAMPLES, v, 2)),
+    ("multipole.tensor_matrix", "S", lambda v: tensor_matrix(v, 0, 0)),
+    ("multipole.coherent_cumulative_max", "S", lambda v: coherent_cumulative_max(v, 1)),
+    ("search.SearchProblem", "spin", lambda v: SearchProblem(v, 1)),
+    ("search.pure_anticoherent_search", "S", lambda v: pure_anticoherent_search(v, 1, 1)),
+    ("search.anticoherence_objective", "S", lambda v: anticoherence_objective(PSI, v, 1)),
+    ("search.anticoherence_gradient", "S", lambda v: anticoherence_gradient(np.ones(6), v, 1)),
+]
+
+# callables with a spin parameter that take it from the library, not from a caller
+SPIN_EXEMPT = dict.fromkeys(
+    ["husimi.QGrid", "multipole.MultipoleSpectrum", "stokes.StokesTriple", "stokes.ReconstructionResult"],
+    "a result the library builds from a checked spin",
+)
+
+
+@pytest.mark.parametrize("where, param, call", SPIN_SWEEP, ids=[w for w, _, _ in SPIN_SWEEP])
+@pytest.mark.parametrize("value", BAD_SPINS.values(), ids=BAD_SPINS)
+def test_bad_spin_is_refused_by_name(where, param, call, value):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError) as exc:
+            call(value)
+    want = f"{param} must be an integer or half-integer with 2S in [0, MAX_TWO_S] = [0, {MAX_TWO_S}], got {value!r}"
+    assert str(exc.value) == want
+    assert caught == []
+
+
+@pytest.mark.parametrize("value", [1, 1.0, np.float64(1.0), HalfInt(2)], ids=["1", "1.0", "float64", "HalfInt(2)"])
+@pytest.mark.parametrize("where, param, call", SPIN_SWEEP, ids=[w for w, _, _ in SPIN_SWEEP])
+def test_spin_forms_of_one_shell_are_accepted(where, param, call, value):
+    call(value)
+
+
+def test_spin_range_ends_are_accepted():
+    assert maximally_mixed(0).spin.twice == 0
+    assert stokes_matrices(MAX_TWO_S / 2).sz.shape == (MAX_TWO_S + 1,) * 2
+    assert SearchProblem(HalfInt(MAX_TWO_S), 1).spin == MAX_TWO_S / 2
+
+
+def test_every_spin_parameter_is_swept_or_exempt():
+    found = set()
+    for module in MODULES:
+        mod = importlib.import_module(f"qpolar.{module}")
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception)):
+                found |= {(f"{module}.{name}", p) for p in inspect.signature(obj).parameters if p in ("S", "j", "spin")}
+    swept = {(where, param) for where, param, _ in SPIN_SWEEP}
+    assert sorted(k for k in found - swept if k[0] not in SPIN_EXEMPT) == []
+    assert sorted(set(SPIN_EXEMPT) - {where for where, _ in found}) == []
+    assert sorted(swept - found) == []
+
+
+class TestPayloadNumbers:
+    """Each form's numbers, and the weight, refuse a string, a bool, null, a nested list and a wrong length."""
+
+    VALID = {
+        "matrix": {"two_S": 0, "weight": 1.0, "form": "matrix", "data": [[[1.0, 0.0]]]},
+        "diag": {"two_S": 1, "weight": 1.0, "form": "diag", "data": [0.5, 0.5]},
+        "pure": {"two_S": 1, "weight": 1.0, "form": "pure", "data": [[1.0, 0.0], [0.0, 0.0]]},
+        "fock": {"two_S": 1, "weight": 1.0, "form": "fock", "data": {"two_m": 1}},
+        "coherent": {"two_S": 1, "weight": 1.0, "form": "coherent", "data": {"theta": 0.3, "phi": 0.2}},
+    }
+    # (form, the payload, the name the refusal starts with)
+    BAD = [
+        ("matrix", [[["1", 0.0]]], "matrix data[0][0][0] must be a finite number"),
+        ("matrix", [[[True, 0]]], "matrix data[0][0][0] must be a finite number"),
+        ("matrix", [[[1.0, None]]], "matrix data[0][0][1] must be a finite number"),
+        ("matrix", [[[[1.0], 0.0]]], "matrix data[0][0][0] must be a finite number"),
+        ("matrix", [[[1.0, 0.0], [0.0, 0.0]]], "matrix data[0] must be a list of 1 entries"),
+        ("matrix", [[1.0]], "matrix data[0][0] must be a list of 2 entries"),
+        ("matrix", [], "matrix data must be a list of 1 entries"),
+        ("diag", ["0.5", "0.5"], "diag data[0] must be a finite number"),
+        ("diag", [0.5, False], "diag data[1] must be a finite number"),
+        ("diag", [None, 0.5], "diag data[0] must be a finite number"),
+        ("diag", [[0.5], 0.5], "diag data[0] must be a finite number"),
+        ("diag", [1.0], "diag data must be a list of 2 entries"),
+        ("pure", [["1", 0.0], [0.0, 0.0]], "pure data[0][0] must be a finite number"),
+        ("pure", [[1.0, 0.0], [0.0, True]], "pure data[1][1] must be a finite number"),
+        ("pure", [None, [0.0, 0.0]], "pure data[0] must be a list of 2 entries"),
+        ("pure", [[1.0, [0.0]], [0.0, 0.0]], "pure data[0][1] must be a finite number"),
+        ("pure", [[1.0, 0.0, 0.0], [0.0, 0.0]], "pure data[0] must be a list of 2 entries"),
+        ("pure", [[1.0, 0.0]], "pure data must be a list of 2 entries"),
+        ("fock", {"two_m": "1"}, "fock two_m must be an integer in [-2S, 2S] = [-1, 1]"),
+        ("fock", {"two_m": True}, "fock two_m must be an integer in [-2S, 2S] = [-1, 1]"),
+        ("fock", {"two_m": None}, "fock two_m must be an integer in [-2S, 2S] = [-1, 1]"),
+        ("fock", {"two_m": [1]}, "fock two_m must be an integer in [-2S, 2S] = [-1, 1]"),
+        ("fock", {"two_m": 1.0}, "fock two_m must be an integer in [-2S, 2S] = [-1, 1]"),
+        ("coherent", {"theta": "0.3", "phi": 0.2}, "coherent theta must be a finite number"),
+        ("coherent", {"theta": 0.3, "phi": True}, "coherent phi must be a finite number"),
+        ("coherent", {"theta": None, "phi": 0.2}, "coherent theta must be a finite number"),
+        ("coherent", {"theta": [0.3], "phi": 0.2}, "coherent theta must be a finite number"),
+        ("coherent", {"theta": 0.3}, "coherent data must be {'theta': number, 'phi': number}"),
+    ]
+
+    @staticmethod
+    def _refused(tmp_path, capsys, sector, message):
+        with pytest.raises(SchemaError) as exc:
+            state_from_dict({"sectors": [sector]})
+        assert str(exc.value).startswith(message), str(exc.value)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"sectors": [sector]}))
+        capsys.readouterr()
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}") and captured.out == ""
+
+    @pytest.mark.parametrize("form, data, message", BAD, ids=[f"{f}-{i}" for i, (f, _, _) in enumerate(BAD)])
+    def test_bad_payload_is_refused_by_form_and_entry(self, tmp_path, capsys, form, data, message):
+        state_from_dict({"sectors": [self.VALID[form]]})  # the payload is the only fault
+        self._refused(tmp_path, capsys, {**self.VALID[form], "data": data}, message)
+
+    def test_numbers_that_only_the_entry_by_entry_read_takes_give_the_same_state(self):
+        # numpy floats are numbers, but not the types JSON gives, so the whole-list check passes them on
+        slow = {**self.VALID["pure"], "data": [[np.float64(1.0), 0.0], [0.0, 0.0]]}
+        want = state_from_dict({"sectors": [self.VALID["pure"]]}).entries[0][1].rho
+        assert state_from_dict({"sectors": [slow]}).entries[0][1].rho.tobytes() == want.tobytes()
+
+    def test_integers_past_the_float_range_are_named_even_when_their_sum_is_finite(self):
+        with pytest.raises(SchemaError, match=r"^diag data\[0\] must be a finite number, got 1000"):
+            state_from_dict({"sectors": [{**self.VALID["diag"], "data": [10**400, -(10**400)]}]})
+
+    @pytest.mark.parametrize("weight", ["1", True, None, [1.0]], ids=["string", "bool", "null", "list"])
+    def test_bad_weight_is_refused_by_name(self, tmp_path, capsys, weight):
+        self._refused(tmp_path, capsys, {**self.VALID["diag"], "weight": weight}, "weight must be a finite number")
+
+
+PRESET_KEYS = ("two_s", "theta", "phi", "alpha", "beta", "lam")  # every key `qpolar make-state` passes
+
+
+class TestPresetArguments:
+    @pytest.mark.parametrize("name, key", [(n, k) for n in sorted(PRESETS) for k in PRESET_KEYS
+                                           if k not in PRESETS[n][2]])
+    def test_a_key_the_preset_does_not_read_is_refused(self, name, key):
+        with pytest.raises(ValueError, match=f"^{key} is not read by preset {name!r}"):
+            preset_state(name, **{key: 0.25 if key != "two_s" else 3})
+
+    def test_the_first_unread_key_is_named(self):
+        with pytest.raises(ValueError, match="^theta is not read by preset 'eq27-3p', which takes no arguments$"):
+            preset_state("eq27-3p", theta=0.1, lam=3.0)
+        with pytest.raises(ValueError, match="^two_s is not read by preset 'eq23-pson', which takes alpha, beta$"):
+            preset_state("eq23-pson", two_s=7)
+
+    @pytest.mark.parametrize(
+        "name, args, two_s",
+        [("eq15-coherent", {"theta": 0.5, "phi": 1.0, "two_s": 4}, 4), ("eq23-pson", {"alpha": 0.3, "beta": 1.0}, 2),
+         ("eq24-diag2", {"lam": 0.1}, 2), ("eq29-diag32nd", {"lam": 0.25}, 3)],
+    )
+    def test_the_keys_a_preset_reads_are_accepted(self, name, args, two_s):
+        state = state_from_dict(preset_state(name, **args))
+        assert state.spins[0].twice == two_s
+
+    def test_cli_refuses_an_unread_key_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        capsys.readouterr()
+        assert main(["make-state", "eq23-pson", "--two-s", "7", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: two_s is not read by preset 'eq23-pson'")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("K, q, name", [(2.5, 0, "K"), (True, 0, "K"), ("1", 0, "K"), (1, 0.5, "q"), (1, False, "q"),
+                                        (np.float64(1.0), 0, "K")])
+def test_component_refuses_a_rank_or_index_that_is_no_integer(K, q, name):
+    spec = state_multipoles(maximally_mixed(1))
+    with pytest.raises(ValueError, match=f"^{name} must be an integer in "):
+        spec.component(K, q)
+    assert spec.component(np.int64(2), -1) == spec.component(2, -1)
+    with pytest.raises(KeyError):
+        spec.component(1, 2)

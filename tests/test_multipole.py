@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qpolar.catalog as catalog
-from qpolar.angmom import half, m_range
+from qpolar.angmom import half
 from qpolar.multipole import (
     _basis,
     _coherent_maxima,
@@ -38,6 +38,7 @@ from qpolar.states import (
 from qpolar.stokes import stokes_matrices
 
 from cg_reference import clebsch_gordan, racah_basis
+from shell_reference import m_range
 
 
 def all_tensors(S):

@@ -918,3 +918,24 @@ class TestFamilyScanColumns:
         # test_three_photon_refuses_bad_points[three-entries] is the case where it would drop an entry
         with pytest.raises(ValueError, match=re.escape("grid point 0 = (0.5,) is not")):
             scan_three_photon_family("first-order", [(0.5,), (0.2, 0.3, 0.4)])
+
+
+class TestDiagonalSolverPicksTheBestVertex:
+    def test_best_vertex_is_not_the_first(self):
+        # at 2S = 5, order 3 the first vertex has purity 0.288; the best, found later, 13/36
+        res = max_purity_unpolarized(SearchProblem(2.5, 3, constraint_class="diagonal"))
+        assert res.history[0].objective < 0.29
+        assert_allclose(res.objective, 13 / 36, atol=1e-12)
+        assert res.objective == max(rec.objective for rec in res.history)
+
+    def test_no_vertex_is_infeasible(self, monkeypatch, capsys):
+        # the maximally mixed point keeps the polytope of valid input non-empty, so it always has a vertex;
+        # the guard is reached by removing every vertex
+        monkeypatch.setattr(search, "_diag_vertices", lambda S, order: np.zeros((0, S.twice + 1)))
+        with pytest.raises(search.InfeasibleError, match="^no feasible diagonal state at order 1 for spin 3/2$"):
+            max_purity_unpolarized(SearchProblem(1.5, 1, constraint_class="diagonal"))
+        from qpolar.cli import main
+
+        capsys.readouterr()
+        assert main(["search", "--two-s", "3", "--order", "1", "--class", "diagonal"]) == 3
+        assert capsys.readouterr().err == "error: no feasible diagonal state at order 1 for spin 3/2\n"

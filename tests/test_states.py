@@ -12,6 +12,7 @@ from qpolar.angmom import EulerAngles, half
 from qpolar.states import (
     Direction,
     SpinSector,
+    as_shells,
     assemble,
     coherent_amplitudes,
     diag_sector,
@@ -26,9 +27,8 @@ from qpolar.states import (
     su2_coherent,
     validate,
 )
-from qpolar.stokes import spin_along
 
-from shell_reference import total_variance
+from shell_reference import spin_along, total_variance
 
 
 class TestDirection:
@@ -273,3 +273,49 @@ class TestPolarizationState:
             assemble([(0.5, maximally_mixed(1)), (0.5, maximally_mixed(1))])
         with pytest.raises(ValueError):
             assemble([(-0.1, maximally_mixed(1)), (1.1, maximally_mixed(0.5))])
+
+
+class TestRefusalsAndViews:
+    def test_direction_refuses_non_finite_angles_and_the_zero_vector(self):
+        for theta, phi in [(math.nan, 0.0), (0.3, math.inf)]:
+            with pytest.raises(ValueError, match="^direction angles must be finite$"):
+                Direction(theta, phi)
+        with pytest.raises(ValueError, match="^zero vector has no direction$"):
+            Direction.from_vector([0.0, 0.0, 0.0])
+
+    def test_trace_deviation_is_reported(self):
+        rep = validate(SpinSector(0.5, np.eye(2), validate=False))
+        assert not rep.trace_ok and rep.message() == "trace deviation 1.000e+00"
+
+    def test_matrix_of_the_wrong_size_is_refused(self):
+        with pytest.raises(ValueError, match=r"^expected a 3x3 matrix for spin 1, got \(2, 2\)$"):
+            SpinSector(1, np.eye(2) / 2)
+
+    def test_sector_repr(self):
+        assert repr(maximally_mixed(1.5)) == "SpinSector(spin=3/2, dim=4)"
+
+    def test_non_finite_or_off_unit_sum_eigenvalues_and_amplitudes_of_the_wrong_length_are_refused(self):
+        with pytest.raises(ValueError, match="^eigenvalues must be finite$"):
+            diag_sector(1, [math.nan, 0.5, 0.5])
+        with pytest.raises(ValueError, match="^eigenvalues sum to 0.875, expected 1$"):
+            diag_sector(1, [0.5, 0.25, 0.125])
+        with pytest.raises(ValueError, match=r"^expected 3 amplitudes for spin 1, got \(2,\)$"):
+            pure_sector(1, [1.0, 0.0])
+
+    def test_polarization_state_refuses_no_shells_and_entries_that_are_no_sectors(self):
+        with pytest.raises(ValueError, match="^polarization state needs at least one shell$"):
+            assemble([])
+        with pytest.raises(ValueError, match=r"^entries must be \(weight, SpinSector\) pairs$"):
+            assemble([(1.0, np.eye(2) / 2)])
+
+    def test_polarization_state_views(self):
+        state = assemble([(0.3, maximally_mixed(0.5)), (0.7, maximally_mixed(1))])
+        assert len(state) == 2
+        assert repr(state) == "PolarizationState(S=1/2:0.3, S=1:0.7)"
+        with pytest.raises(KeyError, match="no shell with spin 2"):
+            state.sector(2)
+
+    @pytest.mark.parametrize("view", [as_shells, purity])
+    def test_views_refuse_what_is_no_state(self, view):
+        with pytest.raises(TypeError, match="^expected SpinSector or PolarizationState, got ndarray$"):
+            view(np.eye(2) / 2)

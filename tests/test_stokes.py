@@ -34,13 +34,12 @@ from qpolar.stokes import (
     moments_to_multipoles,
     read_moments,
     sample_moments,
-    spin_along,
     stokes_matrices,
     tomography_directions,
     write_moments,
 )
 
-from shell_reference import project_multipole_free, total_variance
+from shell_reference import project_multipole_free, spin_along, total_variance
 
 
 def reference_moments(sector, direction, max_ell):
@@ -427,3 +426,16 @@ class TestReconstruction:
         for a, b in zip(samples, back):
             assert a.ell == b.ell and abs(a.value - b.value) < 1e-16
             assert abs(a.direction.theta - b.direction.theta) < 1e-16
+
+
+class TestReconstructionRefusals:
+    def test_no_samples_are_refused(self):
+        with pytest.raises(ValueError, match="^no moment samples given$"):
+            moments_to_multipoles([], 1, 1)
+
+    def test_rank_deficient_direction_set_is_refused(self):
+        # on the equator d^1_00 and d^2_10 vanish: five distinct directions, but rho_10 and rho_21 are not seen
+        equator = [Direction(math.pi / 2, phi) for phi in (0.0, 1.0, 2.0, 3.0, 4.0)]
+        samples = sample_moments(random_sector(1, np.random.default_rng(3)), equator, 2)
+        with pytest.raises(IllConditionedError, match="^direction set is rank deficient: singular values span"):
+            moments_to_multipoles(samples, 1, 2)
