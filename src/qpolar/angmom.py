@@ -59,6 +59,12 @@ def _check_spin(name: str, value) -> HalfInt:
                      f"got {value!r}")
 
 
+def _check_real(name: str, value) -> None:
+    """Refuse a value that is no real number, a bool included, by name; finiteness is the caller's test."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def _check_tol(tol) -> None:
     """Refuse a tolerance that is not a positive, finite real number, a bool included."""
     if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
@@ -176,7 +182,7 @@ class EulerAngles:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
-            v = getattr(self, name)
+            _check_real(name, v := getattr(self, name))
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
 

@@ -7,9 +7,11 @@
   support, where all its entries are positive.
 * general mixed — rho = V V^dagger / |V|^2 with V of size d x (K+1), which
   loses no optimum (Barvinok-Pataki).  A restart retracts a random V onto
-  A_K = 0, then steps along the purity gradient projected onto its tangent
-  space and retracts again, halving the step when purity does not rise,
-  until that projected gradient passes a first-order test.
+  A_K = 0, then steps along the purity gradient g projected onto its tangent
+  space and retracts again, until g passes a first-order test.  The step
+  halves when purity does not rise; at each new point it is the two-point
+  (Barzilai-Borwein) length |g| |dx|^2 / (-dx.dg) of the last move, at most
+  1/2, and is kept when that curvature is not positive.
 * pure — the rank-1 case: A_K is minimized from random amplitudes; A_K <
   1e-10 certifies an anticoherent state, a reported minimum otherwise.
 
@@ -234,8 +236,8 @@ def _levenberg_marquardt(x: np.ndarray, S: HalfInt, order: int, rank: int, max_i
     f = float(u @ u)
     small = m <= x.size
     for it in range(max_iter):
-        g = J.T @ u
-        if f < 1e-24 or np.linalg.norm(g) < gtol:
+        g = J.T @ u if gtol > 0.0 or not small else None  # a retraction (gtol = 0) with J J^T reads no g
+        if f < 1e-24 or g is not None and np.linalg.norm(g) < gtol:
             return x, f, J, it, "converged"
         gram = J @ J.T if small else J.T @ J
         while True:
@@ -282,7 +284,7 @@ def _ascend_general(problem: SearchProblem, V0: np.ndarray):
     x, f, J, V, rho, best = retract(_coords(V0))
     if not f < 1e-24:
         return V, best, f, 0, "stalled"
-    step, iters, moved = 0.5, 0, True
+    step, iters, moved, last = 0.5, 0, True, None
     while step > 1e-10 and iters < ASCENT_MAX_STEPS:
         if moved:
             # the purity gradient rho V - Tr(rho^2) V less its least-squares fit by the rows of J:
@@ -293,6 +295,13 @@ def _ascend_general(problem: SearchProblem, V0: np.ndarray):
             norm = np.linalg.norm(g)
             if norm <= ASCENT_GTOL * np.linalg.norm(rhoV):
                 return V, best, f, iters, "converged"
+            if last is not None:
+                # two-point (Barzilai-Borwein) step: the curvature measured along the last accepted move
+                dx, dg = x - last[0], g - last[1]
+                curv = -float(dx @ dg)
+                if curv > 0.0:
+                    step = min(norm * float(dx @ dx) / curv, 0.5)
+            last = x, g
         iters += 1
         y, fy, Jy, W, cand, p = retract(x + (step / norm) * g)
         moved = fy < 1e-24 and p > best + 1e-15

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angmom import EulerAngles, HalfInt, _check_int, _check_spin, _check_tol, _d_column, half, wigner_D
+from .angmom import EulerAngles, HalfInt, _check_int, _check_real, _check_spin, _check_tol, _d_column, half, wigner_D
 
 __all__ = [
     "DEFAULT_TOL",
@@ -48,6 +48,8 @@ class Direction:
     phi: float
 
     def __post_init__(self):
+        _check_real("theta", self.theta)
+        _check_real("phi", self.phi)
         if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
             raise ValueError("direction angles must be finite")
         if not 0.0 <= self.theta <= math.pi:
@@ -163,7 +165,11 @@ def validate(sector: SpinSector, tol: float = DEFAULT_TOL) -> ValidationReport:
 
 def fock_sector(S, m) -> SpinSector:
     """Pure basis state |S,m><S,m|."""
-    S, m = _check_spin("S", S), half(m)
+    S = _check_spin("S", S)
+    try:
+        m = half(m)
+    except ValueError:
+        raise ValueError(f"m must be an integer or half-integer, got {m!r}") from None
     if abs(m.twice) > S.twice or (S.twice - m.twice) % 2 != 0:
         raise ValueError(f"m = {m} is not a valid projection for S = {S}")
     rho = np.zeros((S.twice + 1, S.twice + 1), dtype=complex)
@@ -270,7 +276,7 @@ class PolarizationState:
         return [sec.spin for _, sec in self.entries]
 
     def sector(self, S) -> SpinSector:
-        S = half(S)
+        S = _check_spin("S", S)
         for _, sec in self.entries:
             if sec.spin == S:
                 return sec

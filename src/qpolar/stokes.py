@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,11 +230,14 @@ def moments_to_multipoles(samples, S, k_max: int) -> ReconstructionResult:
         i = next(i for i, s in enumerate(rows) if not (hasattr(s, "__len__") and len(s) == 3))
         raise ValueError(f"moment sample {i} is not a (Direction, order, value) triple: {rows[i]!r}") from None
     named = lambda i: MomentSample(directions[i], ells[i], raw[i])  # a bad sample, as the error names it
+    if any(t is bool or not issubclass(t, numbers.Real) for t in set(map(type, raw))):  # fromiter takes '0.0', True
+        i = next(i for i, v in enumerate(raw) if isinstance(v, bool) or not isinstance(v, numbers.Real))
+        raise ValueError(f"moment sample {i} has value {raw[i]!r}, not a real number: {named(i)}")
     try:
         values = np.fromiter(raw, float, len(raw))
-    except (TypeError, ValueError):  # some value is no real number: name the first
-        i = next(i for i, v in enumerate(raw) if not isinstance(v, numbers.Real))
-        raise ValueError(f"moment sample {i} has value {raw[i]!r}, not a real number: {named(i)}") from None
+    except OverflowError:  # an integer past the float range: name the first
+        i = next(i for i, v in enumerate(raw) if not abs(v) <= sys.float_info.max)
+        raise ValueError(f"moment sample {i} has a value outside the float range: {named(i)}") from None
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise ValueError(f"moment sample {bad[0]} has a non-finite value: {named(bad[0])}")

@@ -42,6 +42,7 @@ from qpolar.search import SearchProblem, anticoherence_gradient, anticoherence_o
 from qpolar.stateio import MAX_TWO_S, SchemaError, state_from_dict
 from qpolar.states import (
     Direction,
+    PolarizationState,
     SpinSector,
     coherent_amplitudes,
     diag_sector,
@@ -129,11 +130,11 @@ SWEEP = [
 EXEMPT = {
     "angmom.HalfInt": "twice a quantum number: any integer, checked by HalfInt itself",
     "angmom.wigner_small_d": "beta is an angle, refused when non-finite",
-    "angmom.EulerAngles": "angles, refused when non-finite",
+    "angmom.EulerAngles": "angles, refused when no real number or non-finite",
     "catalog.two_photon_pure_unpolarized": "alpha and beta are state parameters, not counts",
     "catalog.two_photon_diag_unpolarized": "lam is a state parameter, range-checked by the builder",
     "catalog.three_photon_first_order_eigs": "lam3 and lam4 are family coordinates, not counts",
-    "states.Direction": "theta and phi are angles, range-checked by Direction",
+    "states.Direction": "theta and phi are angles, type- and range-checked by Direction",
     "stokes.MomentSample": "a record; moments_to_multipoles checks each sample's order and names it",
     **dict.fromkeys(
         ["multipole.MultipoleSpectrum", "multipole.ShellReport", "multipole.PolarizationReport",
@@ -196,6 +197,26 @@ def test_coherent_amplitudes_refuse_non_finite_angles(theta, phi):
         coherent_amplitudes(1, theta, phi)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: Direction("0.3", 0.2), "theta must be a real number, got '0.3'"),
+     (lambda: Direction(0.3, True), "phi must be a real number, got True"),
+     (lambda: EulerAngles("0.1", 0.0, 0.0), "alpha must be a real number, got '0.1'"),
+     (lambda: EulerAngles(0.1, None, 0.0), "beta must be a real number, got None"),
+     (lambda: EulerAngles(0.1, 0.0, [0.0]), "gamma must be a real number, got [0.0]"),
+     (lambda: fock_sector(1, 0.25), "m must be an integer or half-integer, got 0.25"),
+     (lambda: fock_sector(1, "x"), "m must be an integer or half-integer, got 'x'"),
+     (lambda: PolarizationState([(1.0, SECTOR)]).sector("x"),
+      f"S must be an integer or half-integer with 2S in [0, MAX_TWO_S] = [0, {MAX_TWO_S}], got 'x'")],
+    ids=["direction-theta", "direction-phi", "euler-alpha", "euler-beta", "euler-gamma", "fock-m-quarter",
+         "fock-m-string", "shell-lookup-S"],
+)
+def test_angle_or_projection_that_is_no_number_is_refused_by_name(call, message):
+    # these once raised numpy's or math's TypeError, or named no argument
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 class TestMomentSamples:
     @pytest.mark.parametrize(
         "bad, message",
@@ -204,8 +225,13 @@ class TestMomentSamples:
          ((Direction(0.1, 0.2), 1, 0.5, 0.0), "is not a (Direction, order, value) triple"),
          (0.5, "is not a (Direction, order, value) triple"),
          ((Direction(0.1, 0.2), 1, "x"), "has value 'x', not a real number"),
-         ((Direction(0.1, 0.2), 1, [0.5]), "has value [0.5], not a real number")],
-        ids=["tuple-direction", "two-entries", "four-entries", "number", "string-value", "list-value"],
+         ((Direction(0.1, 0.2), 1, [0.5]), "has value [0.5], not a real number"),
+         ((Direction(0.1, 0.2), 1, "0.0"), "has value '0.0', not a real number"),
+         ((Direction(0.1, 0.2), 1, True), "has value True, not a real number"),
+         ((Direction(0.1, 0.2), 1, np.True_), "has value np.True_, not a real number"),
+         ((Direction(0.1, 0.2), 1, -10**400), "has a value outside the float range")],
+        ids=["tuple-direction", "two-entries", "four-entries", "number", "string-value", "list-value",
+             "numeric-string-value", "bool-value", "numpy-bool-value", "int-past-float-range"],
     )
     def test_malformed_sample_is_named_by_index(self, bad, message):
         samples = [(s.direction, s.ell, s.value) for s in SAMPLES]

@@ -381,10 +381,11 @@ class TestGeneralSolver:
         assert abs(res.objective - 1.0) < 1e-9
 
     def test_ten_photon_fourth_order_optimum(self):
-        # one restart from seed 0 reaches the rank-2 optimum 0.8528
+        # one restart from seed 0 reaches the rank-2 optimum 0.8528, in fewer than the 67 steps of halving alone
         res = max_purity_unpolarized(SearchProblem(5, 4, restarts=1, seed=0))
         assert abs(res.objective - 0.8528) < 1e-9
         assert res.stop_reasons["converged"] == 1
+        assert res.history[0].iterations < 67
 
     def test_step_floor_still_ends_a_restart(self, monkeypatch):
         # with the first-order stop switched off, the step halves down to 1e-10, the safety net
@@ -394,7 +395,7 @@ class TestGeneralSolver:
         assert res.stop_reasons["converged"] == 1
         assert res.history[0].iterations < search.ASCENT_MAX_STEPS
 
-    @pytest.mark.parametrize("twice_s,order,seed", [(2, 1, 0), (3, 2, 1), (6, 3, 0), (10, 4, 0)])
+    @pytest.mark.parametrize("twice_s,order,seed", [(2, 1, 1), (3, 2, 3), (6, 3, 1), (10, 4, 0)])
     def test_one_projection_per_accepted_point(self, monkeypatch, twice_s, order, seed):
         # a rejected step leaves the point as it was, so the tangent direction is not recomputed
         solves, retractions = [], []
@@ -428,6 +429,52 @@ class TestGeneralSolver:
         assert best == rec.objective
         assert 0 < accepted < rec.iterations
         assert len(solves) == accepted + 1
+
+    @pytest.mark.parametrize("twice_s,order,seed", [(3, 1, 1), (6, 3, 2), (5, 4, 2)])
+    def test_step_lengths_follow_the_two_point_rule(self, monkeypatch, twice_s, order, seed):
+        # replay every trial step from the retractions and the projected gradients the ascent computed;
+        # each case meets a secant of non-positive curvature, where the step is kept: at 1/2 in the
+        # first two, and 31 times at 2.8e-3 in the third
+        gradients, retractions = [], []
+        lstsq, lm = np.linalg.lstsq, search._levenberg_marquardt
+
+        def recording_lstsq(a, b, **kwargs):
+            out = lstsq(a, b, **kwargs)
+            gradients.append(b - a @ out[0])
+            return out
+
+        def recording_lm(x, *args, **kwargs):
+            out = lm(x, *args, **kwargs)
+            retractions.append((x, out[0], out[1]))
+            return out
+
+        monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+        monkeypatch.setattr(search, "_levenberg_marquardt", recording_lm)
+        res = max_purity_unpolarized(SearchProblem(twice_s / 2, order, restarts=1, seed=seed))
+        assert res.history[0].reason == "converged"
+
+        def purity(x):
+            V = search._factor(x, twice_s + 1)
+            rho = V @ V.conj().T
+            return float(np.vdot(rho, rho).real)
+
+        x, g = retractions[0][1], gradients[0]
+        best, step, k, kept = purity(x), 0.5, 0, set()
+        for trial, y, fy in retractions[1:]:
+            assert np.linalg.norm(trial - x) == pytest.approx(step, rel=1e-9, abs=1e-14)
+            if not (fy < 1e-24 and purity(y) > best + 1e-15):
+                step *= 0.5
+                continue
+            k += 1
+            dx, dg = y - x, gradients[k] - g
+            x, g, best = y, gradients[k], purity(y)
+            curv = -float(dx @ dg)
+            if curv > 0.0:
+                step = min(np.linalg.norm(g) * float(dx @ dx) / curv, 0.5)
+            else:
+                kept.add(k)
+        assert k == len(gradients) - 1
+        assert kept - {k}  # the last accepted point converged and set no step
 
     @pytest.mark.parametrize("twice_s,order,seed", [(2, 1, 0), (3, 2, 0), (6, 3, 1), (10, 4, 0)])
     def test_converged_restarts_meet_the_first_order_test(self, twice_s, order, seed):
@@ -663,9 +710,10 @@ class TestStopReasons:
         assert [(rec.reason, rec.iterations) for rec in res.history] == [("max-iter", 3)] * 2
 
     def test_general_step_budget(self, monkeypatch):
-        monkeypatch.setattr(search, "ASCENT_MAX_STEPS", 5)
+        # both restarts need 4 or more steps to converge (4 and 5)
+        monkeypatch.setattr(search, "ASCENT_MAX_STEPS", 3)
         res = max_purity_unpolarized(SearchProblem(1, 1, restarts=2))
-        assert [(rec.reason, rec.iterations) for rec in res.history] == [("max-iter", 5)] * 2
+        assert [(rec.reason, rec.iterations) for rec in res.history] == [("max-iter", 3)] * 2
 
     def test_general_and_diagonal_restarts_converge(self):
         general = max_purity_unpolarized(SearchProblem(1, 1, restarts=2))
