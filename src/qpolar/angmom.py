@@ -11,8 +11,10 @@ D(alpha, beta, gamma) = exp(-i alpha Jz) exp(-i beta Jy) exp(-i gamma Jz).
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,6 +30,7 @@ __all__ = [
 ]
 
 MAX_TWO_S = 200  # the spin range the numerics are verified over (see README)
+_LISTS = {list, tuple, range}  # the types a list of numbers may have, besides an ndarray
 
 
 def _is_int(value) -> bool:
@@ -59,15 +62,78 @@ def _check_spin(name: str, value) -> HalfInt:
                      f"got {value!r}")
 
 
-def _check_real(name: str, value) -> None:
-    """Refuse a value that is no real number, a bool included, by name; finiteness is the caller's test."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+def _check_reals(name: str, value, shape: tuple | None = (), complex_ok: bool = False):
+    """`value` as finite real (with complex_ok, complex) numbers: a float array of `shape`, a float for ().
+
+    A None first length in `shape` takes any length; `shape=None` takes a number or an ndarray of any
+    shape, which broadcasts.  An ndarray of integer or float (or complex) dtype is read whole, and nested
+    lists, tuples and ranges with one pass over the set of their entry types.  A bool, a string, None, a
+    NaN, an infinity or an integer past the float range is refused: only then is `value` walked, to name
+    the first bad entry, as "name[i][j] must be a finite number, got ..." or "name[i] must be a list of
+    n entries, got ...".
+    """
+    kind, dtype = (numbers.Complex, complex) if complex_ok else (numbers.Real, float)
+    if shape is None:
+        shape = value.shape if isinstance(value, np.ndarray) else ()
+    if not (shape or isinstance(value, np.ndarray)):
+        return dtype(_walk_reals(name, value, (), kind))
+    dims = [-1 if n is None else n for n in shape]
+    if isinstance(value, np.ndarray) and value.dtype.kind in ("iufc" if complex_ok else "iuf"):
+        if value.ndim == len(dims) and all(n in (-1, m) for n, m in zip(dims, value.shape)):
+            arr = np.array(value, dtype)
+            if np.isfinite(arr).all():
+                return arr if arr.ndim else dtype(arr)
+    elif type(value) in _LISTS and shape[0] in (None, len(value)):
+        flat = value
+        for n in shape[1:]:  # each level a list of lists of n entries, flattened into the next
+            if not (set(map(type, flat)) <= _LISTS and set(map(len, flat)) <= {n}):
+                break
+            flat = list(itertools.chain.from_iterable(flat))
+        else:
+            try:  # a NaN or an infinity is caught by isfinite, an integer past the float range overflows
+                if all(t is not bool and issubclass(t, kind) for t in set(map(type, flat))):
+                    arr = np.array(flat, dtype).reshape(dims)
+                    if np.isfinite(arr).all():
+                        return arr
+            except OverflowError:
+                pass
+    # a valid input read here is one the whole reads pass on, such as a list of ndarray rows
+    return np.array(_walk_reals(name, value, shape, kind), dtype).reshape(dims)
+
+
+def _walk_reals(name: str, value, shape: tuple, kind: type):
+    """`value` read entry by entry as nested lists of `shape`, naming the first entry `_check_reals` refuses."""
+    if shape:
+        if not ((type(value) in _LISTS or isinstance(value, np.ndarray) and value.ndim)
+                and shape[0] in (None, len(value))):
+            count = "" if shape[0] is None else f" of {shape[0]} entries"
+            raise ValueError(f"{name} must be a list{count}, got {value!r}")
+        return [_walk_reals(f"{name}[{i}]", x, shape[1:], kind) for i, x in enumerate(value)]
+    if isinstance(value, bool) or not isinstance(value, kind) or not (
+            abs(value.real) <= sys.float_info.max and abs(value.imag) <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def _check_type(name: str, value, cls: type):
+    """`value` if it is a `cls`; anything else raises a ValueError naming the argument."""
+    if isinstance(value, cls):
+        return value
+    raise ValueError(f"{name} must be of type {cls.__name__}, got {value!r}")
+
+
+def _check_each(name: str, values, cls: type) -> list:
+    """`values` as a list of `cls` entries, checked by the set of their types; the first that is none is named."""
+    values = list(values)
+    if not all(issubclass(t, cls) for t in set(map(type, values))):
+        i = next(i for i, v in enumerate(values) if not isinstance(v, cls))
+        _check_type(f"{name}[{i}]", values[i], cls)
+    return values
 
 
 def _check_tol(tol) -> None:
     """Refuse a tolerance that is not a positive, finite real number, a bool included."""
-    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0 < tol <= sys.float_info.max):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
@@ -80,10 +146,6 @@ class HalfInt:
         if not _is_int(twice):
             raise ValueError(f"twice must be an integer, got {twice!r}")
         self.twice = int(twice)
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
 
     def __float__(self) -> float:
         return self.twice / 2.0
@@ -98,12 +160,10 @@ class HalfInt:
         return hash(self.twice)
 
     def __repr__(self):
-        if self.is_integer:
-            return f"HalfInt({self.twice // 2})"
-        return f"HalfInt({self.twice}/2)"
+        return f"HalfInt({self})"
 
     def __str__(self):
-        return str(self.twice // 2) if self.is_integer else f"{self.twice}/2"
+        return f"{self.twice}/2" if self.twice % 2 else str(self.twice // 2)
 
 
 def half(value) -> HalfInt:
@@ -165,9 +225,7 @@ def wigner_small_d(j, beta: float) -> np.ndarray:
     descending from +j.
     """
     j = _check_spin("j", j)
-    beta = float(beta)
-    if not math.isfinite(beta):
-        raise ValueError("beta must be finite")
+    beta = _check_reals("beta", beta)
     lam, vecs = _jy_eigen(j.twice)
     return ((vecs * np.exp(-1j * beta * lam)) @ vecs.conj().T).real
 
@@ -182,14 +240,13 @@ class EulerAngles:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
-            _check_real(name, v := getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
+            object.__setattr__(self, name, _check_reals(name, getattr(self, name)))
 
 
 def wigner_D(j, angles: EulerAngles) -> np.ndarray:
     """Wigner D-matrix D^j_{m'm} = exp(-i m' alpha) d^j_{m'm}(beta) exp(-i m gamma)."""
     j = _check_spin("j", j)
+    angles = _check_type("angles", angles, EulerAngles)
     d = wigner_small_d(j, angles.beta)
     ms = np.arange(j.twice, -j.twice - 1, -2) / 2.0  # m descending
     return (
@@ -201,6 +258,7 @@ def wigner_D(j, angles: EulerAngles) -> np.ndarray:
 
 def rotation_matrix(angles: EulerAngles) -> np.ndarray:
     """The 3x3 orthogonal matrix Rz(alpha) Ry(beta) Rz(gamma) of the same rotation."""
+    angles = _check_type("angles", angles, EulerAngles)
 
     def rz(t):
         c, s = math.cos(t), math.sin(t)

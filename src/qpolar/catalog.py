@@ -9,11 +9,10 @@ maximal-purity diagonal states.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .angmom import MAX_TWO_S, _check_int
+from .angmom import MAX_TWO_S, _check_int, _check_reals
 from .states import Direction, SpinSector, diag_sector, pure_sector
 
 __all__ = [
@@ -34,13 +33,14 @@ def two_photon_pure_unpolarized(alpha: float = 0.0, beta: float = math.pi / 2) -
     Amplitudes (e^{i a} sin b / sqrt2, cos b, -e^{-i a} sin b / sqrt2); every
     member has W_1 = 0 and W_2 = 2/3, saturating the second-order degree.
     """
+    alpha, beta = _check_reals("alpha", alpha), _check_reals("beta", beta)
     s = math.sin(beta) / math.sqrt(2.0)
     return pure_sector(1, [np.exp(1j * alpha) * s, math.cos(beta), -np.exp(-1j * alpha) * s])
 
 
 def two_photon_diag_unpolarized(lam: float) -> SpinSector:
     """diag(lam, 1-2lam, lam) on the S=1 shell, lam in [0, 1/2]."""
-    if not 0.0 <= lam <= 0.5:
+    if not 0.0 <= (lam := _check_reals("lam", lam)) <= 0.5:
         raise ValueError(f"lam = {lam} outside [0, 1/2]")
     return diag_sector(1, [lam, 1.0 - 2.0 * lam, lam])
 
@@ -52,7 +52,8 @@ def three_photon_pole_superposition() -> SpinSector:
 
 
 def three_photon_first_order_eigs(lam3: float, lam4: float) -> list[float]:
-    """Eigenvalues of the zero-dipole diagonal S=3/2 family, m descending."""
+    """Eigenvalues of the zero-dipole diagonal S=3/2 family, m descending; lam3 and lam4 may be arrays."""
+    lam3, lam4 = _check_reals("lam3", lam3, None), _check_reals("lam4", lam4, None)
     return [lam3 + 2.0 * lam4 - 0.5, -2.0 * lam3 - 3.0 * lam4 + 1.5, lam3, lam4]
 
 
@@ -122,6 +123,6 @@ def preset_state(name: str, **args) -> dict:
     for key, value in args.items():
         if key not in keys:
             raise ValueError(f"{key} is not read by preset {name!r}, which takes {', '.join(keys) or 'no arguments'}")
-        if isinstance(value, numbers.Real) and not -math.inf < value < math.inf:
-            raise ValueError(f"{key} must be finite, got {value!r}")
+        if key != "two_s":
+            args[key] = _check_reals(key, value)
     return {"sectors": [make(args)]}

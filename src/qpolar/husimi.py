@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angmom import HalfInt, _check_int, _d_column
+from .angmom import HalfInt, _check_each, _check_int, _d_column
 from .states import Direction, SpinSector
 
 __all__ = ["QGrid", "q_function", "q_values", "export_qgrid"]
@@ -92,6 +92,7 @@ def _grid_axes(t: int, n_theta: int, n_phi: int) -> tuple[np.ndarray, ...]:
 
 def q_values(sector: SpinSector, directions) -> np.ndarray:
     """Q at an arbitrary list of directions."""
+    directions = _check_each("directions", directions, Direction)
     thetas = np.array([d.theta for d in directions])
     phis = np.array([d.phi for d in directions])
     return np.einsum("kn,kn->n", _fourier(sector.rho, thetas), _phases(sector.spin.twice, phis))

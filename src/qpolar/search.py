@@ -28,18 +28,16 @@ budget ran out).
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .angmom import HalfInt, _check_int, _check_spin
+from .angmom import HalfInt, _check_int, _check_reals, _check_spin
 from .catalog import three_photon_first_order_eigs
 from .multipole import _basis_diagonal, _strengths_cumulative_degrees
 from .states import SpinSector, _ginibre, diag_sector, maximally_mixed, pure_sector
@@ -392,8 +390,8 @@ def anticoherence_objective(psi: np.ndarray, S, order: int) -> float:
     """A_order of the normalized pure state with amplitudes psi, 1 <= order <= 2S."""
     S = _check_spin("S", S)
     _check_int("order", order, 1, S.twice, span="[1, 2S]")
-    pure_sector(S, psi)  # refuses malformed, zero or overflowing amplitudes
-    psi = np.asarray(psi, dtype=complex)
+    psi = _check_reals("psi", psi, (S.twice + 1,), complex_ok=True)
+    pure_sector(S, psi)  # refuses zero or overflowing amplitudes
     u = _residual(_coords(psi / np.linalg.norm(psi)), S, order, 1, jacobian=False)
     return float(u @ u)
 
@@ -407,11 +405,7 @@ def anticoherence_gradient(x: np.ndarray, S, order: int) -> np.ndarray:
     """
     S = _check_spin("S", S)
     _check_int("order", order, 1, S.twice, span="[1, 2S]")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (2 * (S.twice + 1),):
-        raise ValueError(f"x must hold 2(2S + 1) = {2 * (S.twice + 1)} coordinates, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("x holds a non-finite coordinate")
+    x = _check_reals("x", x, (2 * (S.twice + 1),))
     with np.errstate(over="ignore"):
         if not 0.0 < float(x @ x) < math.inf:
             raise ValueError("x is zero, or its squared norm is outside the float range")
@@ -439,27 +433,6 @@ def pure_anticoherent_search(S, order: int, restarts: int = 64, seed: int = 0) -
     history = tuple(history)
     state = pure_sector(problem.spin, _factor(best_x, d)[:, 0])
     return SearchResult(problem, state, best_f, best_f, _digest(history), history)
-
-
-def _grid_points(grid, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """A scan grid as a float array [point, *shape]; a malformed or non-finite point is refused."""
-    if isinstance(grid, (str, bytes)) or not (isinstance(grid, Sequence) or isinstance(grid, np.ndarray) and grid.ndim):
-        raise ValueError(f"the grid must be a sequence of points, got {grid!r}")
-    try:
-        # fromiter stops silently at its count, so [(0.5,), (0.2, 0.3, 0.4)] would pass for two pairs unchecked
-        pts = (np.fromiter(itertools.chain.from_iterable(grid), float, 2 * len(grid)).reshape(-1, 2)
-               if shape == (2,) and not isinstance(grid, np.ndarray) and set(map(len, grid)) == {2}
-               else np.array(grid, dtype=float))  # a copy: no column aliases the caller's grid
-    except (TypeError, ValueError):  # points of unequal lengths, or entries that are no numbers
-        pts = None
-    if pts is None or pts.shape != (len(pts),) + shape or not np.isfinite(pts).all():
-        for i, point in enumerate(grid):
-            with contextlib.suppress(TypeError, ValueError):  # a ragged point, or entries that are no numbers
-                if np.shape(point) == shape and np.isfinite(np.asarray(point, dtype=float)).all():
-                    continue
-            raise ValueError(f"grid point {i} = {point!r} is not {what}")
-        pts = np.asarray(grid, dtype=float).reshape((0,) + shape)  # an empty grid
-    return pts
 
 
 def _diagonal_rows(p: np.ndarray):
@@ -507,7 +480,7 @@ def scan_two_photon_family(lams) -> FamilyScan:
     restricts lam to [0, 1/2].  Purity and the second-order degree are
     computed through the multipole machinery, not from closed forms.
     """
-    lams = _grid_points(lams, (), "a finite lam value")
+    lams = _check_reals("lams", lams, (None,))
     outside = (lams < 0.0) | (lams > 0.5)
     if outside.any():
         raise ValueError(f"lam = {lams[outside][0]} outside [0, 1/2]")
@@ -537,9 +510,9 @@ def scan_three_photon_family(kind: str, grid) -> FamilyScan:
     if kind not in ("first-order", "second-order"):
         raise ValueError(f"kind must be 'first-order' or 'second-order', got {kind!r}")
     if kind == "first-order":
-        lam3, lam4 = _grid_points(grid, (2,), "a finite (lam3, lam4) pair").T
+        lam3, lam4 = _check_reals("grid", grid, (None, 2)).T
     else:
-        lam4 = _grid_points(grid, (), "a finite lam4 value")
+        lam4 = _check_reals("grid", grid, (None,))
         lam3 = 1.0 - 3.0 * lam4
     with np.errstate(over="ignore", invalid="ignore"):  # eigenvalues past the float range are infeasible
         eigs = np.column_stack(three_photon_first_order_eigs(lam3, lam4))

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angmom import EulerAngles, HalfInt, _check_int, _check_real, _check_spin, _check_tol, _d_column, half, wigner_D
+from .angmom import (EulerAngles, HalfInt, _check_int, _check_reals, _check_spin, _check_tol, _check_type, _d_column,
+                     half, wigner_D)
 
 __all__ = [
     "DEFAULT_TOL",
@@ -48,10 +49,8 @@ class Direction:
     phi: float
 
     def __post_init__(self):
-        _check_real("theta", self.theta)
-        _check_real("phi", self.phi)
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError("direction angles must be finite")
+        for name in ("theta", "phi"):
+            object.__setattr__(self, name, _check_reals(name, getattr(self, name)))
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
         if not 0.0 <= self.phi < 2.0 * math.pi:
@@ -59,7 +58,7 @@ class Direction:
 
     @classmethod
     def from_vector(cls, v) -> "Direction":
-        v = np.asarray(v, dtype=float)
+        v = _check_reals("v", v, (3,))
         n = np.linalg.norm(v)
         if n == 0:
             raise ValueError("zero vector has no direction")
@@ -136,12 +135,7 @@ class SpinSector:
 
     def __init__(self, spin, rho, *, validate: bool = True):
         spin = _check_spin("spin", spin)
-        rho = np.array(rho, dtype=complex)
-        d = spin.twice + 1
-        if rho.shape != (d, d):
-            raise ValueError(f"expected a {d}x{d} matrix for spin {spin}, got {rho.shape}")
-        if not np.isfinite(rho).all():
-            raise ValueError("invalid density matrix: non-finite entries")
+        rho = _check_reals("rho", rho, (spin.twice + 1,) * 2, complex_ok=True)
         if validate:
             report = _diagnose(rho, DEFAULT_TOL)
             if not report.ok:
@@ -185,19 +179,18 @@ def coherent_amplitudes(S, theta, phi) -> np.ndarray:
     gives |S,S>.  Component on |S,m> is d^S_{m,S}(theta) exp(-i m phi), the
     rotation of |S,S> by Euler angles (phi, theta, 0), with the m = S column
     of d^S read from the same Jy eigendecomposition as `wigner_small_d`.
-    theta and phi broadcast against each other; the basis index is the last
-    axis.
+    theta and phi, numbers or ndarrays, broadcast against each other; the
+    basis index is the last axis.
     """
     t = _check_spin("S", S).twice
-    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
-    if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
-        raise ValueError("theta and phi must be finite")
+    theta, phi = _check_reals("theta", theta, None), np.asarray(_check_reals("phi", phi, None))
     ms = np.arange(t, -t - 1, -2) / 2.0  # m descending
     return _d_column(t, 0, theta) * np.exp(-1j * ms * phi[..., None])
 
 
 def su2_coherent(S, direction: Direction) -> SpinSector:
     """Pure spin coherent state along `direction` (eigenstate of n.S, eigenvalue +S)."""
+    direction = _check_type("direction", direction, Direction)
     amps = coherent_amplitudes(S, direction.theta, direction.phi)
     return SpinSector(S, np.outer(amps, amps.conj()), validate=False)
 
@@ -205,11 +198,7 @@ def su2_coherent(S, direction: Direction) -> SpinSector:
 def diag_sector(S, eigenvalues) -> SpinSector:
     """Diagonal sector diag(p_m) in the |S,m> basis (axially symmetric about z)."""
     S = _check_spin("S", S)
-    p = np.asarray(eigenvalues, dtype=float)
-    if p.shape != (S.twice + 1,):
-        raise ValueError(f"expected {S.twice + 1} eigenvalues for spin {S}, got {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("eigenvalues must be finite")
+    p = _check_reals("eigenvalues", eigenvalues, (S.twice + 1,))
     if np.any(p < -DEFAULT_TOL):
         raise ValueError(f"negative entry {p.min()} in eigenvalue list")
     if abs(p.sum() - 1.0) > DEFAULT_TOL:
@@ -220,9 +209,7 @@ def diag_sector(S, eigenvalues) -> SpinSector:
 def pure_sector(S, amplitudes) -> SpinSector:
     """Normalized pure state |psi><psi| from amplitudes in the |S,m> basis."""
     S = _check_spin("S", S)
-    v = np.asarray(amplitudes, dtype=complex)
-    if v.shape != (S.twice + 1,):
-        raise ValueError(f"expected {S.twice + 1} amplitudes for spin {S}, got {v.shape}")
+    v = _check_reals("amplitudes", amplitudes, (S.twice + 1,), complex_ok=True)
     with np.errstate(over="ignore"):  # an overflowing norm is rejected just below
         n = np.linalg.norm(v)
     if n == 0 or not math.isfinite(n):
@@ -253,7 +240,7 @@ class PolarizationState:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        entries = tuple((float(w), sec) for w, sec in entries)
+        entries = tuple((_check_reals(f"entries[{i}][0]", w), sec) for i, (w, sec) in enumerate(entries))
         if not entries:
             raise ValueError("polarization state needs at least one shell")
         seen = set()
@@ -261,8 +248,8 @@ class PolarizationState:
         for w, sec in entries:
             if not isinstance(sec, SpinSector):
                 raise ValueError("entries must be (weight, SpinSector) pairs")
-            if not math.isfinite(w) or w < -DEFAULT_TOL:
-                raise ValueError(f"shell weight must be finite and non-negative, got {w}")
+            if w < -DEFAULT_TOL:
+                raise ValueError(f"shell weight must be non-negative, got {w}")
             if sec.spin.twice in seen:
                 raise ValueError(f"duplicate shell for spin {sec.spin}")
             seen.add(sec.spin.twice)

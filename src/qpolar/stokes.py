@@ -11,13 +11,12 @@ by least squares on the same rows.  A raw moment (scaled times s^l) past the flo
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .angmom import HalfInt, _check_int, _check_spin, _check_tol, _is_int, _spin_arrays
+from .angmom import (HalfInt, _check_each, _check_int, _check_reals, _check_spin, _check_tol, _check_type, _is_int,
+                     _spin_arrays)
 from .multipole import _basis_diagonal, _components, _leading_within, _strengths_cumulative_degrees
 from .states import Direction, SpinSector, as_shells
 
@@ -100,6 +99,7 @@ def _scaled_moments(sector: SpinSector, directions, max_ell: int) -> np.ndarray:
 def directional_moment(obj, direction: Direction, ell: int) -> float:
     """Moment <(n.S)^ell>; shell results are weighted by P_S for multi-shell states."""
     ell = _check_int("ell", ell, 1)
+    direction = _check_type("direction", direction, Direction)
     return float(sum(w * sample_moments(sec, [direction], ell)[-1].value for w, sec in as_shells(obj)))
 
 
@@ -159,7 +159,7 @@ def sample_moments(sector: SpinSector, directions, max_ell: int) -> list[MomentS
     s = max(float(sector.spin), 1.0)
     if max_ell * math.log(s) >= math.log(np.finfo(float).max):
         raise ValueError(f"raw moments of order l = {max_ell} at spin {sector.spin} are past the float range")
-    directions = list(directions)
+    directions = _check_each("directions", directions, Direction)
     if not directions:
         raise ValueError("sample_moments needs at least one direction")
     vals = (_scaled_moments(sector, directions, max_ell) * s ** np.arange(1.0, max_ell + 1)).tolist()
@@ -214,8 +214,8 @@ def moments_to_multipoles(samples, S, k_max: int) -> ReconstructionResult:
     `condition_number` and `residual` are those of that system.  Needs
     moments up to l = k_max on at least 2*k_max+1 distinct directions, and
     none above: their ranks above k_max would alias into the fit, so they
-    raise ValueError, as do a sample that is no (Direction, order, value) triple, a non-finite
-    value and an order that is no integer (each naming the sample).
+    raise ValueError, as do a sample that is no (Direction, order, value) triple, a value that
+    is no finite number and an order that is no integer (each naming the sample).
     Raises IllConditionedError when the scaled system is rank deficient
     (smallest singular value below 1e-10 of the largest).
     """
@@ -229,25 +229,14 @@ def moments_to_multipoles(samples, S, k_max: int) -> ReconstructionResult:
     except (TypeError, ValueError):  # some sample is no triple: name the first
         i = next(i for i, s in enumerate(rows) if not (hasattr(s, "__len__") and len(s) == 3))
         raise ValueError(f"moment sample {i} is not a (Direction, order, value) triple: {rows[i]!r}") from None
-    named = lambda i: MomentSample(directions[i], ells[i], raw[i])  # a bad sample, as the error names it
-    if any(t is bool or not issubclass(t, numbers.Real) for t in set(map(type, raw))):  # fromiter takes '0.0', True
-        i = next(i for i, v in enumerate(raw) if isinstance(v, bool) or not isinstance(v, numbers.Real))
-        raise ValueError(f"moment sample {i} has value {raw[i]!r}, not a real number: {named(i)}")
-    try:
-        values = np.fromiter(raw, float, len(raw))
-    except OverflowError:  # an integer past the float range: name the first
-        i = next(i for i, v in enumerate(raw) if not abs(v) <= sys.float_info.max)
-        raise ValueError(f"moment sample {i} has a value outside the float range: {named(i)}") from None
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise ValueError(f"moment sample {bad[0]} has a non-finite value: {named(bad[0])}")
+    values = _check_reals("sample values", raw, (len(raw),))
     bad = [i for i, (d, ell) in enumerate(zip(directions, ells))
            if not (isinstance(d, Direction) and _is_int(ell) and ell >= 1)]
     if bad:
         i = bad[0]
         what = (f"order {ells[i]!r}, not an integer >= 1" if isinstance(directions[i], Direction)
                 else f"direction {directions[i]!r}, not a Direction")
-        raise ValueError(f"moment sample {i} has {what}: {named(i)}")
+        raise ValueError(f"moment sample {i} has {what}: {MomentSample(directions[i], ells[i], raw[i])}")
     if max(ells) > k_max:
         raise ValueError(f"moments of order up to l = {max(ells)} carry ranks above k_max = {k_max}; "
                          f"reconstruct with k_max >= {max(ells)} or drop them")

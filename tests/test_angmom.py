@@ -320,7 +320,7 @@ class TestRefusalsAndRepr:
         assert repr(HalfInt(-2)) == "HalfInt(-1)" and repr(HalfInt(3)) == "HalfInt(3/2)"
 
     def test_non_finite_angles_are_refused(self):
-        with pytest.raises(ValueError, match="^beta must be finite$"):
+        with pytest.raises(ValueError, match="^beta must be a finite number, got nan$"):
             wigner_small_d(1, math.nan)
-        with pytest.raises(ValueError, match="^gamma must be finite, got inf$"):
+        with pytest.raises(ValueError, match="^gamma must be a finite number, got inf$"):
             EulerAngles(0.1, 0.2, math.inf)

@@ -18,7 +18,7 @@ def test_non_finite_parameter_is_refused(name, key, value):
     # unchecked, these give NaN eigenvalues, NaN amplitudes and numpy's 'invalid value' RuntimeWarning in exp
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=f"^{key} must be finite, got {value!r}$"):
+        with pytest.raises(ValueError, match=f"^{key} must be a finite number, got {value!r}$"):
             preset_state(name, **{key: value})
 
 

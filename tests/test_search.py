@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qpolar import multipole, search
-from qpolar.angmom import half
+from qpolar.angmom import _check_reals, half
 from qpolar.catalog import three_photon_first_order_eigs
 from qpolar.multipole import _basis, _basis_diagonal, degree, state_multipoles, tensor_matrix, unpolarization_order
 from qpolar.search import (
@@ -212,15 +212,18 @@ class TestInputContract:
     @pytest.mark.parametrize(
         "x, message",
         [
-            (np.ones(5), re.escape("2(2S + 1) = 6 coordinates, got shape (5,)")),
-            (np.ones((2, 3)), re.escape("2(2S + 1) = 6 coordinates, got shape (2, 3)")),
-            (np.array([1.0, math.nan, 0, 0, 0, 0]), "non-finite"),
-            (np.array([1.0, 0, 0, 0, 0, -math.inf]), "non-finite"),
+            (np.ones(5), re.escape("x must be a list of 6 entries, got array([1., 1., 1., 1., 1.])")),
+            (np.ones((2, 3)), re.escape("x must be a list of 6 entries, got array([[1., 1., 1.],")),
+            (np.array([1.0, math.nan, 0, 0, 0, 0]), re.escape("x[1] must be a finite number, got np.float64(nan)")),
+            (np.array([1.0, 0, 0, 0, 0, -math.inf]), re.escape("x[5] must be a finite number, got np.float64(-inf)")),
+            (np.ones(6, dtype=bool), re.escape("x[0] must be a finite number, got np.True_")),
+            (np.ones(6, dtype=complex), re.escape("x[0] must be a finite number, got np.complex128(1+0j)")),
             (np.zeros(6), "is zero"),
             (np.full(6, 1e-170), "is zero"),
             (np.full(6, 1e160), "outside the float range"),
         ],
-        ids=["short", "matrix", "nan", "minus-inf", "zero", "norm-underflows", "norm-overflows"],
+        ids=["short", "matrix", "nan", "minus-inf", "bool-array", "complex-array", "zero", "norm-underflows",
+             "norm-overflows"],
     )
     def test_gradient_refuses_malformed_coordinates(self, x, message):
         with warnings.catch_warnings():
@@ -830,41 +833,39 @@ class TestScans:
                 setattr(r, field, 0.0)
 
     @pytest.mark.parametrize(
-        "kind, point",
+        "kind, point, message",
         [
-            ("first-order", (math.nan, 0.25)),
-            ("first-order", (0.25, math.inf)),
-            ("first-order", (-math.inf, 0.25)),
-            ("first-order", (0.5,)),
-            ("first-order", (0.5, 1 / 6, 9)),
-            ("second-order", math.nan),
-            ("second-order", -math.inf),
-            ("second-order", (0.2, 0.25)),
+            ("first-order", (math.nan, 0.25), "grid[{i}][0] must be a finite number, got nan"),
+            ("first-order", (0.25, math.inf), "grid[{i}][1] must be a finite number, got inf"),
+            ("first-order", (-math.inf, 0.25), "grid[{i}][0] must be a finite number, got -inf"),
+            ("first-order", (0.5,), "grid[{i}] must be a list of 2 entries, got (0.5,)"),
+            ("first-order", (0.5, 1 / 6, 9),
+             "grid[{i}] must be a list of 2 entries, got (0.5, 0.16666666666666666, 9)"),
+            ("second-order", math.nan, "grid[{i}] must be a finite number, got nan"),
+            ("second-order", -math.inf, "grid[{i}] must be a finite number, got -inf"),
+            ("second-order", (0.2, 0.25), "grid[{i}] must be a finite number, got (0.2, 0.25)"),
         ],
         ids=["nan", "inf-lam4", "minus-inf-lam3", "one-entry", "three-entries",
              "second-nan", "second-minus-inf", "second-pair"],
     )
-    def test_three_photon_refuses_bad_points(self, kind, point):
+    def test_three_photon_refuses_bad_points(self, kind, point, message):
         good = (0.25, 0.25) if kind == "first-order" else 0.25
         for grid in ([good, point], [point]):
-            index = len(grid) - 1
-            with pytest.raises(ValueError, match=re.escape(f"grid point {index} = {point!r} is not")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message.format(i=len(grid) - 1))}$"):
                 scan_three_photon_family(kind, grid)
 
     @pytest.mark.parametrize(
         "call, message",
         [
-            (lambda: scan_two_photon_family(0.25), "the grid must be a sequence of points, got 0.25"),
-            (lambda: scan_two_photon_family(x for x in (0.1, 0.2)),
-             "the grid must be a sequence of points, got <generator"),
-            (lambda: scan_two_photon_family("0.25"), "the grid must be a sequence of points, got '0.25'"),
-            (lambda: scan_three_photon_family("first-order", 0.3), "the grid must be a sequence of points, got 0.3"),
-            (lambda: scan_three_photon_family("second-order", np.array(0.25)),
-             "the grid must be a sequence of points, got array(0.25)"),
-            (lambda: scan_three_photon_family("second-order", ["x"]), "grid point 0 = 'x' is not a finite lam4 value"),
-            (lambda: scan_two_photon_family([0.1, "y"]), "grid point 1 = 'y' is not a finite lam value"),
+            (lambda: scan_two_photon_family(0.25), "lams must be a list, got 0.25"),
+            (lambda: scan_two_photon_family(x for x in (0.1, 0.2)), "lams must be a list, got <generator"),
+            (lambda: scan_two_photon_family("0.25"), "lams must be a list, got '0.25'"),
+            (lambda: scan_three_photon_family("first-order", 0.3), "grid must be a list, got 0.3"),
+            (lambda: scan_three_photon_family("second-order", np.array(0.25)), "grid must be a list, got array(0.25)"),
+            (lambda: scan_three_photon_family("second-order", ["x"]), "grid[0] must be a finite number, got 'x'"),
+            (lambda: scan_two_photon_family([0.1, "y"]), "lams[1] must be a finite number, got 'y'"),
             (lambda: scan_three_photon_family("first-order", [(0.25, 0.25), (0.1, "z")]),
-             "grid point 1 = (0.1, 'z') is not a finite (lam3, lam4) pair"),
+             "grid[1][1] must be a finite number, got 'z'"),
         ],
         ids=["float", "generator", "string", "first-order-float", "0-d-array",
              "second-string-point", "two-photon-string-point", "first-string-entry"],
@@ -874,7 +875,7 @@ class TestScans:
             call()
 
     def test_two_photon_refuses_non_finite_points(self):
-        with pytest.raises(ValueError, match="grid point 1 = nan"):
+        with pytest.raises(ValueError, match=re.escape("lams[1] must be a finite number, got nan")):
             scan_two_photon_family([0.25, math.nan])
 
     def test_three_photon_point_past_float_range_is_infeasible(self):
@@ -940,9 +941,10 @@ class TestFamilyScanColumns:
          ("first-order", np.array(FIRST_ORDER_GRID)),
          ("first-order", [(0.5, 1 / 6), (0.9, 0.9), (1.7e308, -1.7e308), (0, 1), (0.25, 0.25)]),
          ("second-order", np.linspace(1 / 6, 1 / 3, 101)),
-         ("second-order", [0.25, 0.5, 1 / 6, 2])],
+         ("second-order", [0.25, 0.5, 1 / 6, 2]),
+         ("second-order", range(2))],
         ids=["two-array", "two-list", "first-workload", "first-array", "first-mixed", "second-array",
-             "second-mixed"],
+             "second-mixed", "second-range"],
     )
     def test_rows_equal_the_row_list(self, kind, grid):
         if kind == "two-photon":
@@ -957,14 +959,14 @@ class TestFamilyScanColumns:
         cast = {"float": float, "float64": np.float64, "int": int}[kind]
         values = range(-3, 4) if kind == "int" else np.linspace(-0.5, 1.5, 7).tolist() + [1e-310, 1 / 3]
         grid = [(cast(a), cast(b)) for a in values for b in values]
-        got = search._grid_points(grid, (2,), "a pair")
+        got = _check_reals("grid", grid, (None, 2))
         want = np.asarray(grid, dtype=float)
         assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_list_grid_whose_lengths_sum_to_two_pairs_is_refused(self):
         # np.fromiter with a count would read it as two pairs; TestScans'
         # test_three_photon_refuses_bad_points[three-entries] is the case where it would drop an entry
-        with pytest.raises(ValueError, match=re.escape("grid point 0 = (0.5,) is not")):
+        with pytest.raises(ValueError, match=re.escape("grid[0] must be a list of 2 entries, got (0.5,)")):
             scan_three_photon_family("first-order", [(0.5,), (0.2, 0.3, 0.4)])
 
 

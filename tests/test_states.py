@@ -1,6 +1,7 @@
 """Shell density matrices: constructors, rotation, mixtures, validation."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -202,7 +203,7 @@ class TestValidate:
         rho = np.diag([bad, 0.5]).astype(complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="non-finite entries"):
+            with pytest.raises(ValueError, match=r"^rho\[0\]\[0\] must be a finite number, got np\.complex128\("):
                 SpinSector(0.5, rho, validate=check)
 
     def test_uncertainty_floor_for_random_sectors(self):
@@ -277,9 +278,10 @@ class TestPolarizationState:
 
 class TestRefusalsAndViews:
     def test_direction_refuses_non_finite_angles_and_the_zero_vector(self):
-        for theta, phi in [(math.nan, 0.0), (0.3, math.inf)]:
-            with pytest.raises(ValueError, match="^direction angles must be finite$"):
-                Direction(theta, phi)
+        with pytest.raises(ValueError, match="^theta must be a finite number, got nan$"):
+            Direction(math.nan, 0.0)
+        with pytest.raises(ValueError, match="^phi must be a finite number, got inf$"):
+            Direction(0.3, math.inf)
         with pytest.raises(ValueError, match="^zero vector has no direction$"):
             Direction.from_vector([0.0, 0.0, 0.0])
 
@@ -288,18 +290,18 @@ class TestRefusalsAndViews:
         assert not rep.trace_ok and rep.message() == "trace deviation 1.000e+00"
 
     def test_matrix_of_the_wrong_size_is_refused(self):
-        with pytest.raises(ValueError, match=r"^expected a 3x3 matrix for spin 1, got \(2, 2\)$"):
+        with pytest.raises(ValueError, match=re.escape("rho must be a list of 3 entries, got array([[0.5, 0. ],")):
             SpinSector(1, np.eye(2) / 2)
 
     def test_sector_repr(self):
         assert repr(maximally_mixed(1.5)) == "SpinSector(spin=3/2, dim=4)"
 
     def test_non_finite_or_off_unit_sum_eigenvalues_and_amplitudes_of_the_wrong_length_are_refused(self):
-        with pytest.raises(ValueError, match="^eigenvalues must be finite$"):
+        with pytest.raises(ValueError, match=r"^eigenvalues\[0\] must be a finite number, got nan$"):
             diag_sector(1, [math.nan, 0.5, 0.5])
         with pytest.raises(ValueError, match="^eigenvalues sum to 0.875, expected 1$"):
             diag_sector(1, [0.5, 0.25, 0.125])
-        with pytest.raises(ValueError, match=r"^expected 3 amplitudes for spin 1, got \(2,\)$"):
+        with pytest.raises(ValueError, match=r"^amplitudes must be a list of 3 entries, got \[1\.0, 0\.0\]$"):
             pure_sector(1, [1.0, 0.0])
 
     def test_polarization_state_refuses_no_shells_and_entries_that_are_no_sectors(self):

@@ -349,7 +349,7 @@ class TestReconstruction:
         samples = sample_moments(sec, tomography_directions(9), 2)
         rows = [(s.direction, s.ell, s.value) for s in samples]
         rows[7] = (rows[7][0], rows[7][1], bad)
-        with pytest.raises(ValueError, match=f"moment sample 7 has a non-finite value: .*ell=2, value={bad!r}"):
+        with pytest.raises(ValueError, match=re.escape(f"sample values[7] must be a finite number, got {bad!r}")):
             moments_to_multipoles(rows, 1, 2)
 
     @pytest.mark.parametrize(
