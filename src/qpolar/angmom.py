@@ -115,20 +115,37 @@ def _walk_reals(name: str, value, shape: tuple, kind: type):
     return value
 
 
-def _check_type(name: str, value, cls: type):
-    """`value` if it is a `cls`; anything else raises a ValueError naming the argument."""
+def _check_type(name: str, value, cls: type | tuple[type, ...]):
+    """`value` if it is a `cls`, or one of a tuple of them; anything else raises a ValueError naming the argument."""
     if isinstance(value, cls):
         return value
-    raise ValueError(f"{name} must be of type {cls.__name__}, got {value!r}")
+    names = " or ".join(c.__name__ for c in cls) if isinstance(cls, tuple) else cls.__name__
+    raise ValueError(f"{name} must be of type {names}, got {value!r}")
 
 
 def _check_each(name: str, values, cls: type) -> list:
-    """`values` as a list of `cls` entries, checked by the set of their types; the first that is none is named."""
-    values = list(values)
+    """`values` as a list of `cls` entries, checked by the set of their types; the first that is none is named.
+
+    A `values` that cannot be iterated, such as one bare `cls`, is named whole.
+    """
+    try:
+        entries = iter(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a list of {cls.__name__} entries, got {values!r}") from None
+    values = list(entries)
     if not all(issubclass(t, cls) for t in set(map(type, values))):
         i = next(i for i, v in enumerate(values) if not isinstance(v, cls))
         _check_type(f"{name}[{i}]", values[i], cls)
     return values
+
+
+def _check_norm(name: str, v: np.ndarray) -> float:
+    """The norm of the vector `v`, refused with a ValueError naming it unless finite and nonzero."""
+    with np.errstate(over="ignore"):  # an overflowing norm is refused just below
+        n = float(np.linalg.norm(v))
+    if not 0.0 < n < math.inf:
+        raise ValueError(f"{name} must have a finite, nonzero norm, got {n}")
+    return n
 
 
 def _check_tol(tol) -> None:

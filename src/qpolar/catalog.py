@@ -33,9 +33,12 @@ def two_photon_pure_unpolarized(alpha: float = 0.0, beta: float = math.pi / 2) -
     Amplitudes (e^{i a} sin b / sqrt2, cos b, -e^{-i a} sin b / sqrt2); every
     member has W_1 = 0 and W_2 = 2/3, saturating the second-order degree.
     """
-    alpha, beta = _check_reals("alpha", alpha), _check_reals("beta", beta)
+    return pure_sector(1, _pson_amplitudes(_check_reals("alpha", alpha), _check_reals("beta", beta)))
+
+
+def _pson_amplitudes(alpha: float, beta: float) -> list[complex]:
     s = math.sin(beta) / math.sqrt(2.0)
-    return pure_sector(1, [np.exp(1j * alpha) * s, math.cos(beta), -np.exp(-1j * alpha) * s])
+    return [complex(np.exp(1j * alpha) * s), complex(math.cos(beta)), complex(-np.exp(-1j * alpha) * s)]
 
 
 def two_photon_diag_unpolarized(lam: float) -> SpinSector:
@@ -45,10 +48,12 @@ def two_photon_diag_unpolarized(lam: float) -> SpinSector:
     return diag_sector(1, [lam, 1.0 - 2.0 * lam, lam])
 
 
+_POLE_AMPLITUDES = [1.0 / math.sqrt(2.0), 0.0, 0.0, 1.0 / math.sqrt(2.0)]
+
+
 def three_photon_pole_superposition() -> SpinSector:
     """(|3/2,3/2> + |3/2,-3/2>)/sqrt2: first-order unpolarized but not second."""
-    r = 1.0 / math.sqrt(2.0)
-    return pure_sector(1.5, [r, 0.0, 0.0, r])
+    return pure_sector(1.5, _POLE_AMPLITUDES)
 
 
 def three_photon_first_order_eigs(lam3: float, lam4: float) -> list[float]:
@@ -57,14 +62,18 @@ def three_photon_first_order_eigs(lam3: float, lam4: float) -> list[float]:
     return [lam3 + 2.0 * lam4 - 0.5, -2.0 * lam3 - 3.0 * lam4 + 1.5, lam3, lam4]
 
 
+_FIRST_ORDER_MAX = [0.0, 0.75, 0.0, 0.25]
+_SECOND_ORDER_MAX = [1 / 3, 0.0, 0.5, 1 / 6]
+
+
 def max_purity_first_order_diag() -> SpinSector:
     """diag(0, 3/4, 0, 1/4): purity 5/8, the diagonal first-order-unpolarized maximum."""
-    return diag_sector(1.5, [0.0, 0.75, 0.0, 0.25])
+    return diag_sector(1.5, _FIRST_ORDER_MAX)
 
 
 def max_purity_second_order_diag() -> SpinSector:
     """diag(1/3, 0, 1/2, 1/6): purity 7/18, the axially symmetric second-order maximum."""
-    return diag_sector(1.5, [1 / 3, 0.0, 0.5, 1 / 6])
+    return diag_sector(1.5, _SECOND_ORDER_MAX)
 
 
 def _preset_coherent(args) -> dict:
@@ -74,21 +83,6 @@ def _preset_coherent(args) -> dict:
     Direction(theta, phi)  # validate early
     return {"two_S": two_s, "weight": 1.0, "form": "coherent",
             "data": {"theta": float(theta), "phi": float(phi)}}
-
-
-def _preset_pson(args) -> dict:
-    alpha = args.get("alpha", 0.0)
-    beta = args.get("beta", math.pi / 2)
-    s = math.sin(beta) / math.sqrt(2.0)
-    amps = [complex(np.exp(1j * alpha) * s), complex(math.cos(beta)), complex(-np.exp(-1j * alpha) * s)]
-    return {"two_S": 2, "weight": 1.0, "form": "pure",
-            "data": [[z.real, z.imag] for z in amps]}
-
-
-def _preset_3p(args) -> dict:
-    r = 1.0 / math.sqrt(2.0)
-    return {"two_S": 3, "weight": 1.0, "form": "pure",
-            "data": [[r, 0.0], [0.0, 0.0], [0.0, 0.0], [r, 0.0]]}
 
 
 def _preset_diag32nd(args) -> dict:
@@ -104,16 +98,22 @@ def _diag_entry(two_s: int, eigenvalues) -> dict:
     return {"two_S": two_s, "weight": 1.0, "form": "diag", "data": [float(x) for x in eigenvalues]}
 
 
+def _pure_entry(two_s: int, amplitudes) -> dict:
+    """The state-file entry of the pure state with these amplitudes in the |S,m> basis."""
+    return {"two_S": two_s, "weight": 1.0, "form": "pure", "data": [[z.real, z.imag] for z in map(complex, amplitudes)]}
+
+
 # preset name -> (make(args) -> sector entry, description, the keys of args that make reads)
 PRESETS = {
     "eq15-coherent": (_preset_coherent, "spin coherent state along (theta, phi)", ("theta", "phi", "two_s")),
-    "eq23-pson": (_preset_pson, "pure two-photon dipole-free state (rotated |1,0>)", ("alpha", "beta")),
-    "eq27-3p": (_preset_3p, "equal superposition of the two S=3/2 pole states", ()),
+    "eq23-pson": (lambda args: _pure_entry(2, _pson_amplitudes(args.get("alpha", 0.0), args.get("beta", math.pi / 2))),
+                  "pure two-photon dipole-free state (rotated |1,0>)", ("alpha", "beta")),
+    "eq27-3p": (lambda args: _pure_entry(3, _POLE_AMPLITUDES), "equal superposition of the two S=3/2 pole states", ()),
     "eq24-diag2": (lambda args: _diag_entry(2, np.diag(two_photon_diag_unpolarized(args.get("lam", 0.25)).rho).real),
                    "two-photon diag(lam, 1-2lam, lam)", ("lam",)),
     "eq29-diag32nd": (_preset_diag32nd, "three-photon second-order diagonal family", ("lam",)),
-    "fig4-left": (lambda args: _diag_entry(3, [0.0, 0.75, 0.0, 0.25]), "diag(0, 3/4, 0, 1/4), purity 5/8", ()),
-    "fig4-right": (lambda args: _diag_entry(3, [1 / 3, 0.0, 0.5, 1 / 6]), "diag(1/3, 0, 1/2, 1/6), purity 7/18", ()),
+    "fig4-left": (lambda args: _diag_entry(3, _FIRST_ORDER_MAX), "diag(0, 3/4, 0, 1/4), purity 5/8", ()),
+    "fig4-right": (lambda args: _diag_entry(3, _SECOND_ORDER_MAX), "diag(1/3, 0, 1/2, 1/6), purity 7/18", ()),
 }
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angmom import HalfInt, _check_each, _check_int, _d_column
+from .angmom import HalfInt, _check_each, _check_int, _check_type, _d_column
 from .states import Direction, SpinSector
 
 __all__ = ["QGrid", "q_function", "q_values", "export_qgrid"]
@@ -92,6 +92,7 @@ def _grid_axes(t: int, n_theta: int, n_phi: int) -> tuple[np.ndarray, ...]:
 
 def q_values(sector: SpinSector, directions) -> np.ndarray:
     """Q at an arbitrary list of directions."""
+    sector = _check_type("sector", sector, SpinSector)
     directions = _check_each("directions", directions, Direction)
     thetas = np.array([d.theta for d in directions])
     phis = np.array([d.phi for d in directions])
@@ -100,6 +101,7 @@ def q_values(sector: SpinSector, directions) -> np.ndarray:
 
 def q_function(sector: SpinSector, grid: tuple[int, int] = (64, 128)) -> QGrid:
     """Q on a Gauss-Legendre x uniform product grid; grid = (n_theta, n_phi)."""
+    sector = _check_type("sector", sector, SpinSector)
     n_theta, n_phi = grid
     n_theta, n_phi = _check_int("grid size n_theta", n_theta, 1), _check_int("grid size n_phi", n_phi, 1)
     thetas, weights, phis, table = _grid_axes(sector.spin.twice, n_theta, n_phi)

@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .angmom import HalfInt, _check_int, _check_spin, _check_tol, _is_int
+from .angmom import HalfInt, _check_int, _check_spin, _check_tol, _check_type, _is_int
 from .states import SpinSector, as_shells
 
 __all__ = [
@@ -119,26 +119,13 @@ def components(X: np.ndarray, S: HalfInt, k_max: int) -> np.ndarray:
     return (C[qs, :k_max + 1] @ parts).view(diags.dtype)[..., 0].swapaxes(-1, -2)
 
 
-def synthesize(c: np.ndarray, S: HalfInt) -> np.ndarray:
-    """The matrix sum of c[K, k_max + q] T_Kq, laid out as `components` returns it."""
-    C, idx = _basis(S.twice)
-    d = S.twice + 1
-    k_max = c.shape[0] - 1
-    qs = slice(S.twice - k_max, S.twice + k_max + 1)
-    vals = (c.T[:, None, :] @ C[qs, :k_max + 1])[:, 0, :]  # [q, col]
-    out = np.zeros(d * d + 1, dtype=vals.dtype)  # the spare last slot takes the zero padding
-    out[idx[qs]] = vals
-    return out[:-1].reshape(d, d)
-
-
 def tensor_matrix(S, K: int, q: int) -> np.ndarray:
-    """Dense matrix of T_Kq, read from the diagonal-block basis."""
+    """Dense matrix of T_Kq: its q-th diagonal, read from the basis, with T_K,-q = (-1)^q T_Kq^T."""
     S = _check_spin("S", S)
     K = _check_int("K", K, 0, S.twice, span="[0, 2S]")
     q = _check_int("q", q, -K, K, span="[-K, K]")
-    c = np.zeros((K + 1, 2 * K + 1))
-    c[K, K + q] = 1.0
-    return synthesize(c, S)
+    diagonal = _basis_diagonal(S.twice, abs(q))[K - abs(q)]  # T_K|q|[i, i + |q|]
+    return np.diag(diagonal if q >= 0 else (-1) ** q * diagonal, q)
 
 
 @cached_property
@@ -188,6 +175,7 @@ def _leading_within(values: np.ndarray, tol: float) -> int:
 
 def state_multipoles(sector: SpinSector, *, tol: float = DEFAULT_ORDER_TOL) -> MultipoleSpectrum:
     """Full multipole spectrum rho_Kq = Tr[rho T_Kq^dagger] of one shell."""
+    sector = _check_type("sector", sector, SpinSector)
     _check_tol(tol)
     S = sector.spin
     t = S.twice

@@ -37,10 +37,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angmom import HalfInt, _check_int, _check_reals, _check_spin
+from .angmom import HalfInt, _check_int, _check_norm, _check_reals, _check_spin
 from .catalog import three_photon_first_order_eigs
 from .multipole import _basis_diagonal, _strengths_cumulative_degrees
-from .states import SpinSector, _ginibre, diag_sector, maximally_mixed, pure_sector
+from .states import SpinSector, _ginibre, _ReadOnly, diag_sector, maximally_mixed, pure_sector
 
 __all__ = [
     "CONSTRAINT_CLASSES",
@@ -186,7 +186,7 @@ def _residual_plan(t: int, order: int) -> tuple[np.ndarray, ...]:
     return plan
 
 
-def _residual(x: np.ndarray, S: HalfInt, order: int, rank: int, jacobian: bool = True):
+def _residual(x: np.ndarray, S: HalfInt, order: int, rank: int):
     """Rows u of rho = V V^dagger / |V|^2 with |u|^2 = A_order, and du/dx.
 
     x holds Re V and Im V of the d x rank factor V, each flattened row-major.
@@ -207,8 +207,6 @@ def _residual(x: np.ndarray, S: HalfInt, order: int, rank: int, jacobian: bool =
     J += T
     J = J.reshape(len(pick), -1)
     u = 0.5 * (J @ x)
-    if not jacobian:
-        return u
     T = T.reshape(J.shape)
     np.matmul(u[:, None], 2.0 * y[None, :], out=T)  # the outer product, without a ufunc's buffer
     J -= T  # the derivative of 1/|V|^2
@@ -391,8 +389,7 @@ def anticoherence_objective(psi: np.ndarray, S, order: int) -> float:
     S = _check_spin("S", S)
     _check_int("order", order, 1, S.twice, span="[1, 2S]")
     psi = _check_reals("psi", psi, (S.twice + 1,), complex_ok=True)
-    pure_sector(S, psi)  # refuses zero or overflowing amplitudes
-    u = _residual(_coords(psi / np.linalg.norm(psi)), S, order, 1, jacobian=False)
+    u, _ = _residual(_coords(psi / _check_norm("psi", psi)), S, order, 1)
     return float(u @ u)
 
 
@@ -401,14 +398,12 @@ def anticoherence_gradient(x: np.ndarray, S, order: int) -> np.ndarray:
 
     Exact at every |psi|, as A_order is evaluated on psi/|psi|.  Raises
     ValueError for an order outside [1, 2S], and for x that is not 2(2S+1)
-    finite reals or whose squared norm is zero or overflows.
+    finite reals or whose norm is zero or overflows.
     """
     S = _check_spin("S", S)
     _check_int("order", order, 1, S.twice, span="[1, 2S]")
     x = _check_reals("x", x, (2 * (S.twice + 1),))
-    with np.errstate(over="ignore"):
-        if not 0.0 < float(x @ x) < math.inf:
-            raise ValueError("x is zero, or its squared norm is outside the float range")
+    _check_norm("x", x)
     u, J = _residual(x, S, order, 1)
     return 2.0 * (J.T @ u)
 
@@ -445,18 +440,13 @@ def _diagonal_rows(p: np.ndarray):
     return np.einsum("nm,nm->n", p, p), A, P
 
 
-class FamilyScan:
+class FamilyScan(_ReadOnly):
     """Read-only columns named by the fields of the row type `scan.row`; iterating makes the rows, in one pass."""
 
     def __init__(self, row: type, *columns: np.ndarray):
         for column in columns:
             column.setflags(write=False)
         vars(self).update(zip(row._fields, columns), row=row)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"a FamilyScan is read-only: cannot set {name!r}")
-
-    __delattr__ = __setattr__
 
     def __len__(self) -> int:
         return len(vars(self)[self.row._fields[0]])

@@ -27,6 +27,7 @@ from .states import (
     Direction,
     PolarizationState,
     SpinSector,
+    as_shells,
     assemble,
     diag_sector,
     fock_sector,
@@ -87,11 +88,9 @@ def state_from_dict(obj: dict) -> PolarizationState:
 
 def state_to_dict(obj, *, metadata: dict | None = None) -> dict:
     """Serialize a SpinSector or PolarizationState (diagonal shells stay 'diag')."""
-    if isinstance(obj, SpinSector):
-        obj = assemble([(1.0, obj)])
     sectors = []
-    for w, sec in obj:
-        rho = np.asarray(sec.rho)
+    for w, sec in as_shells(obj):
+        rho = sec.rho
         off = rho - np.diag(np.diag(rho))
         if np.all(off == 0) and np.all(np.diag(rho).imag == 0):
             payload = {"form": "diag", "data": [float(x) for x in np.diag(rho).real]}
@@ -117,6 +116,7 @@ def load_state(path) -> PolarizationState:
 
 
 def save_state(obj, path, *, metadata: dict | None = None) -> None:
+    doc = state_to_dict(obj, metadata=metadata)  # a refused obj leaves no file behind
     with open(path, "w") as fh:
-        json.dump(state_to_dict(obj, metadata=metadata), fh, indent=1)
+        json.dump(doc, fh, indent=1)
         fh.write("\n")

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angmom import (EulerAngles, HalfInt, _check_int, _check_reals, _check_spin, _check_tol, _check_type, _d_column,
-                     half, wigner_D)
+from .angmom import (EulerAngles, _check_int, _check_norm, _check_reals, _check_spin, _check_tol, _check_type,
+                     _d_column, half, wigner_D)
 
 __all__ = [
     "DEFAULT_TOL",
@@ -122,7 +122,24 @@ def _diagnose(rho: np.ndarray, tol: float) -> ValidationReport:
     return ValidationReport(herm, float(trace), min_eig, tol)
 
 
-class SpinSector:
+class _ReadOnly:
+    """A base whose attributes cannot be set or deleted: `__init__` sets them with `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a {type(self).__name__} is read-only: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state):
+        # pickle and copy restore the attributes here, where they would call __setattr__
+        for part in state if isinstance(state, tuple) else (state,):  # (__dict__, slots) or __dict__
+            for name, value in (part or {}).items():
+                object.__setattr__(self, name, value)
+
+
+class SpinSector(_ReadOnly):
     """Density matrix on one photon-number shell (spin S, basis |S,m>, m descending).
 
     Non-finite entries are always refused.  Validated on construction by
@@ -141,8 +158,8 @@ class SpinSector:
             if not report.ok:
                 raise ValueError(f"invalid density matrix: {report.message()}")
         rho.setflags(write=False)
-        self.spin = spin
-        self.rho = rho
+        object.__setattr__(self, "spin", spin)
+        object.__setattr__(self, "rho", rho)
 
     def purity(self) -> float:
         return float(np.vdot(self.rho, self.rho).real)
@@ -152,9 +169,10 @@ class SpinSector:
 
 
 def validate(sector: SpinSector, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Diagnostic report for a sector's density matrix; raises only for a tol that is not positive and finite."""
+    """Diagnostic report for a sector's density matrix; raises only for a sector of the wrong type or a bad tol."""
+    sector = _check_type("sector", sector, SpinSector)
     _check_tol(tol)
-    return _diagnose(np.asarray(sector.rho), tol)
+    return _diagnose(sector.rho, tol)
 
 
 def fock_sector(S, m) -> SpinSector:
@@ -210,11 +228,7 @@ def pure_sector(S, amplitudes) -> SpinSector:
     """Normalized pure state |psi><psi| from amplitudes in the |S,m> basis."""
     S = _check_spin("S", S)
     v = _check_reals("amplitudes", amplitudes, (S.twice + 1,), complex_ok=True)
-    with np.errstate(over="ignore"):  # an overflowing norm is rejected just below
-        n = np.linalg.norm(v)
-    if n == 0 or not math.isfinite(n):
-        raise ValueError(f"amplitude norm must be finite and nonzero, got {n}")
-    v = v / n
+    v = v / _check_norm("amplitudes", v)
     return SpinSector(S, np.outer(v, v.conj()), validate=False)
 
 
@@ -226,11 +240,12 @@ def maximally_mixed(S) -> SpinSector:
 
 def rotate(sector: SpinSector, angles: EulerAngles) -> SpinSector:
     """Rotated sector D rho D^dagger (spectrum and purity preserved)."""
+    sector = _check_type("sector", sector, SpinSector)
     D = wigner_D(sector.spin, angles)
     return SpinSector(sector.spin, D @ sector.rho @ D.conj().T, validate=False)
 
 
-class PolarizationState:
+class PolarizationState(_ReadOnly):
     """Block-diagonal polarization sector: weighted shells (P_S, rho^(S)).
 
     Weights are the photon-number distribution: non-negative, summing
@@ -240,14 +255,13 @@ class PolarizationState:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        entries = tuple((_check_reals(f"entries[{i}][0]", w), sec) for i, (w, sec) in enumerate(entries))
+        entries = tuple((_check_reals(f"entries[{i}][0]", w), _check_type(f"entries[{i}][1]", sec, SpinSector))
+                        for i, (w, sec) in enumerate(entries))
         if not entries:
             raise ValueError("polarization state needs at least one shell")
         seen = set()
         total = 0.0
         for w, sec in entries:
-            if not isinstance(sec, SpinSector):
-                raise ValueError("entries must be (weight, SpinSector) pairs")
             if w < -DEFAULT_TOL:
                 raise ValueError(f"shell weight must be non-negative, got {w}")
             if sec.spin.twice in seen:
@@ -256,18 +270,7 @@ class PolarizationState:
             total += w
         if abs(total - 1.0) > DEFAULT_TOL:
             raise ValueError(f"shell weights sum to {total}, expected 1")
-        self.entries = entries
-
-    @property
-    def spins(self) -> list[HalfInt]:
-        return [sec.spin for _, sec in self.entries]
-
-    def sector(self, S) -> SpinSector:
-        S = _check_spin("S", S)
-        for _, sec in self.entries:
-            if sec.spin == S:
-                return sec
-        raise KeyError(f"no shell with spin {S}")
+        object.__setattr__(self, "entries", entries)
 
     def purity(self) -> float:
         """Purity of the block-diagonal state, sum_S P_S^2 Tr[rho_S^2]."""
@@ -275,9 +278,6 @@ class PolarizationState:
 
     def __iter__(self):
         return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
 
     def __repr__(self):
         shells = ", ".join(f"S={sec.spin}:{w:g}" for w, sec in self.entries)
@@ -291,18 +291,14 @@ def assemble(entries) -> PolarizationState:
 
 def as_shells(obj) -> list[tuple[float, SpinSector]]:
     """Uniform shell view: a bare sector counts as a single shell of weight 1."""
-    if isinstance(obj, SpinSector):
+    if isinstance(_check_type("obj", obj, (SpinSector, PolarizationState)), SpinSector):
         return [(1.0, obj)]
-    if isinstance(obj, PolarizationState):
-        return list(obj.entries)
-    raise TypeError(f"expected SpinSector or PolarizationState, got {type(obj).__name__}")
+    return list(obj.entries)
 
 
 def purity(obj) -> float:
     """Tr rho^2 of a sector, or the block purity of a PolarizationState."""
-    if isinstance(obj, (SpinSector, PolarizationState)):
-        return obj.purity()
-    raise TypeError(f"expected SpinSector or PolarizationState, got {type(obj).__name__}")
+    return _check_type("obj", obj, (SpinSector, PolarizationState)).purity()
 
 
 def _ginibre(d: int, k: int, rng: np.random.Generator) -> np.ndarray:

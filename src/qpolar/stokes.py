@@ -48,10 +48,6 @@ class StokesTriple:
     sy: np.ndarray
     sz: np.ndarray
 
-    @property
-    def vector(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.sx, self.sy, self.sz)
-
 
 def stokes_matrices(S) -> StokesTriple:
     """Stokes operator matrices (Sx, Sy, Sz) on the spin-S shell."""
@@ -135,8 +131,7 @@ def isotropy_order(
     Pass a SpinSector; multi-shell states should be classified shell by
     shell, where isotropy and vanishing multipoles are equivalent.
     """
-    if not isinstance(sector, SpinSector):
-        raise TypeError("isotropy_order classifies one shell at a time")
+    sector = _check_type("sector", sector, SpinSector)
     max_ell = _check_int("max_ell", max_ell, 1)
     _check_tol(tol)
     n_directions = _check_int("n_directions", n_directions, 2 * max_ell + 1, span="2*max_ell+1")
@@ -155,6 +150,7 @@ class MomentSample:
 
 def sample_moments(sector: SpinSector, directions, max_ell: int) -> list[MomentSample]:
     """Forward-compute noiseless moments l = 1..max_ell >= 1 along each direction."""
+    sector = _check_type("sector", sector, SpinSector)
     max_ell = _check_int("max_ell", max_ell, 1)
     s = max(float(sector.spin), 1.0)
     if max_ell * math.log(s) >= math.log(np.finfo(float).max):
@@ -275,7 +271,7 @@ def write_moments(samples, path) -> None:
     with open(path, "w") as fh:
         fh.write("theta,phi,ell,value\n")
         for s in samples:
-            fh.write(f"{s.direction.theta!r},{s.direction.phi!r},{s.ell},{s.value!r}\n")
+            fh.write(f"{float(s.direction.theta)!r},{float(s.direction.phi)!r},{s.ell},{float(s.value)!r}\n")
 
 
 def read_moments(path) -> list[MomentSample]:

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from qpolar.angmom import HalfInt, half
-from qpolar.multipole import components, synthesize
+from qpolar.multipole import components, tensor_matrix
 from qpolar.stokes import stokes_matrices
 
 
@@ -28,9 +28,10 @@ def spin_along(S, direction) -> np.ndarray:
 
 def total_variance(sector) -> float:
     """sum_i <S_i^2> - <S_i>^2 of one shell, read off the Stokes matrices; at least S."""
+    ops = stokes_matrices(sector.spin)
     return sum(
         np.trace(sector.rho @ s @ s).real - np.trace(sector.rho @ s).real ** 2
-        for s in stokes_matrices(sector.spin).vector
+        for s in (ops.sx, ops.sy, ops.sz)
     )
 
 
@@ -40,4 +41,4 @@ def project_multipole_free(rho, S, order: int) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     c = components(rho, S, order)
     c[0, order] -= 1.0 / math.sqrt(S.twice + 1)  # leave the monopole of I/d, so Tr = 1
-    return rho - synthesize(c, S)
+    return rho - sum(c[K, order + q] * tensor_matrix(S, K, q) for K in range(order + 1) for q in range(-K, K + 1))

@@ -301,7 +301,8 @@ class TestWignerD:
         from qpolar.stokes import stokes_matrices
 
         rng = np.random.default_rng(16)
-        ops = stokes_matrices(j).vector
+        s = stokes_matrices(j)
+        ops = (s.sx, s.sy, s.sz)
         for _ in range(4):
             ang = random_angles(rng)
             D, R = wigner_D(j, ang), rotation_matrix(ang)

@@ -239,6 +239,16 @@ class TestReconstruct:
         a2 = float(rows[0].split(",")[6])
         assert abs(a2 - (3 * lam - 1) ** 2 * 2 / 3) < 1e-10
 
+    def test_moments_written_from_numpy_values_are_read(self, tmp_path, capsys):
+        # write_moments once wrote np.float64(...) fields, and reconstruct refused the file with exit 2
+        sec = diag_sector(1, [0.2, 0.6, 0.2])
+        samples = sample_moments(sec, tomography_directions(5), 2)
+        moments, plain = tmp_path / "m.csv", tmp_path / "plain.csv"
+        write_moments([dataclasses.replace(s, value=np.float64(s.value)) for s in samples], moments)
+        write_moments(samples, plain)
+        assert moments.read_bytes() == plain.read_bytes()
+        assert run_cli("reconstruct", moments, "--two-s", 2, "--order", 2) == 0
+
     @pytest.mark.parametrize("ell", [3, 10**400], ids=["ell-3", "ell-1e400"])
     def test_moment_order_above_k_max_exits_2(self, tmp_path, capfd, ell):
         sec = diag_sector(1, [0.2, 0.6, 0.2])
@@ -292,8 +302,9 @@ class TestSearchAndScan:
         assert "0.3888888888" in text
         obj = json.loads(out.read_text())
         assert obj["metadata"]["order"] == 2
-        state = load_state(out)
-        assert_allclose(state.sector(1.5).purity(), 7 / 18, atol=1e-12)
+        ((_, sec),) = load_state(out)
+        assert sec.spin == 1.5
+        assert_allclose(sec.purity(), 7 / 18, atol=1e-12)
 
     def test_diagonal_search_reports_the_vertices_it_solved(self, tmp_path, capsys):
         # the diagonal solver enumerates vertices and does not use --restarts

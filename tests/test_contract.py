@@ -15,13 +15,17 @@ were once coerced or accepted.  The coverage check walks each module's
 or named S, j or spin or as one of `REAL_NAMES`, is either swept here or
 exempt with a reason.  State-file payloads and preset arguments follow the
 same rule: a number is a number, never a string, bool or null, and a preset
-refuses a key it does not read.
+refuses a key it does not read.  An object of the wrong type where a shell, a
+state or a list of directions is wanted (an array, None, a bare Direction, a
+PolarizationState for one shell) is refused by name too, with its own
+coverage check.
 """
 
 import importlib
 import inspect
 import json
 import math
+import os
 import re
 import warnings
 from typing import Callable, NamedTuple
@@ -56,7 +60,7 @@ from qpolar.search import (
     scan_three_photon_family,
     scan_two_photon_family,
 )
-from qpolar.stateio import MAX_TWO_S, SchemaError, state_from_dict
+from qpolar.stateio import MAX_TWO_S, SchemaError, save_state, state_from_dict, state_to_dict
 from qpolar.states import (
     Direction,
     PolarizationState,
@@ -67,6 +71,7 @@ from qpolar.states import (
     fock_sector,
     maximally_mixed,
     pure_sector,
+    purity,
     random_sector,
     rotate,
     su2_coherent,
@@ -293,8 +298,6 @@ def test_coherent_amplitudes_refuse_non_finite_angles(theta, phi, message):
      (lambda: EulerAngles(0.1, 0.0, [0.0]), "gamma must be a finite number, got [0.0]"),
      (lambda: fock_sector(1, 0.25), "m must be an integer or half-integer, got 0.25"),
      (lambda: fock_sector(1, "x"), "m must be an integer or half-integer, got 'x'"),
-     (lambda: PolarizationState([(1.0, SECTOR)]).sector("x"),
-      f"S must be an integer or half-integer with 2S in [0, MAX_TWO_S] = [0, {MAX_TWO_S}], got 'x'"),
      (lambda: sample_moments(SECTOR, [Direction(0.3, 0.2), (0.3, 0.2)], 1),
       "directions[1] must be of type Direction, got (0.3, 0.2)"),
      (lambda: directional_moment(SECTOR, (0.3, 0.2), 1), "direction must be of type Direction, got (0.3, 0.2)"),
@@ -305,7 +308,7 @@ def test_coherent_amplitudes_refuse_non_finite_angles(theta, phi, message):
      (lambda: rotation_matrix(Direction(0.3, 0.2)),
       "angles must be of type EulerAngles, got Direction(theta=0.3, phi=0.2)")],
     ids=["direction-theta", "direction-phi", "euler-alpha", "euler-beta", "euler-gamma", "fock-m-quarter",
-         "fock-m-string", "shell-lookup-S", "sample-directions", "moment-direction", "q-directions",
+         "fock-m-string", "sample-directions", "moment-direction", "q-directions",
          "coherent-direction", "rotate-angles", "wigner-D-angles", "rotation-matrix-angles"],
 )
 def test_angle_or_projection_that_is_no_number_is_refused_by_name(call, message):
@@ -552,7 +555,7 @@ class TestPresetArguments:
     )
     def test_the_keys_a_preset_reads_are_accepted(self, name, args, two_s):
         state = state_from_dict(preset_state(name, **args))
-        assert state.spins[0].twice == two_s
+        assert state.entries[0][1].spin.twice == two_s
 
     def test_cli_refuses_an_unread_key_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "s.json"
@@ -560,6 +563,76 @@ class TestPresetArguments:
         assert main(["make-state", "eq23-pson", "--two-s", "7", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: two_s is not read by preset 'eq23-pson'")
         assert not out.exists()
+
+
+# the catalogue of objects that are no single shell; a sector parameter refuses every one, and a
+# parameter that takes a sector or a PolarizationState, named obj, refuses all but the state
+WRONG_OBJECTS = {"ndarray": np.eye(3) / 3, "None": None, "Direction": Direction(0.3, 0.2),
+                 "PolarizationState": PolarizationState([(1.0, SECTOR)])}
+DIRECTIONS = [Direction(0.3, 0.2)]
+STATE_OK = ("PolarizationState",)
+
+# (module.callable, parameter, call(value) with all else valid, the catalogue keys it accepts)
+OBJECT_SWEEP = [
+    ("multipole.state_multipoles", "sector", state_multipoles, ()),
+    ("multipole.analyze", "obj", analyze, STATE_OK),
+    ("states.validate", "sector", validate, ()),
+    ("states.rotate", "sector", lambda v: rotate(v, EulerAngles(0.1, 0.2, 0.3)), ()),
+    ("states.purity", "obj", purity, STATE_OK),
+    ("husimi.q_function", "sector", lambda v: q_function(v, (4, 4)), ()),
+    ("husimi.q_values", "sector", lambda v: q_values(v, DIRECTIONS), ()),
+    ("husimi.q_values", "directions", lambda v: q_values(SECTOR, v), ()),
+    ("stokes.directional_moment", "obj", lambda v: directional_moment(v, DIRECTIONS[0], 1), STATE_OK),
+    ("stokes.isotropy_order", "sector", lambda v: isotropy_order(v, 1), ()),
+    ("stokes.sample_moments", "sector", lambda v: sample_moments(v, DIRECTIONS, 1), ()),
+    ("stokes.sample_moments", "directions", lambda v: sample_moments(SECTOR, v, 1), ()),
+    ("stateio.state_to_dict", "obj", state_to_dict, STATE_OK),
+    ("stateio.save_state", "obj", lambda v: save_state(v, os.devnull), STATE_OK),
+]
+OBJECT_EXEMPT = {"stateio.state_from_dict": "obj is a parsed JSON document, checked by the schema"}
+
+
+@pytest.mark.parametrize("where, param, call, allowed", OBJECT_SWEEP, ids=[f"{w}-{p}" for w, p, _, _ in OBJECT_SWEEP])
+@pytest.mark.parametrize("key", WRONG_OBJECTS)
+def test_object_of_the_wrong_type_is_refused_by_name(where, param, call, allowed, key):
+    # these once raised AttributeError or "'Direction' object is not iterable", naming no argument
+    value = WRONG_OBJECTS[key]
+    if key in allowed:
+        call(value)
+        return
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError) as exc:
+            call(value)
+    want = {"sector": f"sector must be of type SpinSector, got {value!r}",
+            "obj": f"obj must be of type SpinSector or PolarizationState, got {value!r}"}.get(param)
+    if want is None:  # a list parameter names the first entry that is no Direction, or itself when it is no list
+        assert re.match(rf"^{param}(\[0\] must be of type Direction| must be a list of Direction entries), got ",
+                        str(exc.value)), str(exc.value)
+    else:
+        assert str(exc.value) == want
+    assert caught == []
+
+
+def test_directions_that_are_no_list_are_refused_by_name():
+    with pytest.raises(ValueError, match=r"^directions must be a list of Direction entries, got Direction\(theta=0.3"):
+        sample_moments(SECTOR, Direction(0.3, 0.2), 1)
+    with pytest.raises(ValueError, match="^directions must be a list of Direction entries, got None$"):
+        q_values(SECTOR, None)
+
+
+def test_every_object_parameter_is_swept_or_exempt():
+    found = set()
+    for module in MODULES:
+        mod = importlib.import_module(f"qpolar.{module}")
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception)):
+                found |= {(f"{module}.{name}", p) for p in inspect.signature(obj).parameters
+                          if p in ("sector", "obj", "directions")}
+    swept = {(where, param) for where, param, _, _ in OBJECT_SWEEP}
+    assert sorted(k for k in found - swept if k[0] not in OBJECT_EXEMPT) == []
+    assert sorted(swept - found) == []
 
 
 @pytest.mark.parametrize("K, q, name", [(2.5, 0, "K"), (True, 0, "K"), ("1", 0, "K"), (1, 0.5, "q"), (1, False, "q"),

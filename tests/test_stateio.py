@@ -24,8 +24,8 @@ def test_all_forms_build(tmp_path):
         ]
     }
     state = state_from_dict(obj)
-    assert [s.twice for s in state.spins] == [1, 2, 3, 4, 0]
-    assert_allclose(state.sector(0.5).rho, np.diag([0.0, 1.0]), atol=1e-15)
+    assert [sec.spin.twice for _, sec in state] == [1, 2, 3, 4, 0]
+    assert_allclose(state.entries[0][1].rho, np.diag([0.0, 1.0]), atol=1e-15)
 
 
 def test_matrix_round_trip(tmp_path):
@@ -44,7 +44,15 @@ def test_diagonal_shells_stay_diag(tmp_path):
     save_state(maximally_mixed(1.5), path)
     obj = json.loads(path.read_text())
     assert obj["sectors"][0]["form"] == "diag"
-    assert_allclose(load_state(path).sector(1.5).rho, np.eye(4) / 4, atol=1e-15)
+    assert_allclose(load_state(path).entries[0][1].rho, np.eye(4) / 4, atol=1e-15)
+
+
+def test_refused_state_writes_no_file(tmp_path):
+    # save_state once opened its file before serializing, leaving it empty on a refusal
+    path = tmp_path / "s.json"
+    with pytest.raises(ValueError, match="^obj must be of type SpinSector or PolarizationState, got None$"):
+        save_state(None, path)
+    assert not path.exists()
 
 
 def test_metadata_block_survives(tmp_path):

@@ -1,6 +1,8 @@
 """Shell density matrices: constructors, rotation, mixtures, validation."""
 
+import copy
 import math
+import pickle
 import re
 import warnings
 
@@ -9,7 +11,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qpolar.catalog as catalog
-from qpolar.angmom import EulerAngles, half
+from qpolar.angmom import EulerAngles
+from qpolar.search import scan_two_photon_family
 from qpolar.states import (
     Direction,
     SpinSector,
@@ -106,13 +109,13 @@ class TestDiagAndPure:
         assert_allclose(np.diag(sec.rho), [0.5, 0, 0, 0.5], atol=1e-15)
         assert_allclose(sec.rho[0, 3], 0.5, atol=1e-15)
         assert_allclose(pure_sector(0.5, [2.0, 0.0]).rho, np.diag([1.0, 0.0]), atol=1e-15)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^amplitudes must have a finite, nonzero norm, got 0.0$"):
             pure_sector(1, [0, 0, 0])
 
     def test_pure_rejects_overflowing_norm_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="^amplitudes must have a finite, nonzero norm, got inf$"):
                 pure_sector(0.5, [1e200, 1e200])
 
 
@@ -245,7 +248,7 @@ class TestPolarizationState:
         sec = random_sector(1, rng)
         state = assemble([(1.0, sec)])
         assert_allclose(purity(state), purity(sec), atol=1e-15)
-        assert state.sector(1) is sec
+        assert state.entries[0][1] is sec
 
     def test_two_maximally_mixed_shells(self):
         state = assemble([(0.3, maximally_mixed(0.5)), (0.7, maximally_mixed(1))])
@@ -264,7 +267,7 @@ class TestPolarizationState:
         from qpolar.multipole import analyze
 
         rep = analyze(state)
-        assert rep.aggregate_order == max(half(s).twice for s in state.spins)
+        assert rep.aggregate_order == max(sec.spin.twice for _, sec in state)
         assert np.all(rep.aggregate_cumulative < 1e-14)
 
     def test_invariants_enforced(self):
@@ -307,17 +310,48 @@ class TestRefusalsAndViews:
     def test_polarization_state_refuses_no_shells_and_entries_that_are_no_sectors(self):
         with pytest.raises(ValueError, match="^polarization state needs at least one shell$"):
             assemble([])
-        with pytest.raises(ValueError, match=r"^entries must be \(weight, SpinSector\) pairs$"):
+        message = "entries[0][1] must be of type SpinSector, got array([[0.5, 0. ],"
+        with pytest.raises(ValueError, match=re.escape(message)):
             assemble([(1.0, np.eye(2) / 2)])
 
     def test_polarization_state_views(self):
         state = assemble([(0.3, maximally_mixed(0.5)), (0.7, maximally_mixed(1))])
-        assert len(state) == 2
+        assert [(w, sec.spin.twice) for w, sec in state] == [(0.3, 1), (0.7, 2)]
         assert repr(state) == "PolarizationState(S=1/2:0.3, S=1:0.7)"
-        with pytest.raises(KeyError, match="no shell with spin 2"):
-            state.sector(2)
+
+    @pytest.mark.parametrize("attr", ["spin", "rho"])
+    def test_sector_attributes_cannot_be_set_or_deleted(self, attr):
+        sec = maximally_mixed(1)
+        message = f"^a SpinSector is read-only: cannot set '{attr}'$"
+        with pytest.raises(AttributeError, match=message):
+            setattr(sec, attr, 7)
+        with pytest.raises(AttributeError, match=message):
+            delattr(sec, attr)
+        assert sec.spin.twice == 2 and sec.rho.shape == (3, 3)
+
+    def test_state_entries_cannot_be_set_or_deleted(self):
+        state = assemble([(1.0, maximally_mixed(1))])
+        with pytest.raises(AttributeError, match="^a PolarizationState is read-only: cannot set 'entries'$"):
+            state.entries = ()
+        with pytest.raises(AttributeError, match="^a PolarizationState is read-only: cannot set 'entries'$"):
+            del state.entries
+        assert len(state.entries) == 1
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_read_only_objects_still_copy_and_pickle(self, copier):
+        # copy and pickle restore attributes past the refusing __setattr__
+        sec = maximally_mixed(1)
+        state, scan = assemble([(0.25, maximally_mixed(0.5)), (0.75, sec)]), scan_two_photon_family([0.1, 0.2])
+        sec2, state2, scan2 = copier(sec), copier(state), copier(scan)
+        assert sec2.spin == 1 and np.array_equal(sec2.rho, sec.rho)
+        assert [(w, s.spin.twice) for w, s in state2] == [(0.25, 1), (0.75, 2)]
+        assert list(scan2) == list(scan)
+        with pytest.raises(AttributeError, match="^a SpinSector is read-only: cannot set 'spin'$"):
+            sec2.spin = 2
 
     @pytest.mark.parametrize("view", [as_shells, purity])
     def test_views_refuse_what_is_no_state(self, view):
-        with pytest.raises(TypeError, match="^expected SpinSector or PolarizationState, got ndarray$"):
+        message = "obj must be of type SpinSector or PolarizationState, got array("
+        with pytest.raises(ValueError, match=re.escape(message)):
             view(np.eye(2) / 2)

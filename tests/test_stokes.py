@@ -69,7 +69,7 @@ class TestStokesMatrices:
     def test_commutators_and_casimir(self, twice_s):
         S = twice_s / 2
         ops = stokes_matrices(S)
-        sx, sy, sz = ops.vector
+        sx, sy, sz = ops.sx, ops.sy, ops.sz
         assert_allclose(sx @ sy - sy @ sx, 1j * sz, atol=1e-12)
         assert_allclose(sy @ sz - sz @ sy, 1j * sx, atol=1e-12)
         assert_allclose(sz @ sx - sx @ sz, 1j * sy, atol=1e-12)
@@ -171,7 +171,7 @@ class TestIsotropyOrder:
 
     def test_rejects_multi_shell_states(self):
         state = assemble([(1.0, maximally_mixed(1))])
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match=r"^sector must be of type SpinSector, got PolarizationState\(S=1:1\)$"):
             isotropy_order(state, 2)
 
     def _engineered_sector(self, twice_s, order, rng):
@@ -426,6 +426,18 @@ class TestReconstruction:
         for a, b in zip(samples, back):
             assert a.ell == b.ell and abs(a.value - b.value) < 1e-16
             assert abs(a.direction.theta - b.direction.theta) < 1e-16
+
+    @pytest.mark.parametrize("kind", [np.float64, np.float32, int], ids=["float64", "float32", "int"])
+    def test_moments_csv_round_trip_of_numpy_and_integer_values(self, tmp_path, kind):
+        # a numpy value was once written as np.float64(0.5), a row read_moments refuses
+        values = [kind(x) for x in (0.5, -2.25, 3.0)]
+        samples = [MomentSample(Direction(0.3, 0.2), ell, v) for ell, v in enumerate(values, 1)]
+        path = tmp_path / "m.csv"
+        write_moments(samples, path)
+        back = read_moments(path)
+        assert [(b.direction, b.ell, b.value) for b in back] == [(Direction(0.3, 0.2), ell, float(v))
+                                                                 for ell, v in enumerate(values, 1)]
+        assert all(type(b.value) is float for b in back)
 
 
 class TestReconstructionRefusals:
