@@ -154,7 +154,32 @@ def _check_tol(tol) -> None:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
-class HalfInt:
+class _Frozen:
+    """No attribute is set or deleted once built, and every ndarray held is read-only: `__init__` sets them with
+    `_freeze`, a frozen dataclass through `__post_init__`, `copy`, `deepcopy` and `pickle` through `__setstate__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a {type(self).__name__} is read-only: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _freeze(self, **values) -> None:
+        for name, value in values.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __post_init__(self):
+        self._freeze(**vars(self))
+
+    def __setstate__(self, state):
+        for part in state if isinstance(state, tuple) else (state,):  # (__dict__, slots) or __dict__
+            self._freeze(**(part or {}))
+
+
+class HalfInt(_Frozen):
     """An integer or half-integer quantum number, stored exactly as twice its value."""
 
     __slots__ = ("twice",)
@@ -162,7 +187,7 @@ class HalfInt:
     def __init__(self, twice: int):
         if not _is_int(twice):
             raise ValueError(f"twice must be an integer, got {twice!r}")
-        self.twice = int(twice)
+        self._freeze(twice=int(twice))
 
     def __float__(self) -> float:
         return self.twice / 2.0
@@ -248,7 +273,7 @@ def wigner_small_d(j, beta: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EulerAngles:
+class EulerAngles(_Frozen):
     """Active z-y-z Euler angles (alpha, beta, gamma), in radians."""
 
     alpha: float
@@ -256,8 +281,7 @@ class EulerAngles:
     gamma: float
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
-            object.__setattr__(self, name, _check_reals(name, getattr(self, name)))
+        self._freeze(**{name: _check_reals(name, getattr(self, name)) for name in ("alpha", "beta", "gamma")})
 
 
 def wigner_D(j, angles: EulerAngles) -> np.ndarray:

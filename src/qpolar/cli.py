@@ -56,7 +56,14 @@ def _table_csv_lines(two_s: int, ranks, comps, W, A, P) -> list[str]:
     return lines
 
 
-def _write_report_csv(path, report: multipole.PolarizationReport) -> None:
+def _write_lines(path, lines) -> None:
+    """Write the lines to path, each ended by a newline, and say so."""
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    print(f"wrote {path}")
+
+
+def _report_csv_lines(report: multipole.PolarizationReport) -> list[str]:
     lines = ["# multipole report", f"# tol={report.tol!r}", "two_S,K,q,re,im,W_K,A_K,P_K"]
     for shell in report.shells:
         spec = shell.spectrum
@@ -66,8 +73,7 @@ def _write_report_csv(path, report: multipole.PolarizationReport) -> None:
         )
         lines.extend(_table_csv_lines(spec.spin.twice, range(spec.max_rank + 1), spec.components,
                                       spec.strengths, spec.cumulative_all, spec.degrees_all))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return lines
 
 
 def _print_table(ranks, W, A, P) -> None:
@@ -101,8 +107,7 @@ def cmd_analyze(args) -> int:
         print(f"aggregate (weighted by P_S): {agg}")
         print(f"aggregate order: {report.aggregate_order}; block purity: {report.block_purity:.12g}")
     if args.out:
-        _write_report_csv(args.out, report)
-        print(f"wrote {args.out}")
+        _write_lines(args.out, _report_csv_lines(report))
     return EXIT_OK
 
 
@@ -138,16 +143,13 @@ def cmd_reconstruct(args) -> int:
           f"residual {result.residual:.3e}")
     _print_table(range(1, args.order + 1), result.strengths, result.cumulative, result.degrees)
     if args.out:
-        lines = [
+        _write_lines(args.out, [
             "# reconstructed multipoles",
             f"# condition_number={result.condition_number!r} residual={result.residual!r}",
             "two_S,K,q,re,im,W_K,A_K,P_K",
-        ]
-        lines.extend(_table_csv_lines(args.two_s, range(1, args.order + 1), result.components,
-                                      result.strengths, result.cumulative, result.degrees))
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        print(f"wrote {args.out}")
+            *_table_csv_lines(args.two_s, range(1, args.order + 1), result.components,
+                              result.strengths, result.cumulative, result.degrees),
+        ])
     return EXIT_OK
 
 
@@ -195,10 +197,9 @@ def cmd_search(args) -> int:
 
 def cmd_scan(args) -> int:
     _check_int("--points", args.points, 1)
-    lines = [f"# scan family={args.family} points={args.points}"]
     if args.family == "two-photon":
         scan = search.scan_two_photon_family(np.linspace(0.0, 0.5, args.points))
-        lines.append("lam,purity,P_2")
+        header = "lam,purity,P_2"
         print(f"two-photon family: {len(scan)} rows, purity range [{scan.purity.min():.6g}, {scan.purity.max():.6g}]")
     else:
         if args.family == "three-photon-first":
@@ -207,18 +208,16 @@ def cmd_scan(args) -> int:
         else:
             kind, grid = "second-order", np.linspace(1 / 6, 1 / 3, args.points)
         scan = search.scan_three_photon_family(kind, grid)
-        lines.append("lam3,lam4,feasible,purity,A_1,A_2,A_3")
+        header = "lam3,lam4,feasible,purity,A_1,A_2,A_3"
         kept = int(np.count_nonzero(scan.feasible))
         best = f", max purity {scan.purity[scan.feasible].max():.9g}" if kept else ""
         print(f"{args.family} family: {kept} feasible of {len(scan)} grid points{best}")
-    # straight from the columns: 1 or 0 for a flag, a float as %r writes it, blank for NaN (an infeasible point)
-    cells = [np.where(c, "1", "0").tolist() if c.dtype == bool else ["" if x != x else repr(x) for x in c.tolist()]
-             for c in (getattr(scan, name) for name in scan.row._fields)]
-    lines.extend(map(",".join, zip(*cells)))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        print(f"wrote {args.out}")
+        # straight from the columns: 1 or 0 for a flag, a float as %r writes it, blank for NaN (an infeasible point)
+        cells = [np.where(c, "1", "0").tolist() if c.dtype == bool else ["" if x != x else repr(x) for x in c.tolist()]
+                 for c in (getattr(scan, name) for name in scan.row._fields)]
+        _write_lines(args.out, [f"# scan family={args.family} points={args.points}", header,
+                                *map(",".join, zip(*cells))])
     return EXIT_OK
 
 

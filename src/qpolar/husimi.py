@@ -16,14 +16,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angmom import HalfInt, _check_each, _check_int, _check_type, _d_column
+from .angmom import _LISTS, HalfInt, _check_each, _check_int, _check_type, _d_column, _Frozen
 from .states import Direction, SpinSector
 
 __all__ = ["QGrid", "q_function", "q_values", "export_qgrid"]
 
 
 @dataclass(frozen=True)
-class QGrid:
+class QGrid(_Frozen):
     """Sampled Q function with quadrature weights (node weight = w_theta * 2pi/n_phi)."""
 
     spin: HalfInt
@@ -102,6 +102,8 @@ def q_values(sector: SpinSector, directions) -> np.ndarray:
 def q_function(sector: SpinSector, grid: tuple[int, int] = (64, 128)) -> QGrid:
     """Q on a Gauss-Legendre x uniform product grid; grid = (n_theta, n_phi)."""
     sector = _check_type("sector", sector, SpinSector)
+    if not (type(grid) in _LISTS or isinstance(grid, np.ndarray) and grid.ndim) or len(grid) != 2:
+        raise ValueError(f"grid must be a list of 2 entries, got {grid!r}")
     n_theta, n_phi = grid
     n_theta, n_phi = _check_int("grid size n_theta", n_theta, 1), _check_int("grid size n_phi", n_phi, 1)
     thetas, weights, phis, table = _grid_axes(sector.spin.twice, n_theta, n_phi)
@@ -112,6 +114,7 @@ def q_function(sector: SpinSector, grid: tuple[int, int] = (64, 128)) -> QGrid:
 
 def export_qgrid(grid: QGrid, path) -> None:
     """Write CSV rows theta,phi,weight,Q in theta-major order (bit-stable)."""
+    grid = _check_type("grid", grid, QGrid)
     phis = [repr(p) for p in grid.phis.tolist()]
     weights = grid.theta_weights * (2.0 * math.pi / grid.n_phi)
     with open(path, "w") as fh:

@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .angmom import HalfInt, _check_int, _check_spin, _check_tol, _check_type, _is_int
+from .angmom import HalfInt, _check_int, _check_spin, _check_tol, _check_type, _Frozen, _is_int
 from .states import SpinSector, as_shells
 
 __all__ = [
@@ -136,7 +136,7 @@ def _components(result) -> dict[tuple[int, int], complex]:
 
 
 @dataclass(frozen=True)
-class MultipoleSpectrum:
+class MultipoleSpectrum(_Frozen):
     """Multipole decomposition of one shell: components, strengths, and degrees.
 
     `coefficients[K, 2S + q]` is rho_Kq (zero where |q| > K), read-only, and `components` its dict.
@@ -180,18 +180,18 @@ def state_multipoles(sector: SpinSector, *, tol: float = DEFAULT_ORDER_TOL) -> M
     S = sector.spin
     t = S.twice
     c = components(sector.rho, S, t)
-    c.setflags(write=False)
     W, A, P = _strengths_cumulative_degrees(c, t)
     return MultipoleSpectrum(S, c, W, A, P, _leading_within(A, tol), tol)
 
 
 def strengths(spectrum: MultipoleSpectrum) -> np.ndarray:
     """Multipole strengths W_K, K = 0..2S."""
-    return spectrum.strengths.copy()
+    return _check_type("spectrum", spectrum, MultipoleSpectrum).strengths.copy()
 
 
 def cumulative(spectrum: MultipoleSpectrum, K: int) -> float:
     """Cumulative distribution A_K = W_1 + ... + W_K (monopole excluded)."""
+    spectrum = _check_type("spectrum", spectrum, MultipoleSpectrum)
     K = _check_int("K", K, 1, spectrum.spin.twice, span="[1, 2S]")
     return float(spectrum.cumulative_all[K - 1])
 
@@ -230,12 +230,14 @@ def _strengths_cumulative_degrees(c: np.ndarray, t: int):
 
 def degree(spectrum: MultipoleSpectrum, K: int) -> float:
     """Degree of polarization of order K, P_K = sqrt(A_K / A_K,coherent)."""
+    spectrum = _check_type("spectrum", spectrum, MultipoleSpectrum)
     K = _check_int("K", K, 1, spectrum.spin.twice, span="[1, 2S]")
     return float(spectrum.degrees_all[K - 1])
 
 
 def unpolarization_order(spectrum: MultipoleSpectrum, tol: float = DEFAULT_ORDER_TOL) -> int:
     """Largest K with A_K <= tol; 0 if the dipole survives, 2S if fully unpolarized."""
+    spectrum = _check_type("spectrum", spectrum, MultipoleSpectrum)
     _check_tol(tol)
     return _leading_within(spectrum.cumulative_all, tol)
 
@@ -250,7 +252,7 @@ class ShellReport:
 
 
 @dataclass(frozen=True)
-class PolarizationReport:
+class PolarizationReport(_Frozen):
     """Shell-wise multipole analysis plus P_S-weighted aggregates.
 
     The per-shell spectra are the primary result.  `aggregate_cumulative[K-1]`

@@ -37,10 +37,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angmom import HalfInt, _check_int, _check_norm, _check_reals, _check_spin
+from .angmom import HalfInt, _check_int, _check_norm, _check_reals, _check_spin, _check_type, _Frozen
 from .catalog import three_photon_first_order_eigs
 from .multipole import _basis_diagonal, _strengths_cumulative_degrees
-from .states import SpinSector, _ginibre, _ReadOnly, diag_sector, maximally_mixed, pure_sector
+from .states import SpinSector, _ginibre, diag_sector, maximally_mixed, pure_sector
 
 __all__ = [
     "CONSTRAINT_CLASSES",
@@ -85,7 +85,7 @@ class InfeasibleError(ValueError):
 
 
 @dataclass(frozen=True)
-class SearchProblem:
+class SearchProblem(_Frozen):
     """Search setup: shell spin, unpolarization order, constraint class, restarts, seed."""
 
     spin: HalfInt
@@ -95,12 +95,11 @@ class SearchProblem:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "spin", _check_spin("spin", self.spin))
-        cls = _CLASS_ALIASES.get(self.constraint_class)
+        spin, cls = _check_spin("spin", self.spin), _CLASS_ALIASES.get(self.constraint_class)
         if cls is None:
             raise ValueError(f"unknown constraint class {self.constraint_class!r}; "
                              f"choose from {CONSTRAINT_CLASSES}")
-        object.__setattr__(self, "constraint_class", cls)
+        self._freeze(spin=spin, constraint_class=cls)
         _check_int("order", self.order, 1, self.spin.twice, span="[1, 2S]")
         _check_int("restarts", self.restarts, 1)
         _check_int("seed", self.seed, 0)
@@ -366,6 +365,7 @@ def max_purity_unpolarized(problem: SearchProblem) -> SearchResult:
     a multi-restart purity ascent over rank-(order + 1) factors of rho and is
     locally optimal only.
     """
+    problem = _check_type("problem", problem, SearchProblem)
     if problem.constraint_class == "pure":
         raise ValueError("use pure_anticoherent_search for the pure class")
     if problem.constraint_class in ("diagonal-in-z-basis", "axially-symmetric"):
@@ -440,13 +440,11 @@ def _diagonal_rows(p: np.ndarray):
     return np.einsum("nm,nm->n", p, p), A, P
 
 
-class FamilyScan(_ReadOnly):
+class FamilyScan(_Frozen):
     """Read-only columns named by the fields of the row type `scan.row`; iterating makes the rows, in one pass."""
 
     def __init__(self, row: type, *columns: np.ndarray):
-        for column in columns:
-            column.setflags(write=False)
-        vars(self).update(zip(row._fields, columns), row=row)
+        self._freeze(row=row, **dict(zip(row._fields, columns)))
 
     def __len__(self) -> int:
         return len(vars(self)[self.row._fields[0]])

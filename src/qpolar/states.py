@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angmom import (EulerAngles, _check_int, _check_norm, _check_reals, _check_spin, _check_tol, _check_type,
-                     _d_column, half, wigner_D)
+                     _d_column, _Frozen, half, wigner_D)
 
 __all__ = [
     "DEFAULT_TOL",
@@ -42,15 +42,14 @@ DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class Direction:
+class Direction(_Frozen):
     """Point on the Poincare sphere: polar theta in [0, pi], azimuth phi in [0, 2pi)."""
 
     theta: float
     phi: float
 
     def __post_init__(self):
-        for name in ("theta", "phi"):
-            object.__setattr__(self, name, _check_reals(name, getattr(self, name)))
+        self._freeze(**{name: _check_reals(name, getattr(self, name)) for name in ("theta", "phi")})
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
         if not 0.0 <= self.phi < 2.0 * math.pi:
@@ -59,9 +58,7 @@ class Direction:
     @classmethod
     def from_vector(cls, v) -> "Direction":
         v = _check_reals("v", v, (3,))
-        n = np.linalg.norm(v)
-        if n == 0:
-            raise ValueError("zero vector has no direction")
+        n = _check_norm("v", v)
         theta = math.acos(min(1.0, max(-1.0, v[2] / n)))
         phi = math.atan2(v[1], v[0]) % (2.0 * math.pi)
         return cls(theta, phi)
@@ -122,24 +119,7 @@ def _diagnose(rho: np.ndarray, tol: float) -> ValidationReport:
     return ValidationReport(herm, float(trace), min_eig, tol)
 
 
-class _ReadOnly:
-    """A base whose attributes cannot be set or deleted: `__init__` sets them with `object.__setattr__`."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"a {type(self).__name__} is read-only: cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __setstate__(self, state):
-        # pickle and copy restore the attributes here, where they would call __setattr__
-        for part in state if isinstance(state, tuple) else (state,):  # (__dict__, slots) or __dict__
-            for name, value in (part or {}).items():
-                object.__setattr__(self, name, value)
-
-
-class SpinSector(_ReadOnly):
+class SpinSector(_Frozen):
     """Density matrix on one photon-number shell (spin S, basis |S,m>, m descending).
 
     Non-finite entries are always refused.  Validated on construction by
@@ -157,9 +137,7 @@ class SpinSector(_ReadOnly):
             report = _diagnose(rho, DEFAULT_TOL)
             if not report.ok:
                 raise ValueError(f"invalid density matrix: {report.message()}")
-        rho.setflags(write=False)
-        object.__setattr__(self, "spin", spin)
-        object.__setattr__(self, "rho", rho)
+        self._freeze(spin=spin, rho=rho)
 
     def purity(self) -> float:
         return float(np.vdot(self.rho, self.rho).real)
@@ -245,7 +223,7 @@ def rotate(sector: SpinSector, angles: EulerAngles) -> SpinSector:
     return SpinSector(sector.spin, D @ sector.rho @ D.conj().T, validate=False)
 
 
-class PolarizationState(_ReadOnly):
+class PolarizationState(_Frozen):
     """Block-diagonal polarization sector: weighted shells (P_S, rho^(S)).
 
     Weights are the photon-number distribution: non-negative, summing
@@ -270,7 +248,7 @@ class PolarizationState(_ReadOnly):
             total += w
         if abs(total - 1.0) > DEFAULT_TOL:
             raise ValueError(f"shell weights sum to {total}, expected 1")
-        object.__setattr__(self, "entries", entries)
+        self._freeze(entries=entries)
 
     def purity(self) -> float:
         """Purity of the block-diagonal state, sum_S P_S^2 Tr[rho_S^2]."""
@@ -309,6 +287,7 @@ def _ginibre(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
 def random_sector(S, rng: np.random.Generator, rank: int | None = None) -> SpinSector:
     """Random density matrix of the given rank (default full, 2S+1) from the Ginibre ensemble."""
     d = _check_spin("S", S).twice + 1
+    rng = _check_type("rng", rng, np.random.Generator)
     rank = d if rank is None else _check_int("rank", rank, 1, d, span="[1, 2S+1]")
     g = _ginibre(d, rank, rng)
     rho = g @ g.conj().T
@@ -318,6 +297,7 @@ def random_sector(S, rng: np.random.Generator, rank: int | None = None) -> SpinS
 
 def random_direction(rng: np.random.Generator) -> Direction:
     """Uniform random point on the sphere."""
+    rng = _check_type("rng", rng, np.random.Generator)
     z = rng.uniform(-1.0, 1.0)
     phi = rng.uniform(0.0, 2.0 * math.pi)
     return Direction(math.acos(z), phi)
@@ -325,6 +305,7 @@ def random_direction(rng: np.random.Generator) -> Direction:
 
 def random_angles(rng: np.random.Generator) -> EulerAngles:
     """Haar-ish random Euler angles (uniform alpha/gamma, cos-uniform beta)."""
+    rng = _check_type("rng", rng, np.random.Generator)
     return EulerAngles(
         rng.uniform(0.0, 2.0 * math.pi),
         math.acos(rng.uniform(-1.0, 1.0)),

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angmom import (HalfInt, _check_each, _check_int, _check_reals, _check_spin, _check_tol, _check_type, _is_int,
-                     _spin_arrays)
+from .angmom import (HalfInt, _check_each, _check_int, _check_reals, _check_spin, _check_tol, _check_type, _Frozen,
+                     _is_int, _spin_arrays)
 from .multipole import _basis_diagonal, _components, _leading_within, _strengths_cumulative_degrees
 from .states import Direction, SpinSector, as_shells
 
@@ -40,7 +40,7 @@ class IllConditionedError(ValueError):
 
 
 @dataclass(frozen=True)
-class StokesTriple:
+class StokesTriple(_Frozen):
     """The three Stokes (spin) matrices on one shell, basis |S,m> descending."""
 
     spin: HalfInt
@@ -163,7 +163,7 @@ def sample_moments(sector: SpinSector, directions, max_ell: int) -> list[MomentS
 
 
 @dataclass(frozen=True)
-class ReconstructionResult:
+class ReconstructionResult(_Frozen):
     """Multipoles recovered from directional moments by least squares, kept as in MultipoleSpectrum."""
 
     spin: HalfInt
@@ -261,13 +261,13 @@ def moments_to_multipoles(samples, S, k_max: int) -> ReconstructionResult:
     np.add.at(c, (ks, k_max + qs), np.where(parts == 0, sol, 1j * sol))
     # hermiticity: rho_K,-q = (-1)^q rho_Kq^*
     c[:, :k_max] = (c[:, k_max + 1:].conj() * (-1.0) ** np.arange(1, k_max + 1))[:, ::-1]
-    c.setflags(write=False)
     W, A, P = _strengths_cumulative_degrees(c, S.twice)
     return ReconstructionResult(S, k_max, c, W, A, P, cond, residual, len(ell))
 
 
 def write_moments(samples, path) -> None:
     """Write moment samples as CSV rows theta,phi,ell,value."""
+    samples = _check_each("samples", samples, MomentSample)
     with open(path, "w") as fh:
         fh.write("theta,phi,ell,value\n")
         for s in samples:

@@ -16,16 +16,23 @@ or named S, j or spin or as one of `REAL_NAMES`, is either swept here or
 exempt with a reason.  State-file payloads and preset arguments follow the
 same rule: a number is a number, never a string, bool or null, and a preset
 refuses a key it does not read.  An object of the wrong type where a shell, a
-state or a list of directions is wanted (an array, None, a bare Direction, a
+state, a spectrum, a search problem, a random generator or a list of
+directions or moment samples is wanted (an array, None, a bare Direction, a
 PolarizationState for one shell) is refused by name too, with its own
-coverage check.
+coverage check.  Every public object is read-only, copies and pickles
+included: the class sweep sets, deletes and writes into each one, and no
+module but `angmom` holds a second way to set an attribute.
 """
 
+import ast
+import copy
 import importlib
 import inspect
 import json
 import math
 import os
+import pathlib
+import pickle
 import re
 import warnings
 from typing import Callable, NamedTuple
@@ -42,13 +49,14 @@ from qpolar.catalog import (
     two_photon_pure_unpolarized,
 )
 from qpolar.cli import main
-from qpolar.husimi import q_function, q_values
+from qpolar.husimi import export_qgrid, q_function, q_values
 from qpolar.multipole import (
     analyze,
     coherent_cumulative_max,
     cumulative,
     degree,
     state_multipoles,
+    strengths,
     tensor_matrix,
     unpolarization_order,
 )
@@ -56,6 +64,7 @@ from qpolar.search import (
     SearchProblem,
     anticoherence_gradient,
     anticoherence_objective,
+    max_purity_unpolarized,
     pure_anticoherent_search,
     scan_three_photon_family,
     scan_two_photon_family,
@@ -72,6 +81,8 @@ from qpolar.states import (
     maximally_mixed,
     pure_sector,
     purity,
+    random_angles,
+    random_direction,
     random_sector,
     rotate,
     su2_coherent,
@@ -588,8 +599,27 @@ OBJECT_SWEEP = [
     ("stokes.sample_moments", "directions", lambda v: sample_moments(SECTOR, v, 1), ()),
     ("stateio.state_to_dict", "obj", state_to_dict, STATE_OK),
     ("stateio.save_state", "obj", lambda v: save_state(v, os.devnull), STATE_OK),
+    ("multipole.strengths", "spectrum", strengths, ()),
+    ("multipole.cumulative", "spectrum", lambda v: cumulative(v, 1), ()),
+    ("multipole.degree", "spectrum", lambda v: degree(v, 1), ()),
+    ("multipole.unpolarization_order", "spectrum", unpolarization_order, ()),
+    ("search.max_purity_unpolarized", "problem", max_purity_unpolarized, ()),
+    ("states.random_sector", "rng", lambda v: random_sector(1, v), ()),
+    ("states.random_direction", "rng", random_direction, ()),
+    ("states.random_angles", "rng", random_angles, ()),
+    ("stokes.write_moments", "samples", lambda v: write_moments(v, os.devnull), ()),
 ]
-OBJECT_EXEMPT = {"stateio.state_from_dict": "obj is a parsed JSON document, checked by the schema"}
+OBJECT_EXEMPT = {
+    "stateio.state_from_dict": "obj is a parsed JSON document, checked by the schema",
+    "stokes.moments_to_multipoles": "samples mixes MomentSample entries and (Direction, order, value) triples, "
+                                    "each named by TestMomentSamples",
+    "multipole.ShellReport": "a result the library builds from the spectrum it made",
+    "search.SearchResult": "a result the library builds from the problem it solved",
+}
+# the type a single-object parameter names, and the entry type a list parameter names
+OBJECT_TYPES = {"sector": "SpinSector", "obj": "SpinSector or PolarizationState", "spectrum": "MultipoleSpectrum",
+                "problem": "SearchProblem", "rng": "Generator"}
+ENTRY_TYPES = {"directions": "Direction", "samples": "MomentSample"}
 
 
 @pytest.mark.parametrize("where, param, call, allowed", OBJECT_SWEEP, ids=[f"{w}-{p}" for w, p, _, _ in OBJECT_SWEEP])
@@ -604,13 +634,12 @@ def test_object_of_the_wrong_type_is_refused_by_name(where, param, call, allowed
         warnings.simplefilter("always")
         with pytest.raises(ValueError) as exc:
             call(value)
-    want = {"sector": f"sector must be of type SpinSector, got {value!r}",
-            "obj": f"obj must be of type SpinSector or PolarizationState, got {value!r}"}.get(param)
-    if want is None:  # a list parameter names the first entry that is no Direction, or itself when it is no list
-        assert re.match(rf"^{param}(\[0\] must be of type Direction| must be a list of Direction entries), got ",
+    if param in OBJECT_TYPES:
+        assert str(exc.value) == f"{param} must be of type {OBJECT_TYPES[param]}, got {value!r}"
+    else:  # a list parameter names its first entry of the wrong type, or itself when it is no list
+        entry = ENTRY_TYPES[param]
+        assert re.match(rf"^{param}(\[0\] must be of type {entry}| must be a list of {entry} entries), got ",
                         str(exc.value)), str(exc.value)
-    else:
-        assert str(exc.value) == want
     assert caught == []
 
 
@@ -629,10 +658,49 @@ def test_every_object_parameter_is_swept_or_exempt():
             obj = getattr(mod, name)
             if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception)):
                 found |= {(f"{module}.{name}", p) for p in inspect.signature(obj).parameters
-                          if p in ("sector", "obj", "directions")}
+                          if p in {*OBJECT_TYPES, *ENTRY_TYPES}}
     swept = {(where, param) for where, param, _, _ in OBJECT_SWEEP}
     assert sorted(k for k in found - swept if k[0] not in OBJECT_EXEMPT) == []
     assert sorted(swept - found) == []
+    assert sorted(set(OBJECT_EXEMPT) - {where for where, _ in found}) == []
+
+
+def test_moments_are_checked_before_the_file_is_opened(tmp_path):
+    path = tmp_path / "m.csv"
+    with pytest.raises(ValueError, match="^samples\\[1\\] must be of type MomentSample, got 5$"):
+        write_moments([SAMPLES[0], 5], path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("grid", [5, (4,), (4, 8, 2), "64x128", None, np.array(64), (n for n in (4, 8))],
+                         ids=["int", "one", "three", "string", "None", "0-d-array", "generator"])
+def test_q_grid_that_is_no_pair_is_refused_by_name(grid):
+    # an int once raised "cannot unpack non-iterable int object", a pair of the wrong length an unpacking error
+    with pytest.raises(ValueError, match=f"^grid must be a list of 2 entries, got {re.escape(repr(grid))}$"):
+        q_function(SECTOR, grid)
+
+
+def test_q_grid_pairs_of_every_list_type_are_accepted():
+    for grid in ((4, 8), [4, 8], np.array([4, 8]), range(4, 9, 4)):
+        q = q_function(SECTOR, grid)
+        assert (q.n_theta, q.n_phi) == (4, 8)
+
+
+def test_export_refuses_a_grid_that_is_no_qgrid_before_opening_the_file(tmp_path):
+    path = tmp_path / "q.csv"
+    with pytest.raises(ValueError, match="^grid must be of type QGrid, got \\(4, 8\\)$"):
+        export_qgrid((4, 8), path)
+    assert not path.exists()
+
+
+def test_vector_whose_norm_overflows_is_refused_by_name():
+    # its norm overflowed to inf, with a RuntimeWarning, and theta came out pi/2 where it is 0.9553
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="^v must have a finite, nonzero norm, got inf$"):
+            Direction.from_vector([1e300, 1e300, 1e300])
+    assert caught == []
+    assert Direction.from_vector([1e150, 1e150, 1e150]).theta == pytest.approx(math.acos(1 / math.sqrt(3)))
 
 
 @pytest.mark.parametrize("K, q, name", [(2.5, 0, "K"), (True, 0, "K"), ("1", 0, "K"), (1, 0.5, "q"), (1, False, "q"),
@@ -644,3 +712,109 @@ def test_component_refuses_a_rank_or_index_that_is_no_integer(K, q, name):
     assert spec.component(np.int64(2), -1) == spec.component(2, -1)
     with pytest.raises(KeyError):
         spec.component(1, 2)
+
+
+def _two_shells():
+    return PolarizationState([(0.5, SECTOR), (0.5, maximally_mixed(0.5))])
+
+
+# one instance of every class that a module exports, built the way the library builds it
+CLASS_CASES = {
+    "angmom.HalfInt": lambda: HalfInt(3),
+    "angmom.EulerAngles": lambda: EulerAngles(0.1, 0.2, 0.3),
+    "states.Direction": lambda: Direction(0.3, 0.2),
+    "states.ValidationReport": lambda: validate(SECTOR),
+    "states.SpinSector": lambda: random_sector(1, np.random.default_rng(26)),
+    "states.PolarizationState": _two_shells,
+    "multipole.MultipoleSpectrum": lambda: state_multipoles(random_sector(1, np.random.default_rng(26))),
+    "multipole.ShellReport": lambda: analyze(SECTOR).shells[0],
+    "multipole.PolarizationReport": lambda: analyze(_two_shells()),
+    "stokes.StokesTriple": lambda: stokes_matrices(1),
+    "stokes.MomentSample": lambda: SAMPLES[0],
+    "stokes.ReconstructionResult": lambda: moments_to_multipoles(SAMPLES, 1, 2),
+    "husimi.QGrid": lambda: q_function(SECTOR, (4, 8)),
+    "search.SearchProblem": lambda: SearchProblem(1, 1),
+    "search.RestartRecord": lambda: max_purity_unpolarized(SearchProblem(1, 1, "diagonal")).history[0],
+    "search.SearchResult": lambda: max_purity_unpolarized(SearchProblem(1, 1, "diagonal")),
+    "search.FamilyScan": lambda: scan_two_photon_family([0.1, 0.25]),
+    "search.TwoPhotonRow": lambda: next(iter(scan_two_photon_family([0.1]))),
+    "search.ThreePhotonRow": lambda: next(iter(scan_three_photon_family("second-order", [0.25]))),
+}
+CLASS_EXEMPT = dict.fromkeys(["stokes.IllConditionedError", "search.InfeasibleError", "stateio.SchemaError"],
+                             "an exception: raised, never kept")
+# the classes whose instances hold an ndarray, so that the sweep writes into at least one
+HOLD_ARRAYS = {"states.SpinSector", "states.PolarizationState", "multipole.MultipoleSpectrum", "multipole.ShellReport",
+               "multipole.PolarizationReport", "stokes.StokesTriple", "stokes.ReconstructionResult", "husimi.QGrid",
+               "search.SearchResult", "search.FamilyScan"}
+ROUND_TRIPS = {"built": lambda o: o, "copy": copy.copy, "deepcopy": copy.deepcopy,
+               "pickle": lambda o: pickle.loads(pickle.dumps(o))}
+
+
+def _stored(obj) -> dict:
+    """The attributes an object stores: its slots, its __dict__ and its tuple fields."""
+    names = [n for c in type(obj).__mro__ for n in getattr(c, "__slots__", ())]
+    names += [*getattr(obj, "__dict__", {}), *getattr(obj, "_fields", ())]
+    return {n: getattr(obj, n) for n in names}
+
+
+def _arrays(value, path: str):
+    """(path, array) for every ndarray in value, reached through tuples and the attributes of qpolar objects."""
+    if isinstance(value, np.ndarray):
+        yield path, value
+    elif type(value) is tuple:
+        for i, item in enumerate(value):
+            yield from _arrays(item, f"{path}[{i}]")
+    elif type(value).__module__.startswith("qpolar."):
+        for name, item in _stored(value).items():
+            yield from _arrays(item, f"{path}.{name}")
+
+
+@pytest.mark.parametrize("trip", ROUND_TRIPS)
+@pytest.mark.parametrize("where", CLASS_CASES)
+def test_every_public_object_is_read_only_and_stays_so_when_copied(where, trip):
+    # a HalfInt, a copied or unpickled sector's rho, and the strengths, A_K, P_K and Q values were writable
+    obj = ROUND_TRIPS[trip](CLASS_CASES[where]())
+    assert f"{type(obj).__module__}.{type(obj).__name__}" == f"qpolar.{where}"
+    for name, value in [*_stored(obj).items(), ("added", 0)]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    arrays = dict(_arrays(obj, where))
+    assert bool(arrays) == (where in HOLD_ARRAYS)
+    for path, array in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+        assert not array.flags.writeable, path
+
+
+def test_every_exported_class_is_swept_or_exempt():
+    exported = {f"{m}.{n}" for m in MODULES for n, obj in vars(importlib.import_module(f"qpolar.{m}")).items()
+                if n in importlib.import_module(f"qpolar.{m}").__all__ and isinstance(obj, type)}
+    assert sorted(exported - set(CLASS_CASES) - set(CLASS_EXEMPT)) == []
+    assert sorted((set(CLASS_CASES) | set(CLASS_EXEMPT)) - exported) == []
+
+
+def test_a_set_half_int_or_spectrum_array_is_refused():
+    sector = maximally_mixed(1)
+    with pytest.raises(AttributeError, match="'twice'"):
+        sector.spin.twice = 4
+    spectrum = state_multipoles(sector)
+    with pytest.raises(ValueError):
+        spectrum.cumulative_all[0] = 1.0
+    assert unpolarization_order(spectrum) == spectrum.unpol_order == 2
+
+
+def test_only_angmom_sets_attributes_behind_the_read_only_rule():
+    # one rule: a module other than angmom that defines __setattr__ or calls object.__setattr__ holds a second one
+    found = []
+    for path in sorted(pathlib.Path(importlib.import_module("qpolar").__file__).parent.glob("*.py")):
+        if path.stem == "angmom":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in ("__setattr__", "__delattr__"):
+                found.append(f"{path.name}:{node.lineno} defines {node.name}")
+            elif (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                  and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                found.append(f"{path.name}:{node.lineno} calls object.__setattr__")
+    assert found == []

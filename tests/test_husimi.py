@@ -92,7 +92,7 @@ class TestFourierKernel:
         for axis in (a.thetas, a.theta_weights, a.phis):
             with pytest.raises(ValueError):
                 axis[0] = 0.0
-        assert a.values.flags.writeable
+        assert not a.values.flags.writeable
 
 
 class TestQFunction:

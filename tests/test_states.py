@@ -285,7 +285,7 @@ class TestRefusalsAndViews:
             Direction(math.nan, 0.0)
         with pytest.raises(ValueError, match="^phi must be a finite number, got inf$"):
             Direction(0.3, math.inf)
-        with pytest.raises(ValueError, match="^zero vector has no direction$"):
+        with pytest.raises(ValueError, match="^v must have a finite, nonzero norm, got 0.0$"):
             Direction.from_vector([0.0, 0.0, 0.0])
 
     def test_trace_deviation_is_reported(self):
