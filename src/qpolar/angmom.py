@@ -140,9 +140,11 @@ def _check_each(name: str, values, cls: type) -> list:
 
 
 def _check_norm(name: str, v: np.ndarray) -> float:
-    """The norm of the vector `v`, refused with a ValueError naming it unless finite and nonzero."""
-    with np.errstate(over="ignore"):  # an overflowing norm is refused just below
+    """The norm of the finite vector `v`, refused with a ValueError naming it unless finite and nonzero."""
+    with np.errstate(over="ignore"):  # a norm that still overflows is refused just below
         n = float(np.linalg.norm(v))
+        if n == math.inf and (top := float(np.abs(v).max())) < math.inf:  # the squares overflowed: scale first
+            n = top * float(np.linalg.norm(v / top))
     if not 0.0 < n < math.inf:
         raise ValueError(f"{name} must have a finite, nonzero norm, got {n}")
     return n

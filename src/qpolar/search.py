@@ -2,9 +2,9 @@
 
 * diagonal / axially symmetric — the constraints are linear in the
   eigenvalues and Tr rho^2 is convex, so the maximum sits at a vertex of
-  the eigenvalue polytope; vertices are enumerated exactly, every support
-  of one size solved by one batched SVD, each vertex kept on its own
-  support, where all its entries are positive.
+  the eigenvalue polytope.  Every vertex solves the constraints on some K + 1
+  levels, so all those square systems go to one batched solve, and each
+  vertex is kept once, keyed by the levels where it is positive.
 * general mixed — rho = V V^dagger / |V|^2 with V of size d x (K+1), which
   loses no optimum (Barvinok-Pataki).  A restart retracts a random V onto
   A_K = 0, then steps along the purity gradient g projected onto its tangent
@@ -75,7 +75,7 @@ RETRACT_MU = 1e-9         # initial damping of a retraction: each starts one sho
 LM_MU_MAX = 1e20          # damping at which a step that does not lower A_K ends the run
 LM_MAX_ENTRIES = 2_000_000  # Jacobian entries a Levenberg-Marquardt run may allocate: J is then 16 MB
 # and a run peaks near 51 MB, plus a 32 MB cached residual plan (pure 2S = 200, K = 69, tracemalloc)
-DIAG_MAX_SUPPORTS = 50_000  # eigenvalue supports the diagonal vertex enumeration may try
+DIAG_MAX_SUPPORTS = 50_000  # supports of order + 1 levels the diagonal vertex enumeration may try
 
 STOP_REASONS = ("converged", "stalled", "max-iter")
 
@@ -314,29 +314,24 @@ def _diag_constraint_rows(S: HalfInt, order: int) -> np.ndarray:
 
 def _diag_vertices(S: HalfInt, order: int) -> np.ndarray:
     n_eq, d = order + 1, S.twice + 1
-    supports = sum(math.comb(d, size) for size in range(1, min(n_eq, d) + 1))
-    if supports > DIAG_MAX_SUPPORTS:
-        raise ValueError(f"diagonal search at order {order} for spin {S} would try {supports} "
-                         f"eigenvalue supports, more than the limit of {DIAG_MAX_SUPPORTS}")
-    c = _diag_constraint_rows(S, order)
-    verts = []
-    for size in range(1, min(n_eq, d) + 1):
-        # every support of this size at once: the least-squares solution of c[:, support] x = e,
-        # e = (0, ..., 0, 1) the trace row, as V diag(1/s) U^T e from one batched SVD
-        supports = np.array(list(itertools.combinations(range(d), size)))
-        sub = c.T[supports].swapaxes(1, 2)  # [support, n_eq, size]
-        U, sv, Vt = np.linalg.svd(sub, full_matrices=False)
-        full = sv[:, -1] > np.finfo(float).eps * max(n_eq, size) * sv[:, 0]  # lstsq's rank rule at rcond=None
-        sol = np.einsum("nki,nk->ni", Vt, np.divide(U[:, -1], sv, out=np.zeros_like(sv), where=full[:, None]))
-        res = np.einsum("nji,ni->nj", sub, sol)
-        res[:, -1] -= 1.0
-        # a vertex is solved once, on its own support, where every entry is positive; a larger
-        # support that holds it returns it padded with entries that are zero to rounding
-        ok = full & (np.linalg.norm(res, axis=1) <= 1e-10) & np.all(sol > 1e-10, axis=1)
-        v = np.zeros((np.count_nonzero(ok), d))
-        np.put_along_axis(v, supports[ok], sol[ok], axis=1)
-        verts.append(v)
-    return np.vstack(verts)
+    count = math.comb(d, n_eq)
+    if count > DIAG_MAX_SUPPORTS:
+        raise ValueError(f"diagonal search at order {order} for spin {S} would try {count} "
+                         f"eigenvalue supports of {n_eq} levels, more than the limit of {DIAG_MAX_SUPPORTS}")
+    # the rows are polynomials of degree <= order in m, so any n_eq levels give an invertible block,
+    # and every vertex solves c[:, support] x = e, e = (0, ..., 0, 1) the trace row, on some support
+    # of n_eq levels: all of them in one batched solve; a vertex on fewer levels comes padded with zeros
+    levels = itertools.chain.from_iterable(itertools.combinations(range(d), n_eq))
+    supports = np.fromiter(levels, np.intp, count * n_eq).reshape(count, n_eq)
+    sol = np.linalg.solve(_diag_constraint_rows(S, order).T[supports].swapaxes(1, 2), np.eye(n_eq)[-1])
+    feasible = np.all(sol > -1e-10, axis=1)
+    v = np.zeros((np.count_nonzero(feasible), d))
+    np.put_along_axis(v, supports[feasible], np.where(sol[feasible] > 1e-10, sol[feasible], 0.0), axis=1)
+    # each vertex once, keyed by its own support, ordered by support size, then in combination order
+    verts = {}
+    for row in v:
+        verts.setdefault(tuple(row.nonzero()[0].tolist()), row)
+    return np.array([verts[k] for k in sorted(verts, key=lambda k: (len(k), k))])
 
 
 def _solve_diagonal(problem: SearchProblem):
@@ -396,16 +391,16 @@ def anticoherence_objective(psi: np.ndarray, S, order: int) -> float:
 def anticoherence_gradient(x: np.ndarray, S, order: int) -> np.ndarray:
     """Gradient 2 J^T u of A_order in the 2(2S+1) real coordinates (re, im) of psi.
 
-    Exact at every |psi|, as A_order is evaluated on psi/|psi|.  Raises
-    ValueError for an order outside [1, 2S], and for x that is not 2(2S+1)
-    finite reals or whose norm is zero or overflows.
+    Exact at every |psi|, as A_order is evaluated on psi/|psi|; computed at x / 2^e, e the binary
+    exponent of |x|, and scaled by 2^-e, so no square overflows.  Raises ValueError for an order
+    outside [1, 2S], and for x that is not 2(2S+1) finite reals or whose norm is zero or overflows.
     """
     S = _check_spin("S", S)
     _check_int("order", order, 1, S.twice, span="[1, 2S]")
     x = _check_reals("x", x, (2 * (S.twice + 1),))
-    _check_norm("x", x)
-    u, J = _residual(x, S, order, 1)
-    return 2.0 * (J.T @ u)
+    _, e = math.frexp(_check_norm("x", x))
+    u, J = _residual(np.ldexp(x, -e), S, order, 1)
+    return np.ldexp(2.0 * (J.T @ u), -e)
 
 
 def pure_anticoherent_search(S, order: int, restarts: int = 64, seed: int = 0) -> SearchResult:

@@ -210,13 +210,15 @@ def moments_to_multipoles(samples, S, k_max: int) -> ReconstructionResult:
     `condition_number` and `residual` are those of that system.  Needs
     moments up to l = k_max on at least 2*k_max+1 distinct directions, and
     none above: their ranks above k_max would alias into the fit, so they
-    raise ValueError, as do a sample that is no (Direction, order, value) triple, a value that
-    is no finite number and an order that is no integer (each naming the sample).
+    raise ValueError, as do `samples` that are no list or tuple, a sample that is no (Direction,
+    order, value) triple, a value that is no finite number and an order that is no integer, each named.
     Raises IllConditionedError when the scaled system is rank deficient
     (smallest singular value below 1e-10 of the largest).
     """
     S = _check_spin("S", S)
     k_max = _check_int("k_max", k_max, 1, S.twice, span="[1, 2S]")
+    if not isinstance(samples, (list, tuple)):
+        raise ValueError(f"samples must be a list of MomentSample entries, got {samples!r}")
     rows = [(s.direction, s.ell, s.value) if isinstance(s, MomentSample) else s for s in samples]
     if not rows:
         raise ValueError("no moment samples given")

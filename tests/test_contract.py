@@ -608,11 +608,10 @@ OBJECT_SWEEP = [
     ("states.random_direction", "rng", random_direction, ()),
     ("states.random_angles", "rng", random_angles, ()),
     ("stokes.write_moments", "samples", lambda v: write_moments(v, os.devnull), ()),
+    ("stokes.moments_to_multipoles", "samples", lambda v: moments_to_multipoles(v, 1, 2), ()),
 ]
 OBJECT_EXEMPT = {
     "stateio.state_from_dict": "obj is a parsed JSON document, checked by the schema",
-    "stokes.moments_to_multipoles": "samples mixes MomentSample entries and (Direction, order, value) triples, "
-                                    "each named by TestMomentSamples",
     "multipole.ShellReport": "a result the library builds from the spectrum it made",
     "search.SearchResult": "a result the library builds from the problem it solved",
 }
@@ -648,6 +647,17 @@ def test_directions_that_are_no_list_are_refused_by_name():
         sample_moments(SECTOR, Direction(0.3, 0.2), 1)
     with pytest.raises(ValueError, match="^directions must be a list of Direction entries, got None$"):
         q_values(SECTOR, None)
+
+
+def test_moment_samples_that_are_no_list_are_refused_before_they_are_read():
+    # an int raised a bare TypeError ("'int' object is not iterable"), naming no argument; the object
+    # sweep covers None, a Direction, an array and a state
+    for bad in (5, iter(SAMPLES)):
+        message = f"samples must be a list of MomentSample entries, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            moments_to_multipoles(bad, 1, 2)
+    as_list, as_tuple = moments_to_multipoles(SAMPLES, 1, 2), moments_to_multipoles(tuple(SAMPLES), 1, 2)
+    assert as_tuple.coefficients.tobytes() == as_list.coefficients.tobytes()
 
 
 def test_every_object_parameter_is_swept_or_exempt():
@@ -698,7 +708,10 @@ def test_vector_whose_norm_overflows_is_refused_by_name():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ValueError, match="^v must have a finite, nonzero norm, got inf$"):
-            Direction.from_vector([1e300, 1e300, 1e300])
+            Direction.from_vector([1.5e308, 1.5e308, 1.5e308])
+        # finite norms whose squares overflow are read, where they were refused as inf
+        for big in (1e200, 1e300):
+            assert Direction.from_vector([big] * 3).theta == pytest.approx(math.acos(1 / math.sqrt(3)))
     assert caught == []
     assert Direction.from_vector([1e150, 1e150, 1e150]).theta == pytest.approx(math.acos(1 / math.sqrt(3)))
 

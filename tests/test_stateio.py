@@ -79,7 +79,7 @@ def test_metadata_block_survives(tmp_path):
         {"sectors": [{"two_S": 2, "weight": 1.0, "form": "diag", "data": [math.nan, 0.5, 0.5]}]},
         {"sectors": [{"two_S": True, "weight": 1.0, "form": "diag", "data": [0.5, 0.5]}]},
         {"sectors": [{"two_S": 1, "weight": math.nan, "form": "diag", "data": [0.5, 0.5]}]},
-        {"sectors": [{"two_S": 1, "weight": 1.0, "form": "pure", "data": [[1e200, 0.0], [1e200, 0.0]]}]},
+        {"sectors": [{"two_S": 1, "weight": 1.0, "form": "pure", "data": [[1.5e308, 0.0], [1.5e308, 0.0]]}]},
     ],
 )
 def test_schema_violations_raise(obj):

@@ -116,7 +116,16 @@ class TestDiagAndPure:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^amplitudes must have a finite, nonzero norm, got inf$"):
-                pure_sector(0.5, [1e200, 1e200])
+                pure_sector(0.5, [1.5e308, 1.5e308])
+            with pytest.raises(ValueError, match="^amplitudes must have a finite, nonzero norm, got inf$"):
+                pure_sector(0.5, [1.5e308 + 1.5e308j, 1.0])
+
+    def test_pure_reads_amplitudes_whose_squares_overflow(self):
+        # the norm of [1e200, 1e200] is finite, though its squares are not: it was refused as inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sec = pure_sector(0.5, [1e200, 1e200])
+        assert_allclose(sec.rho, np.full((2, 2), 0.5), atol=1e-15)
 
 
 class TestRotate:
