@@ -74,7 +74,8 @@ ASCENT_GTOL = 1e-6        # |projected purity gradient| / |rho V| at which a gen
 RETRACT_MU = 1e-9         # initial damping of a retraction: each starts one short step from A_K = 0
 LM_MU_MAX = 1e20          # damping at which a step that does not lower A_K ends the run
 LM_MAX_ENTRIES = 2_000_000  # Jacobian entries a Levenberg-Marquardt run may allocate: J is then 16 MB
-# and a run peaks near 51 MB, plus a 32 MB cached residual plan (pure 2S = 200, K = 69, tracemalloc)
+# and a run peaks near 51 MB, plus a 32 MB cached residual plan (pure 2S = 200, K = 69, tracemalloc);
+# the stacked square blocks of the diagonal vertex enumeration are held to the same number of entries
 DIAG_MAX_SUPPORTS = 50_000  # supports of order + 1 levels the diagonal vertex enumeration may try
 
 STOP_REASONS = ("converged", "stalled", "max-iter")
@@ -315,16 +316,20 @@ def _diag_constraint_rows(S: HalfInt, order: int) -> np.ndarray:
 def _diag_vertices(S: HalfInt, order: int) -> np.ndarray:
     n_eq, d = order + 1, S.twice + 1
     count = math.comb(d, n_eq)
-    if count > DIAG_MAX_SUPPORTS:
-        raise ValueError(f"diagonal search at order {order} for spin {S} would try {count} "
-                         f"eigenvalue supports of {n_eq} levels, more than the limit of {DIAG_MAX_SUPPORTS}")
+    if count > DIAG_MAX_SUPPORTS or count * n_eq**2 > LM_MAX_ENTRIES:
+        raise ValueError(f"diagonal search at order {order} for spin {S} would try {count} eigenvalue supports "
+                         f"of {n_eq} levels in {count * n_eq**2} block entries, more than the limit of "
+                         f"{DIAG_MAX_SUPPORTS} supports or {LM_MAX_ENTRIES} entries")
     # the rows are polynomials of degree <= order in m, so any n_eq levels give an invertible block,
     # and every vertex solves c[:, support] x = e, e = (0, ..., 0, 1) the trace row, on some support
     # of n_eq levels: all of them in one batched solve; a vertex on fewer levels comes padded with zeros
     levels = itertools.chain.from_iterable(itertools.combinations(range(d), n_eq))
     supports = np.fromiter(levels, np.intp, count * n_eq).reshape(count, n_eq)
-    sol = np.linalg.solve(_diag_constraint_rows(S, order).T[supports].swapaxes(1, 2), np.eye(n_eq)[-1])
-    feasible = np.all(sol > -1e-10, axis=1)
+    blocks, e = _diag_constraint_rows(S, order).T[supports].swapaxes(1, 2), np.eye(n_eq)[-1]
+    sol = np.linalg.solve(blocks, e)
+    # the blocks grow ill-conditioned with the order: keep only solutions that meet the constraints
+    res = np.linalg.norm(np.einsum("nij,nj->ni", blocks, sol) - e, axis=1)
+    feasible = np.all(sol > -1e-10, axis=1) & (res <= 1e-10)
     v = np.zeros((np.count_nonzero(feasible), d))
     np.put_along_axis(v, supports[feasible], np.where(sol[feasible] > 1e-10, sol[feasible], 0.0), axis=1)
     # each vertex once, keyed by its own support, ordered by support size, then in combination order
@@ -342,10 +347,9 @@ def _solve_diagonal(problem: SearchProblem):
     # every vertex's A_K from one product with the q = 0 basis block
     a_k = _diagonal_rows(verts / verts.sum(axis=1, keepdims=True))[1][:, problem.order - 1].tolist()
     history = tuple(RestartRecord(i, p, a, 1, "converged") for i, (p, a) in enumerate(zip(purity, a_k)))
-    best = 0
-    for i, p in enumerate(purity):
-        if p > purity[best] + 1e-15:
-            best = i
+    # of optima equal but for rounding (a vertex and its mirror image m -> -m), the first vertex
+    top = max(purity)
+    best = next(i for i, p in enumerate(purity) if p >= top * (1 - 1e-12))
     state = diag_sector(problem.spin, verts[best] / verts[best].sum())
     return state, purity[best], a_k[best], history
 

@@ -176,6 +176,23 @@ def reference_vertices(S, order):
     return verts
 
 
+def complement_vertices(S, order):
+    """Vertices of the diagonal eigenvalue polytope in the orthonormal coordinates a of p = 1/d + sum_K a_K T_K0,
+    K > order, each where d - order - 1 levels vanish; cheap only for an order near 2S."""
+    d = S.twice + 1
+    B = _basis_diagonal(S.twice, 0)[order + 1:]
+    verts = {}
+    for zeros in itertools.combinations(range(d), len(B)):
+        M = B[:, zeros].T
+        if abs(np.linalg.det(M)) < 1e-12:
+            continue
+        p = 1 / d + B.T @ np.linalg.solve(M, np.full(len(B), -1 / d))
+        if p.min() > -1e-10:
+            p = np.where(p > 1e-10, p, 0.0)
+            verts.setdefault(tuple(np.flatnonzero(p)), p)
+    return np.array(list(verts.values()))
+
+
 class TestProblemValidation:
     def test_bad_class(self):
         with pytest.raises(ValueError):
@@ -288,14 +305,14 @@ class TestProjector:
 class TestDiagonalSolver:
     def test_three_photon_first_order_bound(self):
         res = max_purity_unpolarized(SearchProblem(1.5, 1, constraint_class="diagonal"))
-        assert res.objective == 0.625
+        assert abs(res.objective - 0.625) <= 2 * np.finfo(float).eps
         diag = np.sort(np.diag(res.state.rho).real)
         assert_allclose(diag, [0.0, 0.0, 0.25, 0.75], atol=1e-10)
         assert res.residual < 1e-12
 
     def test_three_photon_second_order_bound(self):
         res = max_purity_unpolarized(SearchProblem(1.5, 2, constraint_class="axial"))
-        assert res.objective == 7 / 18
+        assert abs(res.objective - 7 / 18) <= 2 * np.finfo(float).eps
         diag = np.diag(res.state.rho).real
         target = np.array([1 / 3, 0.0, 0.5, 1 / 6])
         match = min(
@@ -336,6 +353,31 @@ class TestDiagonalSolver:
         with pytest.raises(ValueError, match=f"{expected} eigenvalue supports"):
             max_purity_unpolarized(SearchProblem(10, 6, constraint_class="diagonal"))
 
+    def test_refuses_too_many_block_entries_before_enumerating(self, monkeypatch):
+        # 2S=200, K=198: 20,100 supports, within the support limit, but 20,100 blocks of 199 x 199 (6.4 GB)
+        def never(*args):
+            raise AssertionError("the enumeration must not start")
+
+        monkeypatch.setattr(search, "_diag_constraint_rows", never)
+        count, entries = math.comb(201, 199), math.comb(201, 199) * 199**2
+        assert count <= search.DIAG_MAX_SUPPORTS < search.LM_MAX_ENTRIES < entries
+        with pytest.raises(ValueError, match=f"{count} eigenvalue supports of 199 levels in {entries} block entries"):
+            max_purity_unpolarized(SearchProblem(100, 198, constraint_class="diagonal"))
+
+    @pytest.mark.parametrize("later_scale", [1.0, 1 + 2e-15])
+    def test_mirror_image_optima_return_the_first_vertex(self, monkeypatch, later_scale):
+        # 2S=9, K=1: diag(0.1 at m = 9/2, 0.9 at m = -1/2) and its mirror image tie, equal but for rounding,
+        # and a later one larger by rounding does not displace the first
+        verts = search._diag_vertices(half(4.5), 1)
+        (later,) = np.flatnonzero(np.abs(verts - verts[0][::-1]).max(axis=1) < 1e-14)
+        verts[later] *= later_scale
+        monkeypatch.setattr(search, "_diag_vertices", lambda S, order: verts)
+        res = max_purity_unpolarized(SearchProblem(4.5, 1, constraint_class="diagonal"))
+        diag = np.diag(res.state.rho).real
+        assert np.flatnonzero(diag > 1e-10).tolist() == [0, 5]
+        assert_allclose(diag[[0, 5]], [0.1, 0.9], rtol=0, atol=1e-14)
+        assert abs(res.objective - 0.82) <= 1e-14
+
     # all but (3, 1), (3, 2) and (10, 4) hold vertices on fewer than order + 1 levels, found padded with zeros
     @pytest.mark.parametrize("twice_s,order", [(3, 1), (3, 2), (4, 2), (7, 2), (8, 5), (10, 3), (10, 4), (12, 3),
                                                (14, 5), (16, 4)])
@@ -344,6 +386,15 @@ class TestDiagonalSolver:
         got, expected = search._diag_vertices(S, order), reference_vertices(S, order)
         assert len(got) == len(expected) > 0
         assert_allclose(np.array(got), np.array(expected), rtol=0, atol=1e-14)
+
+    # the blocks at these orders reach condition numbers near 1e13 (2S=40, K=38) and 1e19 (2S=100, K=99)
+    @pytest.mark.parametrize("twice_s,order", [(20, 18), (30, 28), (40, 38), (100, 99), (125, 124)])
+    def test_high_order_vertices_match_complement_reference(self, twice_s, order):
+        S = half(twice_s / 2)
+        got, expected = search._diag_vertices(S, order), complement_vertices(S, order)
+        assert sorted(map(tuple, got > 0)) == sorted(map(tuple, expected > 0))
+        got, expected = got[np.lexsort((got > 0).T)], expected[np.lexsort((expected > 0).T)]
+        assert_allclose(got, expected, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("twice_s,order,count", [(60, 2, 8161), (200, 1, 10001)])
     def test_large_spin_vertices_are_distinct_basic_solutions(self, twice_s, order, count):
