@@ -140,13 +140,16 @@ def _check_each(name: str, values, cls: type) -> list:
 
 
 def _check_norm(name: str, v: np.ndarray) -> float:
-    """The norm of the finite vector `v`, refused with a ValueError naming it unless finite and nonzero."""
+    """The norm of the finite vector `v`, refused with a ValueError naming it unless finite, nonzero and normal."""
     with np.errstate(over="ignore"):  # a norm that still overflows is refused just below
         n = float(np.linalg.norm(v))
-        if n == math.inf and (top := float(np.abs(v).max())) < math.inf:  # the squares overflowed: scale first
+        # the squares overflowed, or summed below the normal floats and lost digits: scale first
+        if (n == math.inf or n * n < sys.float_info.min) and 0.0 < (top := float(np.abs(v).max())) < math.inf:
             n = top * float(np.linalg.norm(v / top))
     if not 0.0 < n < math.inf:
         raise ValueError(f"{name} must have a finite, nonzero norm, got {n}")
+    if n < sys.float_info.min:  # a subnormal norm has lost the digits a division by it needs
+        raise ValueError(f"{name} must have a norm of at least {sys.float_info.min}, got {n}")
     return n
 
 

@@ -6,12 +6,16 @@ and rho_K0(n) = sum_q exp(i q phi) d^K_q0(theta) rho_Kq (K = 0 is the monopole).
 So isotropy of all moments up to order K is K-th-order unpolarization, and
 moments along enough directions determine the multipoles up to a chosen rank
 by least squares on the same rows.  A raw moment (scaled times s^l) past the float range is refused.
+The rows of a fit depend only on its layout, so `_layout` builds them once per layout and caches them
+read-only.  Its key is the spin, k_max, the bits of the directions' angles and the orders, never the
+measured values, and it holds at most 8 designs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,12 +60,17 @@ def stokes_matrices(S) -> StokesTriple:
     return StokesTriple(S, sx, sy, sz)
 
 
-def _axial_factors(directions, k: int):
-    """Yield K and exp(i q phi) d^K_q0(theta), q = 0..K, as [direction, q] for K = 0..k.
+def _points(directions) -> np.ndarray:
+    """The (theta, phi) of each direction, as a float [direction, 2] array."""
+    return np.array([(d.theta, d.phi) for d in directions], dtype=float)
+
+
+def _axial_factors(points: np.ndarray, k: int):
+    """Yield K and exp(i q phi) d^K_q0(theta), q = 0..K, as [point, q] for K = 0..k at points [n, 2] of (theta, phi).
 
     d^K_q0, the m = 0 column of d^K, by the Legendre recurrence in K: no spin-K matrix is formed.
     """
-    theta, phi = np.array([(d.theta, d.phi) for d in directions], dtype=float).reshape(-1, 2).T
+    theta, phi = points.T
     cos, sin = np.cos(theta)[:, None], np.sin(theta)
     phase = np.exp(1j * phi[:, None] * np.arange(k + 1))
     rank, q2 = np.arange(k + 1.0)[:, None], np.arange(k + 1.0) ** 2
@@ -88,7 +97,7 @@ def _scaled_moments(sector: SpinSector, directions, max_ell: int) -> np.ndarray:
     c = np.zeros((k + 1, k + 1), dtype=complex)  # rho_Kq as [K, q]
     for q in range(k + 1):  # from the diagonals q <= k alone; the 2 adds each q < 0 conjugate
         c[q:, q] = (2 - (q == 0)) * (_basis_diagonal(t, q)[:k + 1 - q] @ np.diagonal(sector.rho, q))
-    axial = np.column_stack([(f @ c[K, :K + 1]).real for K, f in _axial_factors(directions, k)])  # rho_K0(n)
+    axial = np.column_stack([(f @ c[K, :K + 1]).real for K, f in _axial_factors(_points(directions), k)])  # rho_K0(n)
     return axial @ _z_table(t, k, max_ell)[:, 1:]
 
 
@@ -189,16 +198,34 @@ def _real_unknowns(k_max: int) -> np.ndarray:
     ]).T
 
 
-def _design_rows(directions, ell: np.ndarray, S: HalfInt, k_max: int):
-    """Rows of `_scaled_moments`'s model over `_real_unknowns` for orders ell along directions, and their monopoles."""
-    z = _z_table(S.twice, k_max, int(ell.max()))
-    t = np.zeros((len(ell), k_max + 1, k_max + 1), dtype=complex)  # [sample, K, q >= 0]
-    for K, f in _axial_factors(directions, k_max):
-        t[:, K, :K + 1] = z[K, ell, None] * f
+def _design_rows(points: np.ndarray, ell: np.ndarray, t: int, k_max: int):
+    """Rows of `_scaled_moments`'s model over `_real_unknowns` for orders ell at points [n, 2] of (theta, phi),
+    and their monopoles."""
+    z = _z_table(t, k_max, int(ell.max()))
+    rows = np.zeros((len(ell), k_max + 1, k_max + 1), dtype=complex)  # [sample, K, q >= 0]
+    for K, f in _axial_factors(points, k_max):
+        rows[:, K, :K + 1] = z[K, ell, None] * f
     ks, qs, parts = _real_unknowns(k_max)
-    rows = t[:, ks, qs]
+    rows = rows[:, ks, qs]
     rows = np.where(qs == 0, rows.real, np.where(parts == 0, 2.0 * rows.real, -2.0 * rows.imag))
-    return rows, z[0, ell] / math.sqrt(S.twice + 1)
+    return rows, z[0, ell] / math.sqrt(t + 1)
+
+
+@lru_cache(maxsize=8)
+def _layout(t: int, k_max: int, points: bytes, orders: bytes) -> tuple:
+    """What `moments_to_multipoles` needs of one layout, built once and read-only: the design rows, their
+    monopoles, `_real_unknowns` and the count of distinct directions (rounded to 12 digits).
+
+    The layout is the float (theta, phi) bytes and the np.intp order bytes of the samples: -0.0 and 0.0
+    are apart, so each entry holds exactly the rows its own samples give.
+    """
+    points = np.frombuffer(points).reshape(-1, 2)
+    rows, monopole = _design_rows(points, np.frombuffer(orders, dtype=np.intp), t, k_max)
+    unknowns = _real_unknowns(k_max)
+    for a in (rows, monopole, unknowns):
+        a.setflags(write=False)
+    distinct = len({(round(theta, 12), round(phi, 12)) for theta, phi in points.tolist()})
+    return rows, monopole, unknowns, distinct
 
 
 def moments_to_multipoles(samples, S, k_max: int) -> ReconstructionResult:
@@ -238,25 +265,23 @@ def moments_to_multipoles(samples, S, k_max: int) -> ReconstructionResult:
     if max(ells) > k_max:
         raise ValueError(f"moments of order up to l = {max(ells)} carry ranks above k_max = {k_max}; "
                          f"reconstruct with k_max >= {max(ells)} or drop them")
-    dirs = {(round(theta, 12), round(phi, 12)) for theta, phi in {(d.theta, d.phi) for d in directions}}
-    if len(dirs) < 2 * k_max + 1:
+    ell = np.array(ells, dtype=np.intp)
+    a, monopole, (ks, qs, parts), distinct = _layout(S.twice, k_max, _points(directions).tobytes(), ell.tobytes())
+    if distinct < 2 * k_max + 1:
         raise IllConditionedError(
-            f"{len(dirs)} distinct directions cannot span rank {k_max}; "
+            f"{distinct} distinct directions cannot span rank {k_max}; "
             f"need at least {2 * k_max + 1}"
         )
-    ell = np.array(ells)
-    a, monopole = _design_rows(directions, ell, S, k_max)
     root = max(float(S), 1.0) ** (ell / 2.0)  # s^l in two factors, each inside the float range
     b = values / root / root - monopole
     sol, res, rank, sing = np.linalg.lstsq(a, b, rcond=None)
     if sing[0] == 0 or sing[-1] < 1e-10 * sing[0]:
         raise IllConditionedError(
             "direction set is rank deficient: singular values span "
-            f"[{sing[-1]:.3e}, {sing[0]:.3e}] over {len(dirs)} directions"
+            f"[{sing[-1]:.3e}, {sing[0]:.3e}] over {distinct} directions"
         )
     cond = float(sing[0] / sing[-1])
     residual = float(np.linalg.norm(a @ sol - b))
-    ks, qs, parts = _real_unknowns(k_max)
 
     c = np.zeros((k_max + 1, 2 * k_max + 1), dtype=complex)
     c[0, k_max] = 1.0 / math.sqrt(S.twice + 1)

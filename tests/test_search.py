@@ -236,10 +236,10 @@ class TestInputContract:
             (np.ones(6, dtype=bool), re.escape("x[0] must be a finite number, got np.True_")),
             (np.ones(6, dtype=complex), re.escape("x[0] must be a finite number, got np.complex128(1+0j)")),
             (np.zeros(6), "^x must have a finite, nonzero norm, got 0.0$"),
-            (np.full(6, 1e-170), "^x must have a finite, nonzero norm, got 0.0$"),
+            (np.full(6, 5e-324), "^x must have a norm of at least 2.2250738585072014e-308, got 1e-323$"),
             (np.full(6, 1e308), "^x must have a finite, nonzero norm, got inf$"),
         ],
-        ids=["short", "matrix", "nan", "minus-inf", "bool-array", "complex-array", "zero", "norm-underflows",
+        ids=["short", "matrix", "nan", "minus-inf", "bool-array", "complex-array", "zero", "norm-subnormal",
              "norm-overflows"],
     )
     def test_gradient_refuses_malformed_coordinates(self, x, message):
@@ -248,8 +248,7 @@ class TestInputContract:
             with pytest.raises(ValueError, match=message):
                 anticoherence_gradient(x, 1, 1)
 
-    @pytest.mark.parametrize("scale, norm", [(0.0, "0.0"), (1e-170, "0.0"), (1.5e308, "inf")],
-                             ids=["zero", "norm-underflows", "norm-overflows"])
+    @pytest.mark.parametrize("scale, norm", [(0.0, "0.0"), (1.5e308, "inf")], ids=["zero", "norm-overflows"])
     def test_objective_refuses_amplitudes_of_zero_or_overflowing_norm(self, scale, norm):
         # the objective once borrowed this check from pure_sector, naming "amplitude", not psi
         with warnings.catch_warnings():
@@ -266,6 +265,16 @@ class TestInputContract:
             g = anticoherence_gradient(1e160 * x, 1, 1)
         assert big == pytest.approx(anticoherence_objective(x[:3] + 1j * x[3:], 1, 1), rel=1e-13)
         assert_allclose(1e160 * g, anticoherence_gradient(x, 1, 1), rtol=1e-13, atol=0)
+
+    def test_amplitudes_whose_squares_underflow_are_read(self):
+        # entries below about 1e-162 underflow their squares, and their norm was refused as 0.0
+        x = np.random.default_rng(7).standard_normal(6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            small = anticoherence_objective(1e-170 * (x[:3] + 1j * x[3:]), 1, 1)
+            g = anticoherence_gradient(1e-170 * x, 1, 1)
+        assert small == pytest.approx(anticoherence_objective(x[:3] + 1j * x[3:], 1, 1), rel=1e-13)
+        assert_allclose(g, 1e170 * anticoherence_gradient(x, 1, 1), rtol=1e-13, atol=0)
 
 
 class TestProjector:

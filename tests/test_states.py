@@ -127,6 +127,13 @@ class TestDiagAndPure:
             sec = pure_sector(0.5, [1e200, 1e200])
         assert_allclose(sec.rho, np.full((2, 2), 0.5), atol=1e-15)
 
+    def test_pure_reads_amplitudes_whose_squares_underflow(self):
+        # the squares of [1e-170, 1e-170] underflow to 0: the norm 1.4e-170 was refused as 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sec = pure_sector(0.5, [1e-170, 1e-170j])
+        assert_allclose(sec.rho, pure_sector(0.5, [1.0, 1j]).rho, rtol=0, atol=1e-15)
+
 
 class TestRotate:
     def test_identity_angles(self):
@@ -296,6 +303,16 @@ class TestRefusalsAndViews:
             Direction(0.3, math.inf)
         with pytest.raises(ValueError, match="^v must have a finite, nonzero norm, got 0.0$"):
             Direction.from_vector([0.0, 0.0, 0.0])
+
+    def test_direction_from_a_vector_whose_squares_underflow(self):
+        # squares summed below the normal floats lost digits (theta off by 7e-6 at 1e-160), or summed to 0.0
+        want = Direction.from_vector([1.0, 2.0, 3.0])
+        for scale in (1e-160, 1e-170, 1e-300):
+            d = Direction.from_vector([scale, 2 * scale, 3 * scale])
+            assert d.theta == pytest.approx(want.theta, rel=1e-15) and d.phi == pytest.approx(want.phi, rel=1e-15)
+        # a subnormal norm has lost digits itself: [1, 2, 3] of the smallest float has theta 0.72, not 0.64
+        with pytest.raises(ValueError, match="^v must have a norm of at least 2.2250738585072014e-308, got 2e-323$"):
+            Direction.from_vector([5e-324, 1e-323, 1.5e-323])
 
     def test_trace_deviation_is_reported(self):
         rep = validate(SpinSector(0.5, np.eye(2), validate=False))

@@ -28,6 +28,7 @@ from qpolar.stokes import (
     MomentSample,
     _axial_factors,
     _design_rows,
+    _layout,
     _real_unknowns,
     directional_moment,
     isotropy_order,
@@ -238,7 +239,7 @@ class TestDesignRows:
         # the Legendre recurrence in K against the m = 0 column of the spin-K d-matrix, poles included
         theta = np.concatenate([[0.0, 1e-9, 1e-3, math.pi / 2, math.pi - 1e-3, math.pi], np.linspace(0.05, 3.1, 15)])
         phi = np.linspace(0.0, 6.0, len(theta))
-        factors = _axial_factors([Direction(a, b) for a, b in zip(theta, phi)], 60)
+        factors = _axial_factors(np.column_stack([theta, phi]), 60)
         for K, f in factors:
             want = _d_column(2 * K, K, theta)[:, K::-1] * np.exp(1j * np.outer(phi, np.arange(K + 1)))
             assert_allclose(f, want, rtol=0, atol=1e-12, err_msg=f"K = {K}")
@@ -248,7 +249,7 @@ class TestDesignRows:
         # the top ranks `isotropy_order` and `moments_to_multipoles` reach at 2S <= 200, one rank at a time
         theta = np.array([0.0, 1e-9, 1e-3, 0.3, math.pi / 2, 2.0, math.pi - 1e-3, math.pi - 1e-9, math.pi])
         phi = np.linspace(0.0, 6.0, len(theta))
-        f = list(_axial_factors([Direction(a, b) for a, b in zip(theta, phi)], rank))[rank][1]
+        f = list(_axial_factors(np.column_stack([theta, phi]), rank))[rank][1]
         want = _d_column(2 * rank, rank, theta)[:, rank::-1] * np.exp(1j * np.outer(phi, np.arange(rank + 1)))
         assert_allclose(f, want, rtol=0, atol=1e-12)
 
@@ -259,7 +260,8 @@ class TestDesignRows:
         for k_max in range(1, min(twice_s, 6) + 1):
             dirs = tomography_directions(3 * (2 * k_max + 1)) + [random_direction(rng) for _ in range(4)]
             samples = sample_moments(random_sector(S, rng), dirs, k_max)
-            rows, monopole = _design_rows([s.direction for s in samples], np.array([s.ell for s in samples]), S, k_max)
+            points = np.array([(s.direction.theta, s.direction.phi) for s in samples])
+            rows, monopole = _design_rows(points, np.array([s.ell for s in samples]), S.twice, k_max)
             # the rows are those of the scaled moments <(n.S/s)^l>, s = max(S, 1)
             size = np.array([max(twice_s / 2, 1.0) ** s.ell for s in samples])
             want_rows, want_monopole = reference_rows(samples, S, k_max)
@@ -438,6 +440,71 @@ class TestReconstruction:
         assert [(b.direction, b.ell, b.value) for b in back] == [(Direction(0.3, 0.2), ell, float(v))
                                                                  for ell, v in enumerate(values, 1)]
         assert all(type(b.value) is float for b in back)
+
+
+def fit_bytes(samples, S, k_max):
+    rec = moments_to_multipoles(samples, S, k_max)
+    return rec.coefficients.tobytes(), rec.condition_number, rec.residual
+
+
+class TestLayoutCache:
+    """The design rows are cached per (2S, k_max, direction bits, orders); the values never enter the key."""
+
+    def test_values_on_one_layout_give_the_uncached_fit(self):
+        dirs = tomography_directions(3 * 9)
+        sets = [sample_moments(random_sector(3, np.random.default_rng(seed)), dirs, 4) for seed in (70, 71)]
+        uncached = []
+        for samples in sets:
+            _layout.cache_clear()
+            uncached.append(fit_bytes(samples, 3, 4))
+        _layout.cache_clear()
+        assert [fit_bytes(samples, 3, 4) for samples in sets + sets] == uncached + uncached
+        assert _layout.cache_info()[:2] == (3, 1)  # hits, misses
+
+    def test_signed_zero_and_spin_are_apart(self):
+        rng = np.random.default_rng(72)
+        dirs = tomography_directions(8)
+        layouts = [[Direction(zero, 0.0)] + dirs for zero in (-0.0, 0.0)]
+        cases = [(sample_moments(random_sector(S, rng), layout, 3), S) for layout in layouts for S in (1.5, 2)]
+        uncached = []
+        for samples, S in cases:
+            _layout.cache_clear()
+            uncached.append(fit_bytes(samples, S, 3))
+        _layout.cache_clear()
+        assert [fit_bytes(samples, S, 3) for samples, S in cases] == uncached
+        assert _layout.cache_info().currsize == 4
+
+    def test_cached_arrays_are_read_only(self):
+        samples = sample_moments(random_sector(2, np.random.default_rng(73)), tomography_directions(7), 3)
+        moments_to_multipoles(samples, 2, 3)
+        ell = np.array([s.ell for s in samples], dtype=np.intp)
+        points = np.array([(s.direction.theta, s.direction.phi) for s in samples])
+        rows, monopole, unknowns, distinct = _layout(4, 3, points.tobytes(), ell.tobytes())
+        assert distinct == 7
+        for a in (rows, monopole, unknowns):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_refusals_hold_on_every_call(self):
+        sec = random_sector(1, np.random.default_rng(74))
+        few = sample_moments(sec, tomography_directions(4), 2)
+        equator = sample_moments(sec, [Direction(math.pi / 2, phi) for phi in (0.0, 1.0, 2.0, 3.0, 4.0)], 2)
+        too_few = "^4 distinct directions cannot span rank 2; need at least 5$"
+        for _ in range(3):
+            with pytest.raises(IllConditionedError, match=too_few):
+                moments_to_multipoles(few, 1, 2)
+            with pytest.raises(IllConditionedError, match="^direction set is rank deficient: singular values span"):
+                moments_to_multipoles(equator, 1, 2)
+
+    def test_size_is_bounded(self):
+        _layout.cache_clear()
+        sec = random_sector(0.5, np.random.default_rng(75))
+        size = _layout.cache_info().maxsize
+        for n in range(3, size + 6):
+            moments_to_multipoles(sample_moments(sec, tomography_directions(n), 1), 0.5, 1)
+        info = _layout.cache_info()
+        assert info.misses == size + 3 and info.currsize == size
 
 
 class TestReconstructionRefusals:
