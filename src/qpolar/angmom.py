@@ -161,7 +161,8 @@ def _check_tol(tol) -> None:
 
 class _Frozen:
     """No attribute is set or deleted once built, and every ndarray held is read-only: `__init__` sets them with
-    `_freeze`, a frozen dataclass through `__post_init__`, `copy`, `deepcopy` and `pickle` through `__setstate__`."""
+    `_freeze`, a frozen dataclass (made by `_read_only`) through `__post_init__`, `copy`, `deepcopy` and `pickle`
+    through `__setstate__`."""
 
     __slots__ = ()
 
@@ -182,6 +183,15 @@ class _Frozen:
     def __setstate__(self, state):
         for part in state if isinstance(state, tuple) else (state,):  # (__dict__, slots) or __dict__
             self._freeze(**(part or {}))
+
+
+def _read_only(cls: type) -> type:
+    """`cls` made a frozen dataclass, or a NamedTuple kept as it is, that refuses a set or a delete with
+    `_Frozen`'s message, in place of the dataclass's FrozenInstanceError or the tuple's own."""
+    if not issubclass(cls, tuple):
+        cls = dataclass(frozen=True)(cls)
+    cls.__setattr__ = cls.__delattr__ = _Frozen.__setattr__
+    return cls
 
 
 class HalfInt(_Frozen):
@@ -277,7 +287,7 @@ def wigner_small_d(j, beta: float) -> np.ndarray:
     return ((vecs * np.exp(-1j * beta * lam)) @ vecs.conj().T).real
 
 
-@dataclass(frozen=True)
+@_read_only
 class EulerAngles(_Frozen):
     """Active z-y-z Euler angles (alpha, beta, gamma), in radians."""
 

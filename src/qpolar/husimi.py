@@ -5,24 +5,28 @@ grid.  Q is band-limited to degree 2S, so the default 64 x 128 grid
 integrates it exactly with a wide margin; the normalization
 (2S+1)/(4pi) * integral(Q) = 1 doubles as a self-check.  In phi, Q is a
 Fourier series with frequencies |q| <= 2S, so each theta costs 2S+1
-coefficients and the grid is one real product with a cos/sin table.
+coefficients and the grid is one real product with a cos/sin table.  The
+coefficients at every theta are one gather of rho and one stacked product
+with a table of the products d_i d_j; a grid keeps its table when it holds at
+most PAIR_BUDGET / 8 entries, and no call builds more than PAIR_BUDGET at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .angmom import _LISTS, HalfInt, _check_each, _check_int, _check_type, _d_column, _Frozen
-from .states import Direction, SpinSector
+from .angmom import _LISTS, HalfInt, _check_each, _check_int, _check_type, _d_column, _Frozen, _read_only
+from .states import Direction, SpinSector, _points
 
 __all__ = ["QGrid", "q_function", "q_values", "export_qgrid"]
 
+PAIR_BUDGET = 2_000_000  # float64 entries, 16 MB, of the pair tables one call builds, as search.LM_MAX_ENTRIES
 
-@dataclass(frozen=True)
+
+@_read_only
 class QGrid(_Frozen):
     """Sampled Q function with quadrature weights (node weight = w_theta * 2pi/n_phi)."""
 
@@ -58,17 +62,48 @@ class QGrid(_Frozen):
                 yield Direction(float(th), float(ph)), float(wt), float(self.values[i, j])
 
 
-def _fourier(rho: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+def _pair_table(col: np.ndarray) -> np.ndarray:
+    """T[k, i, theta] = d_i d_{(i+k) mod d}, k = 0..d//2, from col[i, theta] = d_i(theta).
+
+    Row k holds the pairs of two diagonals, k at i < d - k and d - k past it, so no entry is padding.
+    """
+    d = len(col)
+    window = np.lib.stride_tricks.sliding_window_view(np.concatenate([col, col]), d, axis=0)  # [k, theta, i]
+    return np.multiply(col, window[:d // 2 + 1].transpose(0, 2, 1), order="C")
+
+
+@lru_cache(maxsize=8)
+def _pair_index(d: int) -> np.ndarray:
+    """Read-only index [k, (re, im) of diagonal k, (re, im) of diagonal d - k, i] into the real parts, the imaginary
+    parts and a 0.0 after them of a d x d matrix H: the entry H[i+q, i] that row k of `_pair_table` pairs at i."""
+    k, i = np.ogrid[:d // 2 + 1, :d]
+    j = (i + k) % d
+    flat = np.maximum(i, j) * d + np.minimum(i, j)
+    low = i < d - k  # diagonal k; past it, diagonal d - k
+    index = np.stack([np.where(rows, flat + part, 2 * d * d) for rows in (low, ~low) for part in (0, d * d)], axis=1)
+    index.setflags(write=False)
+    return index
+
+
+def _fourier(rho: np.ndarray, thetas: np.ndarray, pairs: np.ndarray | None = None) -> np.ndarray:
     """Rows [2q + (re, im), theta] of w_q F_q, q = 0..2S: Q = sum_q w_q Re[F_q exp(-i q phi)].
 
     F_q = sum_i d_i d_{i+q} H[i+q, i], with d_i = d^S_{m_i,S}(theta) and H = (rho + rho^dagger)/2
-    the part of rho that Re <n|rho|n> sees; w_0 = 1, and w_q = 2 pairs q with -q.
+    the part of rho that Re <n|rho|n> sees; w_0 = 1, and w_q = 2 pairs q with -q.  Every q comes from
+    one gather of H and one stacked product with `pairs`, the `_pair_table` at `thetas`, or, without
+    it, with tables built over blocks of thetas that hold at most PAIR_BUDGET entries each.
     """
     d = len(rho)
-    col = _d_column(d - 1, 0, thetas).T.copy()  # [i, theta]
     h = rho + rho.conj().T  # 2H, which carries w_q for q > 0
-    parts = np.stack([h.real, h.imag])
-    f = np.stack([np.diagonal(parts, -q, 1, 2) @ (col[:d - q] * col[q:]) for q in range(d)])
+    parts = np.concatenate([h.real.ravel(), h.imag.ravel(), [0.0]])[_pair_index(d)]
+    if pairs is None:  # blocks of whole 8-theta tiles, which BLAS sums as in one product; one empty block for none
+        col = _d_column(d - 1, 0, thetas).T.copy()
+        step = max(1, PAIR_BUDGET // (d * (d // 2 + 1)) // 8 * 8)
+        f = np.concatenate([parts @ _pair_table(col[:, k:k + step]) for k in range(0, len(thetas) or 1, step)], axis=2)
+    else:
+        f = parts @ pairs
+    # [q, (re, im), theta]; at even d, row d/2 holds diagonal d/2 twice, and its second copy is dropped
+    f = np.concatenate([f[:, :2], f[1:d - d // 2, 2:][::-1]])
     f[0] /= 2.0
     return f.reshape(2 * d, -1)
 
@@ -79,13 +114,19 @@ def _phases(t: int, phis: np.ndarray) -> np.ndarray:
     return np.stack([np.cos(qphi), np.sin(qphi)], axis=1).reshape(2 * t + 2, -1)
 
 
-@lru_cache(maxsize=32)
-def _grid_axes(t: int, n_theta: int, n_phi: int) -> tuple[np.ndarray, ...]:
-    """Read-only Gauss-Legendre thetas (ascending) and weights, uniform phis and their phases."""
+@lru_cache(maxsize=8)
+def _grid_axes(t: int, n_theta: int, n_phi: int) -> tuple:
+    """Read-only Gauss-Legendre thetas (ascending) and weights, uniform phis, their phases and the pair table.
+
+    The table is kept only when it holds at most PAIR_BUDGET / 8 entries, so the 8 entries of this cache
+    hold at most PAIR_BUDGET together; past that it is None and `_fourier` builds it block by block.
+    """
     x, w = np.polynomial.legendre.leggauss(n_theta)
-    phis = np.arange(n_phi) * (2.0 * math.pi / n_phi)
-    axes = (np.arccos(x[::-1]), w[::-1].copy(), phis, _phases(t, phis))
-    for a in axes:
+    thetas, phis = np.arccos(x[::-1]), np.arange(n_phi) * (2.0 * math.pi / n_phi)
+    fits = (t + 1) * (t // 2 + 1) * n_theta <= PAIR_BUDGET // 8
+    pairs = _pair_table(_d_column(t, 0, thetas).T.copy()) if fits else None
+    axes = (thetas, w[::-1].copy(), phis, _phases(t, phis), pairs)
+    for a in axes[:4 + fits]:
         a.setflags(write=False)
     return axes
 
@@ -93,9 +134,7 @@ def _grid_axes(t: int, n_theta: int, n_phi: int) -> tuple[np.ndarray, ...]:
 def q_values(sector: SpinSector, directions) -> np.ndarray:
     """Q at an arbitrary list of directions."""
     sector = _check_type("sector", sector, SpinSector)
-    directions = _check_each("directions", directions, Direction)
-    thetas = np.array([d.theta for d in directions])
-    phis = np.array([d.phi for d in directions])
+    thetas, phis = _points(_check_each("directions", directions, Direction)).T
     return np.einsum("kn,kn->n", _fourier(sector.rho, thetas), _phases(sector.spin.twice, phis))
 
 
@@ -106,8 +145,8 @@ def q_function(sector: SpinSector, grid: tuple[int, int] = (64, 128)) -> QGrid:
         raise ValueError(f"grid must be a list of 2 entries, got {grid!r}")
     n_theta, n_phi = grid
     n_theta, n_phi = _check_int("grid size n_theta", n_theta, 1), _check_int("grid size n_phi", n_phi, 1)
-    thetas, weights, phis, table = _grid_axes(sector.spin.twice, n_theta, n_phi)
-    values = _fourier(sector.rho, thetas).T @ table
+    thetas, weights, phis, table, pairs = _grid_axes(sector.spin.twice, n_theta, n_phi)
+    values = _fourier(sector.rho, thetas, pairs).T @ table
     coarse = n_theta < sector.spin.twice + 1
     return QGrid(sector.spin, thetas, phis, weights, values, coarse)
 

@@ -17,12 +17,11 @@ K-th-order unpolarized when A_K vanishes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .angmom import HalfInt, _check_int, _check_spin, _check_tol, _check_type, _Frozen, _is_int
+from .angmom import HalfInt, _check_int, _check_spin, _check_tol, _check_type, _Frozen, _is_int, _read_only
 from .states import SpinSector, as_shells
 
 __all__ = [
@@ -135,7 +134,7 @@ def _components(result) -> dict[tuple[int, int], complex]:
     return {(K, q): row[len(row) // 2 + q] for K, row in enumerate(rows) for q in range(-K, K + 1)}
 
 
-@dataclass(frozen=True)
+@_read_only
 class MultipoleSpectrum(_Frozen):
     """Multipole decomposition of one shell: components, strengths, and degrees.
 
@@ -242,7 +241,7 @@ def unpolarization_order(spectrum: MultipoleSpectrum, tol: float = DEFAULT_ORDER
     return _leading_within(spectrum.cumulative_all, tol)
 
 
-@dataclass(frozen=True)
+@_read_only
 class ShellReport:
     """Per-shell slice of a polarization analysis."""
 
@@ -251,7 +250,7 @@ class ShellReport:
     purity: float
 
 
-@dataclass(frozen=True)
+@_read_only
 class PolarizationReport(_Frozen):
     """Shell-wise multipole analysis plus P_S-weighted aggregates.
 

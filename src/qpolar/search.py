@@ -31,13 +31,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .angmom import HalfInt, _check_int, _check_norm, _check_reals, _check_spin, _check_type, _Frozen
+from .angmom import HalfInt, _check_int, _check_norm, _check_reals, _check_spin, _check_type, _Frozen, _read_only
 from .catalog import three_photon_first_order_eigs
 from .multipole import _basis_diagonal, _strengths_cumulative_degrees
 from .states import SpinSector, _ginibre, diag_sector, maximally_mixed, pure_sector
@@ -85,7 +84,7 @@ class InfeasibleError(ValueError):
     """The requested constraint class / order combination has no feasible state."""
 
 
-@dataclass(frozen=True)
+@_read_only
 class SearchProblem(_Frozen):
     """Search setup: shell spin, unpolarization order, constraint class, restarts, seed."""
 
@@ -106,7 +105,7 @@ class SearchProblem(_Frozen):
         _check_int("seed", self.seed, 0)
 
 
-@dataclass(frozen=True)
+@_read_only
 class RestartRecord:
     index: int
     objective: float
@@ -115,7 +114,7 @@ class RestartRecord:
     reason: str               # one of STOP_REASONS
 
 
-@dataclass(frozen=True)
+@_read_only
 class SearchResult:
     """Best state found, with the per-restart certificate digest."""
 
@@ -454,6 +453,7 @@ class FamilyScan(_Frozen):
         return map(tuple.__new__, itertools.repeat(self.row), zip(*values))  # no per-row Python call
 
 
+@_read_only
 class TwoPhotonRow(NamedTuple):
     lam: float
     purity: float
@@ -475,6 +475,7 @@ def scan_two_photon_family(lams) -> FamilyScan:
     return FamilyScan(TwoPhotonRow, lams, purity, P[:, 1])
 
 
+@_read_only
 class ThreePhotonRow(NamedTuple):
     lam3: float
     lam4: float

@@ -10,12 +10,11 @@ only part of a two-mode state visible to polarization measurements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .angmom import (EulerAngles, _check_int, _check_norm, _check_reals, _check_spin, _check_tol, _check_type,
-                     _d_column, _Frozen, half, wigner_D)
+                     _d_column, _Frozen, _read_only, half, wigner_D)
 
 __all__ = [
     "DEFAULT_TOL",
@@ -41,7 +40,7 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@_read_only
 class Direction(_Frozen):
     """Point on the Poincare sphere: polar theta in [0, pi], azimuth phi in [0, 2pi)."""
 
@@ -73,7 +72,12 @@ class Direction(_Frozen):
         ])
 
 
-@dataclass(frozen=True)
+def _points(directions) -> np.ndarray:
+    """The (theta, phi) of each of a list of Directions, as a float [direction, 2] array."""
+    return np.array([[d.theta for d in directions], [d.phi for d in directions]], dtype=float).T
+
+
+@_read_only
 class ValidationReport:
     """Hermiticity / trace / positivity diagnostics for a candidate density matrix."""
 

@@ -14,15 +14,14 @@ measured values, and it holds at most 8 designs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .angmom import (HalfInt, _check_each, _check_int, _check_reals, _check_spin, _check_tol, _check_type, _Frozen,
-                     _is_int, _spin_arrays)
+                     _is_int, _read_only, _spin_arrays)
 from .multipole import _basis_diagonal, _components, _leading_within, _strengths_cumulative_degrees
-from .states import Direction, SpinSector, as_shells
+from .states import Direction, SpinSector, _points, as_shells
 
 __all__ = [
     "StokesTriple",
@@ -43,7 +42,7 @@ class IllConditionedError(ValueError):
     """Moment-to-multipole system is rank deficient for the given directions."""
 
 
-@dataclass(frozen=True)
+@_read_only
 class StokesTriple(_Frozen):
     """The three Stokes (spin) matrices on one shell, basis |S,m> descending."""
 
@@ -58,11 +57,6 @@ def stokes_matrices(S) -> StokesTriple:
     S = _check_spin("S", S)
     sx, sy, sz = _spin_arrays(S.twice)
     return StokesTriple(S, sx, sy, sz)
-
-
-def _points(directions) -> np.ndarray:
-    """The (theta, phi) of each direction, as a float [direction, 2] array."""
-    return np.array([(d.theta, d.phi) for d in directions], dtype=float)
 
 
 def _axial_factors(points: np.ndarray, k: int):
@@ -148,7 +142,7 @@ def isotropy_order(
     return _leading_within(spread, tol)  # the orders before the first anisotropic one
 
 
-@dataclass(frozen=True)
+@_read_only
 class MomentSample:
     """One measured directional moment <(n.S)^ell>."""
 
@@ -171,7 +165,7 @@ def sample_moments(sector: SpinSector, directions, max_ell: int) -> list[MomentS
     return [MomentSample(d, ell, v) for d, row in zip(directions, vals) for ell, v in enumerate(row, 1)]
 
 
-@dataclass(frozen=True)
+@_read_only
 class ReconstructionResult(_Frozen):
     """Multipoles recovered from directional moments by least squares, kept as in MultipoleSpectrum."""
 
@@ -255,10 +249,12 @@ def moments_to_multipoles(samples, S, k_max: int) -> ReconstructionResult:
         i = next(i for i, s in enumerate(rows) if not (hasattr(s, "__len__") and len(s) == 3))
         raise ValueError(f"moment sample {i} is not a (Direction, order, value) triple: {rows[i]!r}") from None
     values = _check_reals("sample values", raw, (len(raw),))
-    bad = [i for i, (d, ell) in enumerate(zip(directions, ells))
-           if not (isinstance(d, Direction) and _is_int(ell) and ell >= 1)]
-    if bad:
-        i = bad[0]
+    # one pass over the set of their types; the samples are walked only to name the first bad one
+    if not (all(issubclass(t, Direction) for t in set(map(type, directions)))
+            and all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, ells)))
+            and min(ells) >= 1):
+        i = next(i for i, (d, ell) in enumerate(zip(directions, ells))
+                 if not (isinstance(d, Direction) and _is_int(ell) and ell >= 1))
         what = (f"order {ells[i]!r}, not an integer >= 1" if isinstance(directions[i], Direction)
                 else f"direction {directions[i]!r}, not a Direction")
         raise ValueError(f"moment sample {i} has {what}: {MomentSample(directions[i], ells[i], raw[i])}")

@@ -789,9 +789,11 @@ def test_every_public_object_is_read_only_and_stays_so_when_copied(where, trip):
     obj = ROUND_TRIPS[trip](CLASS_CASES[where]())
     assert f"{type(obj).__module__}.{type(obj).__name__}" == f"qpolar.{where}"
     for name, value in [*_stored(obj).items(), ("added", 0)]:
-        with pytest.raises(AttributeError):
+        # one message for every class: a frozen dataclass once raised "cannot assign to field 'theta'"
+        message = f"^{re.escape(f'a {type(obj).__name__} is read-only: cannot set {name!r}')}$"
+        with pytest.raises(AttributeError, match=message):
             setattr(obj, name, value)
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=message):
             delattr(obj, name)
     arrays = dict(_arrays(obj, where))
     assert bool(arrays) == (where in HOLD_ARRAYS)

@@ -1,14 +1,17 @@
 """Husimi Q function: normalization, covariance, closed-form overlaps, export, kernel."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from shell_reference import q_grid_by_diagonals
 
 import qpolar.catalog as catalog
-from qpolar.angmom import rotation_matrix
-from qpolar.husimi import export_qgrid, q_function, q_values
+from qpolar import husimi
+from qpolar.angmom import _d_column, rotation_matrix
+from qpolar.husimi import _grid_axes, _pair_index, _pair_table, export_qgrid, q_function, q_values
 from qpolar.states import (
     Direction,
     SpinSector,
@@ -93,6 +96,118 @@ class TestFourierKernel:
             with pytest.raises(ValueError):
                 axis[0] = 0.0
         assert not a.values.flags.writeable
+
+
+SPINS = [*range(13), 25, 40, 200]
+ULP_OF_ONE = np.spacing(1.0)  # Q lies in [0, 1]: one ulp of its largest value
+
+
+def _sectors(twice_s):
+    rng = np.random.default_rng(600 + twice_s)
+    return random_sector(twice_s / 2, rng), random_sector(twice_s / 2, rng, rank=1)
+
+
+@pytest.fixture
+def fresh_axes():
+    """An empty grid cache before and after, so that a patched budget decides every table built in between."""
+    _grid_axes.cache_clear()
+    yield
+    _grid_axes.cache_clear()
+
+
+class TestPairTable:
+    """One gather of H and one stacked product with the pair table give the per-diagonal sums."""
+
+    @pytest.mark.parametrize("twice_s", SPINS)
+    def test_default_grid_has_the_bits_of_the_per_diagonal_sums(self, twice_s):
+        for sec in _sectors(twice_s):
+            grid = q_function(sec, (64, 128))
+            want = q_grid_by_diagonals(sec.rho, grid.thetas, grid.phis)
+            assert grid.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("twice_s", SPINS)
+    def test_other_grids_are_within_one_ulp_of_the_per_diagonal_sums(self, twice_s):
+        # BLAS may sum the padded and the exact-length products of a narrow grid in another order
+        for shape in [(1, 1), (64, 5), (3, 128), (twice_s + 1, 2 * twice_s + 2)]:
+            for sec in _sectors(twice_s):
+                grid = q_function(sec, shape)
+                want = q_grid_by_diagonals(sec.rho, grid.thetas, grid.phis)
+                assert_allclose(grid.values, want, rtol=0, atol=ULP_OF_ONE)
+
+    @pytest.mark.parametrize("twice_s", [0, 1, 2, 3, 8, 9])
+    def test_table_rows_pair_the_diagonals_k_and_d_minus_k(self, twice_s):
+        d, thetas = twice_s + 1, np.linspace(0.0, math.pi, 7)
+        col = _d_column(twice_s, 0, thetas).T.copy()
+        table = _pair_table(col)
+        assert table.shape == (d // 2 + 1, d, 7)
+        for k in range(d // 2 + 1):
+            for i in range(d):
+                assert table[k, i].tobytes() == (col[i] * col[(i + k) % d]).tobytes()
+
+    def test_table_and_index_are_read_only_and_shared_by_the_states_on_one_grid(self, fresh_axes):
+        _pair_index.cache_clear()
+        a, b = _sectors(10)
+        q_function(a, (16, 24))
+        q_function(b, (16, 24))
+        assert _grid_axes.cache_info()[:2] == (1, 1)  # hits, misses
+        assert _pair_index.cache_info()[:2] == (1, 1)
+        pairs, index = _grid_axes(10, 16, 24)[4], _pair_index(11)
+        assert pairs.shape == (6, 11, 16) and index.shape == (6, 4, 11)
+        for table in (pairs, index):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0, 0] = 0
+
+    @pytest.mark.parametrize("twice_s, tiles", [(10, 1), (10, 3), (10, 8), (200, 6)])
+    def test_tables_over_the_budget_are_built_in_blocks(self, fresh_axes, monkeypatch, twice_s, tiles):
+        # the budget holds 8 * tiles + 5 thetas of the table (2S = 10: 11 * 6 entries each, 2S = 200: 201 * 101),
+        # and a block is cut to whole 8-theta tiles, which BLAS sums as it sums them in one product
+        monkeypatch.setattr(husimi, "PAIR_BUDGET", (twice_s + 1) * (twice_s // 2 + 1) * (8 * tiles + 5))
+        for sec in _sectors(twice_s):
+            grid = q_function(sec, (64, 128))
+            assert grid.values.tobytes() == q_grid_by_diagonals(sec.rho, grid.thetas, grid.phis).tobytes()
+        assert _grid_axes(twice_s, 64, 128)[4] is None
+
+    def test_blocks_of_single_thetas_stay_within_one_ulp(self, fresh_axes, monkeypatch):
+        monkeypatch.setattr(husimi, "PAIR_BUDGET", 66 * 3)
+        for sec in _sectors(10):
+            grid = q_function(sec, (20, 30))
+            assert_allclose(grid.values, q_grid_by_diagonals(sec.rho, grid.thetas, grid.phis), rtol=0, atol=ULP_OF_ONE)
+
+    def test_only_tables_of_an_eighth_of_the_budget_are_cached(self):
+        # 2S = 40: 41 * 21 * 64 entries; 2S = 200: 201 * 101 * 64, more than PAIR_BUDGET / 8
+        assert _grid_axes(40, 64, 128)[4].shape == (21, 41, 64)
+        assert _grid_axes(200, 64, 128)[4] is None
+
+    def test_one_call_holds_at_most_the_budget_in_tables(self):
+        sec = _sectors(200)[0]
+        q_function(sec, (201, 402))  # the grid axes are cached outside the traced call
+        tracemalloc.start()
+        try:
+            q_function(sec, (201, 402))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the blocks of the table, and less than 4 MB for rho, the coefficients and the 201 x 402 values
+        assert peak < 8 * husimi.PAIR_BUDGET + 4e6
+
+    @pytest.mark.parametrize("twice_s", [3, 40])
+    def test_q_values_over_several_blocks_equal_the_grid_at_its_nodes(self, monkeypatch, twice_s):
+        if twice_s == 3:  # 4 * 3 entries per direction: blocks of 64 directions
+            monkeypatch.setattr(husimi, "PAIR_BUDGET", 12 * 64)
+        sec = _sectors(twice_s)[0]
+        grid = q_function(sec, (48, 64))  # at 2S = 40, 3072 nodes in blocks of 2320
+        at_nodes = q_values(sec, [d for d, _, _ in grid.nodes()])
+        assert_allclose(at_nodes.reshape(grid.values.shape), grid.values, rtol=0, atol=1e-15)
+
+    def test_q_values_of_no_directions_are_empty(self):
+        assert q_values(maximally_mixed(100), []).shape == (0,)
+
+    def test_caches_hold_at_most_their_maxsize(self):
+        for cache, calls in ((_grid_axes, [(3, n, 8) for n in range(1, 20)]), (_pair_index, [(d,) for d in range(1, 20)])):
+            for args in calls:
+                cache(*args)
+            info = cache.cache_info()
+            assert info.currsize == info.maxsize == 8
 
 
 class TestQFunction:

@@ -7,8 +7,8 @@ shell as a `matrix` state file, a two-shell state file, and the directional mome
 <(n.S)^l> of the 2S = 25 state, computed from spin matrices built here.  Then, in a temporary
 directory and each in a fresh process with one BLAS thread, it runs `make-state` for every
 preset (and again with arguments for those that take some), `analyze --out` of every state
-file, `qfunc`, `reconstruct`, `search` for the diagonal, axial, general and pure classes and
-`scan` for the three families.  It prints one sha256 per stdout, per non-empty stderr and per
+file, `qfunc` (of the 2S = 25 state also on the default 64x128 grid), `reconstruct`, `search`
+for the diagonal, axial, general and pure classes and `scan` for the three families.  It prints one sha256 per stdout, per non-empty stderr and per
 file a command writes, each with the command's exit status.  SRC, the directory that holds the
 qpolar package under test, defaults to this checkout's src/.  Two checkouts print the same
 lines exactly when their CLI outputs are byte-identical:
@@ -97,6 +97,7 @@ def commands(presets: list[str]) -> list[tuple[str, list[str]]]:
     cmds += [(f"analyze {f}", ["analyze", f, "--out", f"{f[:-5]}.csv"]) for f in files]
     cmds += [("qfunc ginibre.json", ["qfunc", "ginibre.json", "--grid", "32x64", "--out", "q_ginibre.csv"]),
              ("qfunc two_shell.json", ["qfunc", "two_shell.json", "--grid", "16x32", "--out", "q_two_shell.csv"]),
+             ("qfunc ginibre.json 64x128", ["qfunc", "ginibre.json", "--out", "q_ginibre_64x128.csv"]),
              ("reconstruct", ["reconstruct", "moments.csv", "--two-s", str(GINIBRE_2S),
                               "--order", str(RECONSTRUCT_ORDER), "--out", "reconstructed.csv"])]
     cmds += [(f"search {c}", ["search", "--class", c, *a, "--out", f"search_{c}.json"]) for c, a in SEARCHES.items()]
