@@ -8,10 +8,10 @@
 * general mixed — rho = V V^dagger / |V|^2 with V of size d x (K+1), which
   loses no optimum (Barvinok-Pataki).  A restart retracts a random V onto
   A_K = 0, then steps along the purity gradient g projected onto its tangent
-  space and retracts again, until g passes a first-order test.  The step
-  halves when purity does not rise; at each new point it is the two-point
-  (Barzilai-Borwein) length |g| |dx|^2 / (-dx.dg) of the last move, at most
-  1/2, and is kept when that curvature is not positive.
+  space null(J), by one solve in J J^T, and retracts again, until g passes a
+  first-order test.  The step halves when purity does not rise; at each new
+  point it is the two-point (Barzilai-Borwein) length |g| |dx|^2 / (-dx.dg)
+  of the last move, at most 1/2, and 1/2 when that curvature is not positive.
 * pure — the rank-1 case: A_K is minimized from random amplitudes; A_K <
   1e-10 certifies an anticoherent state, a reported minimum otherwise.
 
@@ -259,6 +259,13 @@ def _factor(x: np.ndarray, d: int) -> np.ndarray:
     return (x[:x.size // 2] + 1j * x[x.size // 2:]).reshape(d, -1)
 
 
+def _tangent(J: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The part of g in null(J): g - J^T (J J^T + delta I)^-1 J g, delta = 1e-14 Tr J J^T, as J may lose rank."""
+    gram = J @ J.T
+    gram.flat[::len(gram) + 1] += 1e-14 * np.trace(gram)
+    return g - J.T @ np.linalg.solve(gram, J @ g)
+
+
 def _ascend_general(problem: SearchProblem, V0: np.ndarray):
     """Purity ascent on A_K = 0 from the factor V0: (V, purity, A_K, steps, stop reason).
 
@@ -282,11 +289,9 @@ def _ascend_general(problem: SearchProblem, V0: np.ndarray):
     step, iters, moved, last = 0.5, 0, True, None
     while step > 1e-10 and iters < ASCENT_MAX_STEPS:
         if moved:
-            # the purity gradient rho V - Tr(rho^2) V less its least-squares fit by the rows of J:
-            # its part in null(J), the tangent space of A_K = 0
+            # the purity gradient rho V - Tr(rho^2) V projected onto null(J), the tangent space of A_K = 0
             rhoV = rho @ V
-            g = _coords(rhoV - best * V)
-            g -= J.T @ np.linalg.lstsq(J.T, g, rcond=1e-10)[0]
+            g = _tangent(J, _coords(rhoV - best * V))
             norm = np.linalg.norm(g)
             if norm <= ASCENT_GTOL * np.linalg.norm(rhoV):
                 return V, best, f, iters, "converged"
@@ -294,8 +299,7 @@ def _ascend_general(problem: SearchProblem, V0: np.ndarray):
                 # two-point (Barzilai-Borwein) step: the curvature measured along the last accepted move
                 dx, dg = x - last[0], g - last[1]
                 curv = -float(dx @ dg)
-                if curv > 0.0:
-                    step = min(norm * float(dx @ dx) / curv, 0.5)
+                step = min(norm * float(dx @ dx) / curv, 0.5) if curv > 0.0 else 0.5
             last = x, g
         iters += 1
         y, fy, Jy, W, cand, p = retract(x + (step / norm) * g)

@@ -483,18 +483,18 @@ class TestGeneralSolver:
     def test_one_projection_per_accepted_point(self, monkeypatch, twice_s, order, seed):
         # a rejected step leaves the point as it was, so the tangent direction is not recomputed
         solves, retractions = [], []
-        lstsq, lm = np.linalg.lstsq, search._levenberg_marquardt
+        tangent, lm = search._tangent, search._levenberg_marquardt
 
-        def counting_lstsq(*args, **kwargs):
+        def counting_tangent(*args):
             solves.append(1)
-            return lstsq(*args, **kwargs)
+            return tangent(*args)
 
         def recording_lm(*args, **kwargs):
             out = lm(*args, **kwargs)
             retractions.append(out[:2])
             return out
 
-        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        monkeypatch.setattr(search, "_tangent", counting_tangent)
         monkeypatch.setattr(search, "_levenberg_marquardt", recording_lm)
         res = max_purity_unpolarized(SearchProblem(twice_s / 2, order, restarts=1, seed=seed))
         (rec,) = res.history
@@ -517,22 +517,20 @@ class TestGeneralSolver:
     @pytest.mark.parametrize("twice_s,order,seed", [(3, 1, 1), (6, 3, 2), (5, 4, 2)])
     def test_step_lengths_follow_the_two_point_rule(self, monkeypatch, twice_s, order, seed):
         # replay every trial step from the retractions and the projected gradients the ascent computed;
-        # each case meets a secant of non-positive curvature, where the step is kept: at 1/2 in the
-        # first two, and 31 times at 2.8e-3 in the third
+        # each case meets a secant of non-positive curvature, where the step is reset to the 1/2 cap
         gradients, retractions = [], []
-        lstsq, lm = np.linalg.lstsq, search._levenberg_marquardt
+        tangent, lm = search._tangent, search._levenberg_marquardt
 
-        def recording_lstsq(a, b, **kwargs):
-            out = lstsq(a, b, **kwargs)
-            gradients.append(b - a @ out[0])
-            return out
+        def recording_tangent(J, g):
+            gradients.append(tangent(J, g))
+            return gradients[-1]
 
         def recording_lm(x, *args, **kwargs):
             out = lm(x, *args, **kwargs)
             retractions.append((x, out[0], out[1]))
             return out
 
-        monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+        monkeypatch.setattr(search, "_tangent", recording_tangent)
         monkeypatch.setattr(search, "_levenberg_marquardt", recording_lm)
         res = max_purity_unpolarized(SearchProblem(twice_s / 2, order, restarts=1, seed=seed))
         assert res.history[0].reason == "converged"
@@ -543,7 +541,7 @@ class TestGeneralSolver:
             return float(np.vdot(rho, rho).real)
 
         x, g = retractions[0][1], gradients[0]
-        best, step, k, kept = purity(x), 0.5, 0, set()
+        best, step, k, capped = purity(x), 0.5, 0, set()
         for trial, y, fy in retractions[1:]:
             assert np.linalg.norm(trial - x) == pytest.approx(step, rel=1e-9, abs=1e-14)
             if not (fy < 1e-24 and purity(y) > best + 1e-15):
@@ -556,9 +554,50 @@ class TestGeneralSolver:
             if curv > 0.0:
                 step = min(np.linalg.norm(g) * float(dx @ dx) / curv, 0.5)
             else:
-                kept.add(k)
+                step = 0.5
+                capped.add(k)
         assert k == len(gradients) - 1
-        assert kept - {k}  # the last accepted point converged and set no step
+        assert capped - {k}  # the last accepted point converged and set no step
+
+    def test_step_after_non_positive_curvature_is_the_cap(self):
+        # 2S = 8, K = 4, seed 0, restart 2 meets -dx.dg <= 0 at most of its points: a step kept there
+        # crept at 8.8e-4 until max-iter at purity 0.503474; reset to 1/2 it converges to the optimum
+        res = max_purity_unpolarized(SearchProblem(4, 4, restarts=3, seed=0))
+        rec = res.history[2]
+        assert rec.reason == "converged" and rec.iterations < 100
+        assert abs(rec.objective - res.objective) < 1e-9
+        assert abs(res.objective - 0.506173) < 1e-6
+
+    def test_search_through_a_nearly_rank_deficient_jacobian_reaches_a_pure_optimum(self, monkeypatch):
+        # the optimum at 2S = 6, K = 3 is pure, where J loses rank: near it J J^T is singular to working
+        # precision (an unshifted solve in it raises at restart 2), and the shift keeps the solve defined
+        jacobians, tangent = [], search._tangent
+
+        def recording_tangent(J, g):
+            jacobians.append(J)
+            return tangent(J, g)
+
+        monkeypatch.setattr(search, "_tangent", recording_tangent)
+        res = max_purity_unpolarized(SearchProblem(3, 3, restarts=3, seed=0))
+        assert abs(res.objective - 1.0) < 1e-9
+        assert res.stop_reasons["converged"] == 3
+        sv = np.linalg.svd(jacobians[-1], compute_uv=False)
+        assert sv[-1] < 1e-8 * sv[0]
+
+    @pytest.mark.parametrize("twice_s,order", [(2, 1), (3, 2), (6, 3), (10, 4), (4, 4)])
+    @pytest.mark.parametrize("repeat", [False, True])
+    def test_shifted_gram_projection_matches_the_svd_projection(self, twice_s, order, repeat):
+        # on a full-rank J, and on one with an exactly repeated row, whose J J^T is singular
+        rng = np.random.default_rng(twice_s + order)
+        x = rng.standard_normal(2 * (twice_s + 1) * (order + 1))
+        _, J = search._residual(x / np.linalg.norm(x), half(twice_s / 2), order, order + 1)
+        if repeat:
+            J = np.vstack([J, J[-1]])
+        g = rng.standard_normal(J.shape[1])
+        _, sv, Vt = np.linalg.svd(J, full_matrices=False)
+        rows = Vt[sv > 1e-10 * sv[0]]
+        assert len(rows) == len(J) - repeat
+        assert np.linalg.norm(search._tangent(J, g) - (g - rows.T @ (rows @ g))) <= 1e-10 * np.linalg.norm(g)
 
     @pytest.mark.parametrize("twice_s,order,seed", [(2, 1, 0), (3, 2, 0), (6, 3, 1), (10, 4, 0)])
     def test_converged_restarts_meet_the_first_order_test(self, twice_s, order, seed):
