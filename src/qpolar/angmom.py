@@ -16,7 +16,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -30,7 +30,23 @@ __all__ = [
 ]
 
 MAX_TWO_S = 200  # the spin range the numerics are verified over (see README)
+MAX_ENTRIES = 2_000_000  # float64 entries, 16 MB, of one search Jacobian, diagonal block stack or Q pair table
 _LISTS = {list, tuple, range}  # the types a list of numbers may have, besides an ndarray
+
+
+def _cache(maxsize: int | None):
+    """`functools.lru_cache(maxsize)` whose result is made read-only on a miss: an ndarray, or each ndarray of a
+    tuple (other entries, such as None or an int, are kept as they are).  A hit is served by lru_cache alone."""
+    def wrap(build):
+        @wraps(build)
+        def frozen(*key):
+            out = build(*key)
+            for a in out if isinstance(out, tuple) else (out,):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
+            return out
+        return lru_cache(maxsize)(frozen)
+    return wrap
 
 
 def _is_int(value) -> bool:
@@ -237,7 +253,7 @@ def half(value) -> HalfInt:
     raise ValueError(f"cannot interpret {value!r} as an integer or half-integer")
 
 
-@lru_cache(maxsize=None)
+@_cache(None)
 def _spin_arrays(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only spin matrices (Jx, Jy, Jz) of the spin-j representation."""
     j = twice_j / 2.0
@@ -248,22 +264,14 @@ def _spin_arrays(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         m = ms[i]  # J+ |j,m> = sqrt(j(j+1) - m(m+1)) |j,m+1>
         jp[i - 1, i] = math.sqrt(j * (j + 1) - m * (m + 1))
     jm = jp.conj().T
-    jx = 0.5 * (jp + jm)
-    jy = -0.5j * (jp - jm)
-    for a in (jx, jy, jz):
-        a.setflags(write=False)
-    return jx, jy, jz
+    return 0.5 * (jp + jm), -0.5j * (jp - jm), jz
 
 
-@lru_cache(maxsize=None)
+@_cache(None)
 def _jy_eigen(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
     # the spectrum of Jy is exactly -j..j (ascending, as eigh orders it); the
     # exact values keep the phases exp(-i beta m) free of eigenvalue rounding
-    lam = np.arange(-twice_j, twice_j + 1, 2) / 2.0
-    vecs = np.linalg.eigh(_spin_arrays(twice_j)[1])[1]
-    for a in (lam, vecs):
-        a.setflags(write=False)
-    return lam, vecs
+    return np.arange(-twice_j, twice_j + 1, 2) / 2.0, np.linalg.eigh(_spin_arrays(twice_j)[1])[1]
 
 
 def _d_column(twice_j: int, col: int, theta) -> np.ndarray:

@@ -8,22 +8,20 @@ Fourier series with frequencies |q| <= 2S, so each theta costs 2S+1
 coefficients and the grid is one real product with a cos/sin table.  The
 coefficients at every theta are one gather of rho and one stacked product
 with a table of the products d_i d_j; a grid keeps its table when it holds at
-most PAIR_BUDGET / 8 entries, and no call builds more than PAIR_BUDGET at once.
+most angmom.MAX_ENTRIES / 8 entries, and no call builds more than MAX_ENTRIES at once.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
-from .angmom import _LISTS, HalfInt, _check_each, _check_int, _check_type, _d_column, _Frozen, _read_only
+from .angmom import (_LISTS, MAX_ENTRIES, HalfInt, _cache, _check_each, _check_int, _check_type, _d_column, _Frozen,
+                     _read_only)
 from .states import Direction, SpinSector, _points
 
 __all__ = ["QGrid", "q_function", "q_values", "export_qgrid"]
-
-PAIR_BUDGET = 2_000_000  # float64 entries, 16 MB, of the pair tables one call builds, as search.LM_MAX_ENTRIES
 
 
 @_read_only
@@ -72,7 +70,7 @@ def _pair_table(col: np.ndarray) -> np.ndarray:
     return np.multiply(col, window[:d // 2 + 1].transpose(0, 2, 1), order="C")
 
 
-@lru_cache(maxsize=8)
+@_cache(8)
 def _pair_index(d: int) -> np.ndarray:
     """Read-only index [k, (re, im) of diagonal k, (re, im) of diagonal d - k, i] into the real parts, the imaginary
     parts and a 0.0 after them of a d x d matrix H: the entry H[i+q, i] that row k of `_pair_table` pairs at i."""
@@ -80,9 +78,7 @@ def _pair_index(d: int) -> np.ndarray:
     j = (i + k) % d
     flat = np.maximum(i, j) * d + np.minimum(i, j)
     low = i < d - k  # diagonal k; past it, diagonal d - k
-    index = np.stack([np.where(rows, flat + part, 2 * d * d) for rows in (low, ~low) for part in (0, d * d)], axis=1)
-    index.setflags(write=False)
-    return index
+    return np.stack([np.where(rows, flat + part, 2 * d * d) for rows in (low, ~low) for part in (0, d * d)], axis=1)
 
 
 def _fourier(rho: np.ndarray, thetas: np.ndarray, pairs: np.ndarray | None = None) -> np.ndarray:
@@ -91,14 +87,14 @@ def _fourier(rho: np.ndarray, thetas: np.ndarray, pairs: np.ndarray | None = Non
     F_q = sum_i d_i d_{i+q} H[i+q, i], with d_i = d^S_{m_i,S}(theta) and H = (rho + rho^dagger)/2
     the part of rho that Re <n|rho|n> sees; w_0 = 1, and w_q = 2 pairs q with -q.  Every q comes from
     one gather of H and one stacked product with `pairs`, the `_pair_table` at `thetas`, or, without
-    it, with tables built over blocks of thetas that hold at most PAIR_BUDGET entries each.
+    it, with tables built over blocks of thetas that hold at most MAX_ENTRIES entries each.
     """
     d = len(rho)
     h = rho + rho.conj().T  # 2H, which carries w_q for q > 0
     parts = np.concatenate([h.real.ravel(), h.imag.ravel(), [0.0]])[_pair_index(d)]
     if pairs is None:  # blocks of whole 8-theta tiles, which BLAS sums as in one product; one empty block for none
         col = _d_column(d - 1, 0, thetas).T.copy()
-        step = max(1, PAIR_BUDGET // (d * (d // 2 + 1)) // 8 * 8)
+        step = max(1, MAX_ENTRIES // (d * (d // 2 + 1)) // 8 * 8)
         f = np.concatenate([parts @ _pair_table(col[:, k:k + step]) for k in range(0, len(thetas) or 1, step)], axis=2)
     else:
         f = parts @ pairs
@@ -114,21 +110,18 @@ def _phases(t: int, phis: np.ndarray) -> np.ndarray:
     return np.stack([np.cos(qphi), np.sin(qphi)], axis=1).reshape(2 * t + 2, -1)
 
 
-@lru_cache(maxsize=8)
+@_cache(8)
 def _grid_axes(t: int, n_theta: int, n_phi: int) -> tuple:
     """Read-only Gauss-Legendre thetas (ascending) and weights, uniform phis, their phases and the pair table.
 
-    The table is kept only when it holds at most PAIR_BUDGET / 8 entries, so the 8 entries of this cache
-    hold at most PAIR_BUDGET together; past that it is None and `_fourier` builds it block by block.
+    The table is kept only when it holds at most MAX_ENTRIES / 8 entries, so the 8 entries of this cache
+    hold at most MAX_ENTRIES together; past that it is None and `_fourier` builds it block by block.
     """
     x, w = np.polynomial.legendre.leggauss(n_theta)
     thetas, phis = np.arccos(x[::-1]), np.arange(n_phi) * (2.0 * math.pi / n_phi)
-    fits = (t + 1) * (t // 2 + 1) * n_theta <= PAIR_BUDGET // 8
+    fits = (t + 1) * (t // 2 + 1) * n_theta <= MAX_ENTRIES // 8
     pairs = _pair_table(_d_column(t, 0, thetas).T.copy()) if fits else None
-    axes = (thetas, w[::-1].copy(), phis, _phases(t, phis), pairs)
-    for a in axes[:4 + fits]:
-        a.setflags(write=False)
-    return axes
+    return thetas, w[::-1].copy(), phis, _phases(t, phis), pairs
 
 
 def q_values(sector: SpinSector, directions) -> np.ndarray:

@@ -17,11 +17,11 @@ K-th-order unpolarized when A_K vanishes.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .angmom import HalfInt, _check_int, _check_spin, _check_tol, _check_type, _Frozen, _is_int, _read_only
+from .angmom import HalfInt, _cache, _check_int, _check_spin, _check_tol, _check_type, _Frozen, _is_int, _read_only
 from .states import SpinSector, as_shells
 
 __all__ = [
@@ -42,7 +42,7 @@ __all__ = [
 DEFAULT_ORDER_TOL = 1e-10
 
 
-@lru_cache(maxsize=None)
+@_cache(None)
 def _basis_diagonal(twice: int, q: int) -> np.ndarray:
     """The q-th diagonals of T_Kq, K = q..2S, for q >= 0: row K - q holds T_Kq[i, i + q], read-only.
 
@@ -77,11 +77,10 @@ def _basis_diagonal(twice: int, q: int) -> np.ndarray:
         scale = math.sqrt((2 * K + 1) / d)
         # sqrt((2K+1)/d) times the CG coefficient, whose square is s*d/den
         out[K - q] = [scale * (((x > 0) - (x < 0)) * math.sqrt(s * d / den)) for x, s in zip(w, sq)]
-    out.setflags(write=False)
     return out
 
 
-@lru_cache(maxsize=None)
+@_cache(None)
 def _basis(twice: int) -> tuple[np.ndarray, np.ndarray]:
     """The T_Kq of one shell as diagonal blocks, with their flat gather indices.
 
@@ -98,10 +97,7 @@ def _basis(twice: int) -> tuple[np.ndarray, np.ndarray]:
         C[t + q, q:, q:] = _basis_diagonal(t, q)
         C[t - q, :, :d - q] = (-1) ** q * C[t + q, :, q:]
     rows = np.arange(d) - np.arange(-t, d)[:, None]
-    idx = np.where((rows >= 0) & (rows < d), rows * d + np.arange(d), d * d)
-    C.setflags(write=False)
-    idx.setflags(write=False)
-    return C, idx
+    return C, np.where((rows >= 0) & (rows < d), rows * d + np.arange(d), d * d)
 
 
 def components(X: np.ndarray, S: HalfInt, k_max: int) -> np.ndarray:
@@ -207,17 +203,15 @@ def coherent_cumulative_max(S, K: int) -> float:
     return float(_coherent_maxima(S.twice)[K - 1])
 
 
-@lru_cache(maxsize=None)
+@_cache(None)
 def _coherent_maxima(t: int) -> np.ndarray:
     """Coherent-state A_K for K = 1..2S, each one exact ratio of integers rounded once."""
     f = math.factorial
-    out = np.array([
+    return np.array([
         (t * f(t - K - 1) * f(t + K + 1) - (t + 1) * f(t) ** 2) / ((t + 1) * f(t - K - 1) * f(t + K + 1))
         if K < t else t / (t + 1)
         for K in range(1, t + 1)
     ])
-    out.setflags(write=False)
-    return out
 
 
 def _strengths_cumulative_degrees(c: np.ndarray, t: int):

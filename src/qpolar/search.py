@@ -31,12 +31,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .angmom import HalfInt, _check_int, _check_norm, _check_reals, _check_spin, _check_type, _Frozen, _read_only
+from .angmom import (MAX_ENTRIES, HalfInt, _cache, _check_int, _check_norm, _check_reals, _check_spin, _check_type,
+                     _Frozen, _read_only)
 from .catalog import three_photon_first_order_eigs
 from .multipole import _basis_diagonal, _strengths_cumulative_degrees
 from .states import SpinSector, _ginibre, diag_sector, maximally_mixed, pure_sector
@@ -72,9 +72,9 @@ PURE_GTOL = 1e-13         # |J^T u| at which a pure restart has converged
 ASCENT_GTOL = 1e-6        # |projected purity gradient| / |rho V| at which a general restart has converged
 RETRACT_MU = 1e-9         # initial damping of a retraction: each starts one short step from A_K = 0
 LM_MU_MAX = 1e20          # damping at which a step that does not lower A_K ends the run
-LM_MAX_ENTRIES = 2_000_000  # Jacobian entries a Levenberg-Marquardt run may allocate: J is then 16 MB
-# and a run peaks near 51 MB, plus a 32 MB cached residual plan (pure 2S = 200, K = 69, tracemalloc);
-# the stacked square blocks of the diagonal vertex enumeration are held to the same number of entries
+# MAX_ENTRIES bounds the Jacobian entries a Levenberg-Marquardt run may allocate: J is then 16 MB and a run
+# peaks near 51 MB, plus a 32 MB cached residual plan (pure 2S = 200, K = 69, tracemalloc); the stacked
+# square blocks of the diagonal vertex enumeration are held to the same number of entries
 DIAG_MAX_SUPPORTS = 50_000  # supports of order + 1 levels the diagonal vertex enumeration may try
 
 STOP_REASONS = ("converged", "stalled", "max-iter")
@@ -136,6 +136,12 @@ class SearchResult:
         return self.residual < 1e-10
 
 
+def _first_best(values, sign: float = 1.0) -> int:
+    """The first index within a relative 1e-12 of the best value: the largest for sign +1, the least for -1."""
+    top = max(sign * v for v in values)
+    return next(i for i, v in enumerate(values) if sign * v >= top - 1e-12 * abs(top))
+
+
 def _digest(history) -> str:
     h = hashlib.sha256()
     for rec in history:
@@ -145,7 +151,7 @@ def _digest(history) -> str:
     return h.hexdigest()
 
 
-@lru_cache(maxsize=32)
+@_cache(32)
 def _residual_plan(t: int, order: int) -> tuple[np.ndarray, ...]:
     """What `_residual` needs of the shell 2S = t at one order, computed once and read-only.
 
@@ -179,10 +185,7 @@ def _residual_plan(t: int, order: int) -> tuple[np.ndarray, ...]:
         pick[p] = 2 * q + im
         ch[p, :, :d - q, 0] = c
         cl[p, :, q:, 0] = -c if im else c
-    plan = (shift.reshape(2, -1, 2, d), pick, ch, cl)
-    for a in plan:
-        a.setflags(write=False)
-    return plan
+    return shift.reshape(2, -1, 2, d), pick, ch, cl
 
 
 def _residual(x: np.ndarray, S: HalfInt, order: int, rank: int):
@@ -223,9 +226,9 @@ def _levenberg_marquardt(x: np.ndarray, S: HalfInt, order: int, rank: int, max_i
     with its Jacobian, which an accepted trial carries into the next step.
     """
     m = order * (order + 2)
-    if m * x.size > LM_MAX_ENTRIES:
+    if m * x.size > MAX_ENTRIES:
         raise ValueError(f"a search at order {order} with rank {rank} for spin {S} would build a "
-                         f"Jacobian of {m * x.size} entries, more than the limit of {LM_MAX_ENTRIES}")
+                         f"Jacobian of {m * x.size} entries, more than the limit of {MAX_ENTRIES}")
     x = x / np.linalg.norm(x)
     u, J = _residual(x, S, order, rank)
     f = float(u @ u)
@@ -319,10 +322,10 @@ def _diag_constraint_rows(S: HalfInt, order: int) -> np.ndarray:
 def _diag_vertices(S: HalfInt, order: int) -> np.ndarray:
     n_eq, d = order + 1, S.twice + 1
     count = math.comb(d, n_eq)
-    if count > DIAG_MAX_SUPPORTS or count * n_eq**2 > LM_MAX_ENTRIES:
+    if count > DIAG_MAX_SUPPORTS or count * n_eq**2 > MAX_ENTRIES:
         raise ValueError(f"diagonal search at order {order} for spin {S} would try {count} eigenvalue supports "
                          f"of {n_eq} levels in {count * n_eq**2} block entries, more than the limit of "
-                         f"{DIAG_MAX_SUPPORTS} supports or {LM_MAX_ENTRIES} entries")
+                         f"{DIAG_MAX_SUPPORTS} supports or {MAX_ENTRIES} entries")
     # the rows are polynomials of degree <= order in m, so any n_eq levels give an invertible block,
     # and every vertex solves c[:, support] x = e, e = (0, ..., 0, 1) the trace row, on some support
     # of n_eq levels: all of them in one batched solve; a vertex on fewer levels comes padded with zeros
@@ -351,8 +354,7 @@ def _solve_diagonal(problem: SearchProblem):
     a_k = _diagonal_rows(verts / verts.sum(axis=1, keepdims=True))[1][:, problem.order - 1].tolist()
     history = tuple(RestartRecord(i, p, a, 1, "converged") for i, (p, a) in enumerate(zip(purity, a_k)))
     # of optima equal but for rounding (a vertex and its mirror image m -> -m), the first vertex
-    top = max(purity)
-    best = next(i for i, p in enumerate(purity) if p >= top * (1 - 1e-12))
+    best = _first_best(purity)
     state = diag_sector(problem.spin, verts[best] / verts[best].sum())
     return state, purity[best], a_k[best], history
 
@@ -375,14 +377,15 @@ def max_purity_unpolarized(problem: SearchProblem) -> SearchResult:
     else:
         d = problem.spin.twice + 1
         rng, history = np.random.default_rng(problem.seed), []
-        state, best, residual = maximally_mixed(problem.spin), 1.0 / d, 0.0  # Tr T_Kq = 0 for K > 0
+        candidates = [(None, 1.0 / d, 0.0)]  # maximally mixed (Tr T_Kq = 0 for K > 0), listed first to win a tie
         for i in range(problem.restarts):
             V, p, f, iters, reason = _ascend_general(problem, _ginibre(d, problem.order + 1, rng))
             history.append(RestartRecord(i, p, f, iters, reason))
-            # a start that could not be retracted onto A_K = 0 is no candidate
-            if reason != "stalled" and p > best + 1e-15:
-                state, best, residual = SpinSector(problem.spin, V @ V.conj().T, validate=False), p, f
+            if reason != "stalled":  # a start that could not be retracted onto A_K = 0 is no candidate
+                candidates.append((V, p, f))
         history = tuple(history)
+        V, best, residual = candidates[_first_best([p for _, p, _ in candidates])]
+        state = maximally_mixed(problem.spin) if V is None else SpinSector(problem.spin, V @ V.conj().T, validate=False)
     return SearchResult(problem, state, best, residual, _digest(history), history)
 
 
@@ -420,16 +423,16 @@ def pure_anticoherent_search(S, order: int, restarts: int = 64, seed: int = 0) -
     problem = SearchProblem(_check_spin("S", S), order, constraint_class="pure", restarts=restarts, seed=seed)
     d = problem.spin.twice + 1
     rng = np.random.default_rng(seed)
-    history, best_x, best_f = [], None, math.inf
+    history, found = [], []
     for i in range(restarts):
         x0 = rng.standard_normal(2 * d)
         x, f, _, iters, reason = _levenberg_marquardt(x0, problem.spin, order, 1, PURE_MAX_ITER, PURE_GTOL)
         history.append(RestartRecord(i, f, f, iters, reason))
-        if f < best_f:
-            best_x, best_f = x, f
+        found.append(x)
     history = tuple(history)
-    state = pure_sector(problem.spin, _factor(best_x, d)[:, 0])
-    return SearchResult(problem, state, best_f, best_f, _digest(history), history)
+    best = _first_best([rec.objective for rec in history], -1.0)
+    state = pure_sector(problem.spin, _factor(found[best], d)[:, 0])
+    return SearchResult(problem, state, history[best].objective, history[best].residual, _digest(history), history)
 
 
 def _diagonal_rows(p: np.ndarray):

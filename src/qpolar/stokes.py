@@ -14,12 +14,11 @@ measured values, and it holds at most 8 designs.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
-from .angmom import (HalfInt, _check_each, _check_int, _check_reals, _check_spin, _check_tol, _check_type, _Frozen,
-                     _is_int, _read_only, _spin_arrays)
+from .angmom import (HalfInt, _cache, _check_each, _check_int, _check_reals, _check_spin, _check_tol, _check_type,
+                     _Frozen, _is_int, _read_only, _spin_arrays)
 from .multipole import _basis_diagonal, _components, _leading_within, _strengths_cumulative_degrees
 from .states import Direction, SpinSector, _points, as_shells
 
@@ -119,25 +118,21 @@ def tomography_directions(n: int) -> list[Direction]:
     return out
 
 
-def isotropy_order(
-    sector: SpinSector,
-    max_ell: int,
-    tol: float = 1e-8,
-    n_directions: int = 50,
-) -> int:
+def isotropy_order(sector: SpinSector, max_ell: int, tol: float = 1e-8, n_directions: int | None = None) -> int:
     """Largest l* <= max_ell with <(n.S)^l> direction-independent for all l <= l*.
 
     Order l is isotropic when <(n.S/s)^l>, s = max(S, 1), spreads by at most tol
     (positive and finite) across the directions.  Counts orders like the
     multipole classifier: <n.S> identically zero scores at least 1.
-    Directions are a deterministic spiral so the verdict is reproducible.
+    The n_directions (default max(50, 2*max_ell+1)) form a deterministic spiral, so the verdict is reproducible.
     Pass a SpinSector; multi-shell states should be classified shell by
     shell, where isotropy and vanishing multipoles are equivalent.
     """
     sector = _check_type("sector", sector, SpinSector)
     max_ell = _check_int("max_ell", max_ell, 1)
     _check_tol(tol)
-    n_directions = _check_int("n_directions", n_directions, 2 * max_ell + 1, span="2*max_ell+1")
+    n_directions = (max(50, 2 * max_ell + 1) if n_directions is None
+                    else _check_int("n_directions", n_directions, 2 * max_ell + 1, span="2*max_ell+1"))
     spread = np.ptp(_scaled_moments(sector, tomography_directions(n_directions), max_ell), axis=0)
     return _leading_within(spread, tol)  # the orders before the first anisotropic one
 
@@ -205,7 +200,7 @@ def _design_rows(points: np.ndarray, ell: np.ndarray, t: int, k_max: int):
     return rows, z[0, ell] / math.sqrt(t + 1)
 
 
-@lru_cache(maxsize=8)
+@_cache(8)
 def _layout(t: int, k_max: int, points: bytes, orders: bytes) -> tuple:
     """What `moments_to_multipoles` needs of one layout, built once and read-only: the design rows, their
     monopoles, `_real_unknowns` and the count of distinct directions (rounded to 12 digits).
@@ -215,11 +210,8 @@ def _layout(t: int, k_max: int, points: bytes, orders: bytes) -> tuple:
     """
     points = np.frombuffer(points).reshape(-1, 2)
     rows, monopole = _design_rows(points, np.frombuffer(orders, dtype=np.intp), t, k_max)
-    unknowns = _real_unknowns(k_max)
-    for a in (rows, monopole, unknowns):
-        a.setflags(write=False)
     distinct = len({(round(theta, 12), round(phi, 12)) for theta, phi in points.tolist()})
-    return rows, monopole, unknowns, distinct
+    return rows, monopole, _real_unknowns(k_max), distinct
 
 
 def moments_to_multipoles(samples, S, k_max: int) -> ReconstructionResult:

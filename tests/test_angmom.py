@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qpolar import angmom, husimi, multipole, search, stokes
 from qpolar.angmom import (
     EulerAngles,
     HalfInt,
@@ -18,8 +19,8 @@ from qpolar.angmom import (
 )
 from qpolar.multipole import coherent_cumulative_max, tensor_matrix
 from qpolar.search import SearchProblem, anticoherence_objective
-from qpolar.states import Direction, coherent_amplitudes, maximally_mixed, random_angles
-from qpolar.stokes import directional_moment
+from qpolar.states import Direction, _points, coherent_amplitudes, maximally_mixed, random_angles
+from qpolar.stokes import directional_moment, tomography_directions
 
 from cg_reference import _cg_parts, clebsch_gordan
 from shell_reference import m_range
@@ -325,3 +326,31 @@ class TestRefusalsAndRepr:
             wigner_small_d(1, math.nan)
         with pytest.raises(ValueError, match="^gamma must be a finite number, got inf$"):
             EulerAngles(0.1, 0.2, math.inf)
+
+
+# every cached table: its module, builder, a key and its maxsize (None: one entry per spin, unbounded)
+CACHED_TABLES = [
+    (angmom, "_spin_arrays", (3,), None),
+    (angmom, "_jy_eigen", (3,), None),
+    (multipole, "_basis_diagonal", (4, 1), None),
+    (multipole, "_basis", (4,), None),
+    (multipole, "_coherent_maxima", (4,), None),
+    (search, "_residual_plan", (4, 2), 32),
+    (stokes, "_layout", (4, 3, _points(tomography_directions(7)).tobytes(), np.full(7, 3, np.intp).tobytes()), 8),
+    (husimi, "_pair_index", (5,), 8),
+    (husimi, "_grid_axes", (4, 16, 24), 8),  # the pair table is cached
+    (husimi, "_grid_axes", (200, 64, 128), 8),  # the table is too large: None in its place
+]
+
+
+@pytest.mark.parametrize("module,name,key,maxsize", CACHED_TABLES,
+                         ids=[f"{m.__name__.split('.')[-1]}.{n}{k[:2]}" for m, n, k, _ in CACHED_TABLES])
+def test_cached_tables_are_read_only_and_built_once(module, name, key, maxsize):
+    build = getattr(module, name)
+    first = build(*key)
+    arrays = [a for a in (first if isinstance(first, tuple) else (first,)) if isinstance(a, np.ndarray)]
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    hits = build.cache_info().hits
+    assert build(*key) is first
+    assert build.cache_info().hits == hits + 1
+    assert build.cache_info().maxsize == maxsize

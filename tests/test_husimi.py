@@ -161,20 +161,20 @@ class TestPairTable:
     def test_tables_over_the_budget_are_built_in_blocks(self, fresh_axes, monkeypatch, twice_s, tiles):
         # the budget holds 8 * tiles + 5 thetas of the table (2S = 10: 11 * 6 entries each, 2S = 200: 201 * 101),
         # and a block is cut to whole 8-theta tiles, which BLAS sums as it sums them in one product
-        monkeypatch.setattr(husimi, "PAIR_BUDGET", (twice_s + 1) * (twice_s // 2 + 1) * (8 * tiles + 5))
+        monkeypatch.setattr(husimi, "MAX_ENTRIES", (twice_s + 1) * (twice_s // 2 + 1) * (8 * tiles + 5))
         for sec in _sectors(twice_s):
             grid = q_function(sec, (64, 128))
             assert grid.values.tobytes() == q_grid_by_diagonals(sec.rho, grid.thetas, grid.phis).tobytes()
         assert _grid_axes(twice_s, 64, 128)[4] is None
 
     def test_blocks_of_single_thetas_stay_within_one_ulp(self, fresh_axes, monkeypatch):
-        monkeypatch.setattr(husimi, "PAIR_BUDGET", 66 * 3)
+        monkeypatch.setattr(husimi, "MAX_ENTRIES", 66 * 3)
         for sec in _sectors(10):
             grid = q_function(sec, (20, 30))
             assert_allclose(grid.values, q_grid_by_diagonals(sec.rho, grid.thetas, grid.phis), rtol=0, atol=ULP_OF_ONE)
 
     def test_only_tables_of_an_eighth_of_the_budget_are_cached(self):
-        # 2S = 40: 41 * 21 * 64 entries; 2S = 200: 201 * 101 * 64, more than PAIR_BUDGET / 8
+        # 2S = 40: 41 * 21 * 64 entries; 2S = 200: 201 * 101 * 64, more than MAX_ENTRIES / 8
         assert _grid_axes(40, 64, 128)[4].shape == (21, 41, 64)
         assert _grid_axes(200, 64, 128)[4] is None
 
@@ -188,12 +188,12 @@ class TestPairTable:
         finally:
             tracemalloc.stop()
         # the blocks of the table, and less than 4 MB for rho, the coefficients and the 201 x 402 values
-        assert peak < 8 * husimi.PAIR_BUDGET + 4e6
+        assert peak < 8 * husimi.MAX_ENTRIES + 4e6
 
     @pytest.mark.parametrize("twice_s", [3, 40])
     def test_q_values_over_several_blocks_equal_the_grid_at_its_nodes(self, monkeypatch, twice_s):
         if twice_s == 3:  # 4 * 3 entries per direction: blocks of 64 directions
-            monkeypatch.setattr(husimi, "PAIR_BUDGET", 12 * 64)
+            monkeypatch.setattr(husimi, "MAX_ENTRIES", 12 * 64)
         sec = _sectors(twice_s)[0]
         grid = q_function(sec, (48, 64))  # at 2S = 40, 3072 nodes in blocks of 2320
         at_nodes = q_values(sec, [d for d, _, _ in grid.nodes()])

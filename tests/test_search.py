@@ -369,7 +369,7 @@ class TestDiagonalSolver:
 
         monkeypatch.setattr(search, "_diag_constraint_rows", never)
         count, entries = math.comb(201, 199), math.comb(201, 199) * 199**2
-        assert count <= search.DIAG_MAX_SUPPORTS < search.LM_MAX_ENTRIES < entries
+        assert count <= search.DIAG_MAX_SUPPORTS < search.MAX_ENTRIES < entries
         with pytest.raises(ValueError, match=f"{count} eigenvalue supports of 199 levels in {entries} block entries"):
             max_purity_unpolarized(SearchProblem(100, 198, constraint_class="diagonal"))
 
@@ -654,6 +654,32 @@ class TestGeneralSolver:
         assert np.array_equal(res.state.rho, np.eye(3) / 3)
         assert res.objective == 1 / 3
 
+    @pytest.mark.parametrize("nudge", [-1, 0, 1])
+    def test_best_restart_does_not_move_with_the_last_bit(self, monkeypatch, nudge):
+        # restart 1 sits 1e-15 above restart 0, give or take 1 ulp: both are within a relative 1e-12 of the
+        # best, so the first is returned every time; the stalled restart 2, though higher, is no candidate
+        top = 0.5 + 1e-15
+        outcomes = iter([(0.5, "converged"), (top + nudge * math.ulp(top), "converged"), (0.9, "stalled")])
+        factors = []
+
+        def ascend(problem, V0):
+            factors.append(V0 / np.linalg.norm(V0))
+            p, reason = next(outcomes)
+            return factors[-1], p, 0.0, 1, reason
+
+        monkeypatch.setattr(search, "_ascend_general", ascend)
+        res = max_purity_unpolarized(SearchProblem(1, 1, restarts=3))
+        assert res.objective == 0.5
+        assert np.array_equal(res.state.rho, factors[0] @ factors[0].conj().T)
+
+    @pytest.mark.parametrize("nudge", [-1, 0, 1])
+    def test_maximally_mixed_state_wins_a_tie(self, monkeypatch, nudge):
+        monkeypatch.setattr(search, "_ascend_general",
+                            lambda problem, V0: (V0, 1 / 3 + nudge * math.ulp(1 / 3), 0.0, 1, "converged"))
+        res = max_purity_unpolarized(SearchProblem(1, 1, restarts=2))
+        assert np.array_equal(res.state.rho, np.eye(3) / 3)
+        assert (res.objective, res.residual) == (1 / 3, 0.0)
+
     def test_restart_determinism(self):
         a = max_purity_unpolarized(SearchProblem(1, 1, constraint_class="general", restarts=6, seed=3))
         b = max_purity_unpolarized(SearchProblem(1, 1, constraint_class="general", restarts=6, seed=3))
@@ -702,6 +728,20 @@ class TestPureSearch:
         a = pure_anticoherent_search(1.5, 1, restarts=5, seed=9)
         b = pure_anticoherent_search(1.5, 1, restarts=5, seed=9)
         assert a.digest == b.digest
+
+    @pytest.mark.parametrize("nudge", [-1, 0, 1])
+    def test_best_restart_does_not_move_with_the_last_bit(self, monkeypatch, nudge):
+        # restart 1 reaches the A_2 of restart 0 give or take 1 ulp: the first within a relative 1e-12 is returned
+        values, found = iter([0.25, 0.25 + nudge * math.ulp(0.25), 0.5]), []
+
+        def descend(x, S, order, rank, max_iter, gtol, mu=1e-3):
+            found.append(x / np.linalg.norm(x))
+            return found[-1], next(values), None, 1, "stalled"
+
+        monkeypatch.setattr(search, "_levenberg_marquardt", descend)
+        res = pure_anticoherent_search(1.5, 2, restarts=3)
+        assert (res.objective, res.residual) == (0.25, 0.25)
+        assert np.array_equal(res.state.rho, pure_sector(1.5, search._factor(found[0], 4)[:, 0]).rho)
 
     @pytest.mark.parametrize("twice_s", [1, 2, 3, 4, 5, 6])
     def test_gradient_matches_finite_differences(self, twice_s):
@@ -802,7 +842,7 @@ class TestLevenbergMarquardtCore:
         monkeypatch.setattr(search, "_residual", never)
         rows = 200 * 202  # (K+1)^2 - 1 residual rows at 2S = K = 200
         general, pure = rows * 2 * 201 * 201, rows * 2 * 201
-        assert min(general, pure) > search.LM_MAX_ENTRIES
+        assert min(general, pure) > search.MAX_ENTRIES
         with pytest.raises(ValueError, match=f"Jacobian of {general} entries"):
             max_purity_unpolarized(SearchProblem(100, 200, restarts=1))
         with pytest.raises(ValueError, match=f"Jacobian of {pure} entries"):

@@ -170,6 +170,18 @@ class TestIsotropyOrder:
             isotropy_order(maximally_mixed(1), 3, n_directions=n)
         assert isotropy_order(maximally_mixed(1), 3, n_directions=np.int64(7)) == 3
 
+    @pytest.mark.parametrize("max_ell", [1, 24, 25, 30])
+    def test_default_directions_are_enough_for_every_max_ell(self, max_ell):
+        # the default is max(50, 2*max_ell+1) directions, which the n_directions check accepts at every max_ell;
+        # an explicit count is checked as before
+        assert isotropy_order(maximally_mixed(15), max_ell) == max_ell
+        sec = random_sector(15, np.random.default_rng(47))
+        n = max(50, 2 * max_ell + 1)
+        assert isotropy_order(sec, max_ell) == isotropy_order(sec, max_ell, n_directions=n) == 0
+        with pytest.raises(ValueError, match=re.escape(f"n_directions must be an integer >= 2*max_ell+1 = "
+                                                       f"{2 * max_ell + 1}, got {2 * max_ell}")):
+            isotropy_order(sec, max_ell, n_directions=2 * max_ell)
+
     def test_rejects_multi_shell_states(self):
         state = assemble([(1.0, maximally_mixed(1))])
         with pytest.raises(ValueError, match=r"^sector must be of type SpinSector, got PolarizationState\(S=1:1\)$"):

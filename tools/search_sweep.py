@@ -5,7 +5,8 @@
 Runs `max_purity_unpolarized` for the general class on every shell 2S = 2..10 at every order
 K = 1..min(4, 2S - 1), from seeds 0 and 1, with 3 restarts each: 60 problems, in one process
 with one BLAS thread.  Each problem prints one line: 2S, K and the seed, the best objective as
-`repr`, then every restart's ascent steps and stop reason.  SRC, the directory that holds the
+`repr`, then every restart's ascent steps, stop reason and objective (`repr`), so a diff shows
+which restart won a tie.  SRC, the directory that holds the
 qpolar package under test, defaults to this checkout's src/.  Two checkouts can be compared
 line by line:
 
@@ -28,7 +29,7 @@ def main(argv: list[str]) -> int:
 
     for t, k, seed in PROBLEMS:
         res = max_purity_unpolarized(SearchProblem(t / 2, k, restarts=RESTARTS, seed=seed))
-        restarts = " ".join(f"{rec.iterations}:{rec.reason}" for rec in res.history)
+        restarts = " ".join(f"{rec.iterations}:{rec.reason}:{rec.objective!r}" for rec in res.history)
         print(f"2S={t} K={k} seed={seed} best={res.objective!r} {restarts}")
     return 0
 
