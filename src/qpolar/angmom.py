@@ -175,6 +175,20 @@ def _check_tol(tol) -> None:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
+# the errors the CLI maps to its exit codes, defined here so that it needs none of the modules that raise them;
+# stateio, stokes and search export them
+class SchemaError(ValueError):
+    """The file does not follow the state schema."""
+
+
+class IllConditionedError(ValueError):
+    """Moment-to-multipole system is rank deficient for the given directions."""
+
+
+class InfeasibleError(ValueError):
+    """The requested constraint class / order combination has no feasible state."""
+
+
 class _Frozen:
     """No attribute is set or deleted once built, and every ndarray held is read-only: `__init__` sets them with
     `_freeze`, a frozen dataclass (made by `_read_only`) through `__post_init__`, `copy`, `deepcopy` and `pickle`

@@ -3,20 +3,22 @@
 Exit codes: 0 success, 2 invalid input, 3 infeasible or ill-conditioned,
 4 internal tolerance failure.  All outputs are deterministic for fixed
 inputs (and `--seed` for search); analysis tables record their tolerance
-and search reports their seed.
+and search reports their seed.  Each command imports the modules it runs, so
+building the parser loads only angmom, states and catalog.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
 
-from . import catalog, husimi, multipole, search, stateio, stokes
-from .angmom import MAX_TWO_S, _check_int
-from .states import as_shells
+from . import catalog
+from .angmom import MAX_TWO_S, IllConditionedError, InfeasibleError, SchemaError, _check_int
+from .states import _CLASS_ALIASES, DEFAULT_ORDER_TOL, as_shells
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -97,6 +99,8 @@ def _print_shell(shell: multipole.ShellReport) -> None:
 
 
 def cmd_analyze(args) -> int:
+    from . import multipole, stateio
+
     state = stateio.load_state(args.state)
     report = multipole.analyze(state, tol=args.tol)
     print(f"analysis (tol={args.tol!r})")
@@ -112,6 +116,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_qfunc(args) -> int:
+    from . import husimi, stateio
+
     state = stateio.load_state(args.state)
     shells = as_shells(state)
     grid = _parse_grid(args.grid)
@@ -125,8 +131,8 @@ def cmd_qfunc(args) -> int:
             )
         out = args.out
         if multi:
-            stem, dot, ext = args.out.rpartition(".")
-            out = f"{stem}_2S{sec.spin.twice}{dot}{ext}" if dot else f"{args.out}_2S{sec.spin.twice}"
+            stem, ext = os.path.splitext(args.out)
+            out = f"{stem}_2S{sec.spin.twice}{ext}"
         husimi.export_qgrid(qg, out)
         flag = " (grid too coarse for the normalization check)" if qg.coarse_warning else ""
         print(f"two_S={sec.spin.twice}: grid {qg.n_theta}x{qg.n_phi}, "
@@ -135,6 +141,8 @@ def cmd_qfunc(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    from . import stokes
+
     spin = _bounded_two_s(args.two_s) / 2.0
     samples = stokes.read_moments(args.moments)
     result = stokes.moments_to_multipoles(samples, spin, args.order)
@@ -154,6 +162,8 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from . import search, stateio
+
     spin = _bounded_two_s(args.two_s) / 2.0
     if args.cls == "pure":
         result = search.pure_anticoherent_search(
@@ -196,6 +206,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from . import search
+
     _check_int("--points", args.points, 1)
     if args.family == "two-photon":
         scan = search.scan_two_photon_family(np.linspace(0.0, 0.5, args.points))
@@ -248,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="multipole table and unpolarization order of a state file")
     pa.add_argument("state", help="state file (JSON)")
-    pa.add_argument("--tol", type=float, default=multipole.DEFAULT_ORDER_TOL)
+    pa.add_argument("--tol", type=float, default=DEFAULT_ORDER_TOL)
     pa.add_argument("--out", help="also write the table as CSV")
     pa.set_defaults(func=cmd_analyze)
 
@@ -269,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--two-s", dest="two_s", type=int, required=True)
     ps.add_argument("--order", type=int, required=True)
     ps.add_argument("--class", dest="cls", default="general",
-                    choices=sorted(search._CLASS_ALIASES))
+                    choices=sorted(_CLASS_ALIASES))
     ps.add_argument("--restarts", type=int, default=64)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--out")
@@ -300,12 +312,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (stokes.IllConditionedError, search.InfeasibleError) as exc:
+    except (IllConditionedError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except ToleranceFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
-    except (stateio.SchemaError, ValueError, OSError, KeyError) as exc:
+    except (SchemaError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .angmom import HalfInt, _cache, _check_int, _check_spin, _check_tol, _check_type, _Frozen, _is_int, _read_only
-from .states import SpinSector, as_shells
+from .states import DEFAULT_ORDER_TOL, SpinSector, as_shells
 
 __all__ = [
     "tensor_matrix",
@@ -38,8 +38,6 @@ __all__ = [
     "analyze",
     "DEFAULT_ORDER_TOL",
 ]
-
-DEFAULT_ORDER_TOL = 1e-10
 
 
 @_cache(None)

@@ -35,11 +35,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angmom import (MAX_ENTRIES, HalfInt, _cache, _check_int, _check_norm, _check_reals, _check_spin, _check_type,
-                     _Frozen, _read_only)
+from .angmom import (MAX_ENTRIES, HalfInt, InfeasibleError, _cache, _check_int, _check_norm, _check_reals,
+                     _check_spin, _check_type, _Frozen, _read_only)
 from .catalog import three_photon_first_order_eigs
 from .multipole import _basis_diagonal, _strengths_cumulative_degrees
-from .states import SpinSector, _ginibre, diag_sector, maximally_mixed, pure_sector
+from .states import _CLASS_ALIASES, CONSTRAINT_CLASSES, SpinSector, _ginibre, diag_sector, maximally_mixed, pure_sector
 
 __all__ = [
     "CONSTRAINT_CLASSES",
@@ -59,11 +59,6 @@ __all__ = [
     "scan_three_photon_family",
 ]
 
-CONSTRAINT_CLASSES = ("general", "diagonal-in-z-basis", "axially-symmetric", "pure")
-
-_CLASS_ALIASES = {**{c: c for c in CONSTRAINT_CLASSES},
-                  "diagonal": "diagonal-in-z-basis", "axial": "axially-symmetric"}
-
 # fixed solver settings
 ASCENT_MAX_STEPS = 400    # ascent steps per general restart
 RETRACT_MAX_ITER = 100    # Levenberg-Marquardt iterations per retraction onto A_K = 0
@@ -78,10 +73,6 @@ LM_MU_MAX = 1e20          # damping at which a step that does not lower A_K ends
 DIAG_MAX_SUPPORTS = 50_000  # supports of order + 1 levels the diagonal vertex enumeration may try
 
 STOP_REASONS = ("converged", "stalled", "max-iter")
-
-
-class InfeasibleError(ValueError):
-    """The requested constraint class / order combination has no feasible state."""
 
 
 @_read_only

@@ -22,7 +22,7 @@ import json
 
 import numpy as np
 
-from .angmom import MAX_TWO_S, HalfInt, _check_int, _check_reals
+from .angmom import MAX_TWO_S, HalfInt, SchemaError, _check_int, _check_reals
 from .states import (
     Direction,
     PolarizationState,
@@ -39,10 +39,6 @@ __all__ = ["MAX_TWO_S", "SchemaError", "state_from_dict", "state_to_dict", "load
 
 # the state constructor of each form, called with the spin and the payload read from the file
 FORMS = {"matrix": SpinSector, "diag": diag_sector, "pure": pure_sector, "fock": fock_sector, "coherent": su2_coherent}
-
-
-class SchemaError(ValueError):
-    """The file does not follow the state schema."""
 
 
 def _require(cond: bool, msg: str) -> None:

@@ -38,6 +38,13 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+DEFAULT_ORDER_TOL = 1e-10  # the A_K <= tol of multipole's unpolarization order
+
+# the constraint classes of an extremal-state search and the names it accepts for them; these and DEFAULT_ORDER_TOL
+# are defined here, not in search and multipole, so that the CLI parser loads neither
+CONSTRAINT_CLASSES = ("general", "diagonal-in-z-basis", "axially-symmetric", "pure")
+_CLASS_ALIASES = {**{c: c for c in CONSTRAINT_CLASSES},
+                  "diagonal": "diagonal-in-z-basis", "axial": "axially-symmetric"}
 
 
 @_read_only

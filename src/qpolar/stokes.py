@@ -17,8 +17,8 @@ import math
 
 import numpy as np
 
-from .angmom import (HalfInt, _cache, _check_each, _check_int, _check_reals, _check_spin, _check_tol, _check_type,
-                     _Frozen, _is_int, _read_only, _spin_arrays)
+from .angmom import (HalfInt, IllConditionedError, _cache, _check_each, _check_int, _check_reals, _check_spin,
+                     _check_tol, _check_type, _Frozen, _is_int, _read_only, _spin_arrays)
 from .multipole import _basis_diagonal, _components, _leading_within, _strengths_cumulative_degrees
 from .states import Direction, SpinSector, _points, as_shells
 
@@ -35,10 +35,6 @@ __all__ = [
     "read_moments",
     "write_moments",
 ]
-
-
-class IllConditionedError(ValueError):
-    """Moment-to-multipole system is rank deficient for the given directions."""
 
 
 @_read_only

@@ -1,9 +1,11 @@
 """CLI surface: subcommands, file outputs, exit codes, determinism."""
 
+import ast
 import copy
 import dataclasses
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -221,6 +223,28 @@ class TestQfunc:
         out = tmp_path / "q.csv"
         assert run_cli("qfunc", state, "--grid", "8x16", "--out", out) == 0
         assert (tmp_path / "q_2S1.csv").exists() and (tmp_path / "q_2S2.csv").exists()
+
+    @pytest.mark.parametrize("out, shells", [
+        ("q.csv", ["q_2S1.csv", "q_2S2.csv"]), ("./q", ["./q_2S1", "./q_2S2"]),
+        ("res.v2/q", ["res.v2/q_2S1", "res.v2/q_2S2"]), ("res.v2/q.csv", ["res.v2/q_2S1.csv", "res.v2/q_2S2.csv"]),
+    ])
+    def test_multi_shell_names_split_the_file_name_only(self, tmp_path, capsys, monkeypatch, out, shells):
+        # a dot in a directory name was once read as the extension: res.v2/q went to res_2S1.v2/q
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "res.v2").mkdir()
+        pathlib.Path("two.json").write_text(json.dumps({"sectors": [
+            {"two_S": 1, "weight": 0.5, "form": "diag", "data": [0.5, 0.5]},
+            {"two_S": 2, "weight": 0.5, "form": "diag", "data": [1 / 3, 1 / 3, 1 / 3]},
+        ]}))
+        pathlib.Path("one.json").write_text(json.dumps({"sectors": [
+            {"two_S": 2, "weight": 1.0, "form": "diag", "data": [1 / 3, 1 / 3, 1 / 3]}]}))
+        capsys.readouterr()
+        assert run_cli("qfunc", "two.json", "--grid", "8x16", "--out", out) == 0
+        assert [line.rsplit(" -> ", 1)[1] for line in capsys.readouterr().out.splitlines()] == shells
+        assert all(pathlib.Path(name).is_file() for name in shells)
+        assert run_cli("qfunc", "one.json", "--grid", "8x16", "--out", out) == 0  # one shell: the name as given
+        assert capsys.readouterr().out.endswith(f" -> {out}\n")
+        assert pathlib.Path(out).read_bytes() == pathlib.Path(shells[1]).read_bytes()
 
 
 class TestReconstruct:
@@ -452,6 +476,86 @@ def test_import_loads_neither_fractions_nor_decimal():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+# a child that prints, at exit, the qpolar submodules and the numpy, fractions and decimal it has loaded
+LOADED_AT_EXIT = """
+import atexit, runpy, sys
+watched = lambda m: m.startswith("qpolar.") or m in ("numpy", "fractions", "decimal")
+atexit.register(lambda: print("loaded:", sorted(m.removeprefix("qpolar.") for m in sys.modules if watched(m))))
+if sys.argv[1:]:
+    runpy.run_module("qpolar", run_name="__main__", alter_sys=True)
+else:
+    import qpolar
+"""
+# what each start-up may not load: a command loads only the modules it runs
+NOT_LOADED = {
+    "import": {"numpy", "angmom", "states", "catalog", "multipole", "search", "husimi", "stokes", "stateio", "cli"},
+    "make-state": {"multipole", "search", "husimi", "stokes", "stateio"},
+    "analyze": {"search", "husimi", "stokes"},
+    "qfunc": {"search", "multipole", "stokes"},
+    "reconstruct": {"search", "husimi"},
+    "search": {"husimi", "stokes"},
+    "scan": {"husimi", "stokes"},
+}
+STARTUP_ARGV = {
+    "import": [],
+    "make-state": ["make-state", "eq27-3p", "--out", "made.json"],
+    "analyze": ["analyze", "state.json"],
+    "qfunc": ["qfunc", "state.json", "--grid", "8x16", "--out", "q.csv"],
+    "reconstruct": ["reconstruct", "m.csv", "--two-s", "2", "--order", "2"],
+    "search": ["search", "--two-s", "3", "--order", "1", "--class", "diagonal"],
+    "scan": ["scan", "--family", "two-photon", "--points", "5"],
+}
+
+
+@pytest.mark.parametrize("command", STARTUP_ARGV)
+def test_each_start_up_loads_only_what_it_runs(tmp_path, command):
+    assert run_cli("make-state", "eq27-3p", "--out", tmp_path / "state.json") == 0
+    write_moments(sample_moments(diag_sector(1, [0.2, 0.6, 0.2]), tomography_directions(5), 2), tmp_path / "m.csv")
+    res = subprocess.run([sys.executable, "-c", LOADED_AT_EXIT, *STARTUP_ARGV[command]],
+                         cwd=tmp_path, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    head, loaded = res.stdout.splitlines()[-1].split(": ")
+    assert head == "loaded"
+    # the coherent-state ceilings are int/int divisions, so no command needs rational arithmetic either
+    assert sorted(set(ast.literal_eval(loaded)) & (NOT_LOADED[command] | {"fractions", "decimal"})) == []
+
+
+def _cold_exit(tmp_path, argv, patch=""):
+    """Exit status and stderr of the CLI in a fresh process, after the `patch` statements."""
+    code = f"import sys\n{patch}\nfrom qpolar.cli import main\nsys.exit(main(sys.argv[1:]))"
+    res = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, capture_output=True, text=True)
+    return res.returncode, res.stderr
+
+
+class TestColdExitCodes:
+    # in-process main() runs after the test files have imported every module; these load only what main does
+    def test_ill_conditioned_reconstruction_exits_3(self, tmp_path):
+        d = tomography_directions(1) * 5
+        write_moments(sample_moments(diag_sector(1, [0.2, 0.6, 0.2]), d, 2), tmp_path / "m.csv")
+        assert _cold_exit(tmp_path, ["reconstruct", "m.csv", "--two-s", "2", "--order", "2"]) == (
+            3, "error: 1 distinct directions cannot span rank 2; need at least 5\n")
+
+    def test_infeasible_search_exits_3(self, tmp_path):
+        # no diagonal state is infeasible, so the child removes every vertex, as in test_search
+        patch = ("import numpy as np\nfrom qpolar import search\n"
+                 "search._diag_vertices = lambda S, order: np.zeros((0, S.twice + 1))")
+        assert _cold_exit(tmp_path, ["search", "--two-s", "3", "--order", "1", "--class", "diagonal"], patch) == (
+            3, "error: no feasible diagonal state at order 1 for spin 3/2\n")
+
+    def test_malformed_state_file_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"sectors": [{"two_S": 2, "weight": 1.0, "form": "diag", "data": [2.0, 0, -1.0]}]}')
+        with pytest.raises(SchemaError):
+            load_state(bad)
+        assert _cold_exit(tmp_path, ["analyze", "bad.json"]) == (
+            2, "error: invalid sector payload (two_S=2, form=diag): negative entry -1.0 in eigenvalue list\n")
+
+    def test_non_finite_theta_exits_2(self, tmp_path):
+        assert _cold_exit(tmp_path, ["make-state", "eq15-coherent", "--theta", "nan", "--out", "s.json"]) == (
+            2, "error: --theta must be finite, got nan\n")
+        assert not (tmp_path / "s.json").exists()
 
 
 class TestUncommonPaths:

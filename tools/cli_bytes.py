@@ -8,7 +8,8 @@ shell as a `matrix` state file, a two-shell state file, and the directional mome
 directory and each in a fresh process with one BLAS thread, it runs `make-state` for every
 preset (and again with arguments for those that take some), `analyze --out` of every state
 file, `qfunc` (of the 2S = 25 state also on the default 64x128 grid), `reconstruct`, `search`
-for the diagonal, axial, general and pure classes and `scan` for the three families.  It prints one sha256 per stdout, per non-empty stderr and per
+for the diagonal, axial, general and pure classes, `scan` for the three families and, last,
+`--help` of qpolar and of each subcommand.  It prints one sha256 per stdout, per non-empty stderr and per
 file a command writes, each with the command's exit status.  SRC, the directory that holds the
 qpolar package under test, defaults to this checkout's src/.  Two checkouts print the same
 lines exactly when their CLI outputs are byte-identical:
@@ -87,7 +88,7 @@ def write_inputs(workdir: pathlib.Path) -> None:
     (workdir / "moments.csv").write_text("\n".join(lines) + "\n")
 
 
-def commands(presets: list[str]) -> list[tuple[str, list[str]]]:
+def commands(presets: list[str], subcommands: list[str]) -> list[tuple[str, list[str]]]:
     """(label, argv) of every command, in order; `analyze` runs on every state file written before it."""
     cmds = [(f"make-state {p}", ["make-state", p, "--out", f"{p}.json"]) for p in presets]
     cmds += [(f"make-state {p} {' '.join(a)}", ["make-state", p, *a, "--out", f"{p}-args.json"])
@@ -102,6 +103,7 @@ def commands(presets: list[str]) -> list[tuple[str, list[str]]]:
                               "--order", str(RECONSTRUCT_ORDER), "--out", "reconstructed.csv"])]
     cmds += [(f"search {c}", ["search", "--class", c, *a, "--out", f"search_{c}.json"]) for c, a in SEARCHES.items()]
     cmds += [(f"scan {f}", ["scan", "--family", f, "--points", p, "--out", f"scan_{f}.csv"]) for f, p in SCANS.items()]
+    cmds += [("--help", ["--help"])] + [(f"{s} --help", [s, "--help"]) for s in subcommands]
     return cmds
 
 
@@ -113,12 +115,13 @@ def main(argv: list[str]) -> int:
     def run(args, cwd):
         return subprocess.run([sys.executable, "-m", "qpolar", *args], cwd=cwd, env=env, capture_output=True)
 
+    def choices(args, cwd):  # the first {a,b,...} list of the usage that `args` print
+        return re.search(r"\{([^}]*)\}", run(args, cwd).stdout.decode()).group(1).split(",")
+
     with tempfile.TemporaryDirectory() as tmp:
         workdir = pathlib.Path(tmp)
         write_inputs(workdir)
-        usage = run(["make-state", "--help"], workdir).stdout.decode()
-        presets = re.search(r"\{([^}]*)\}", usage).group(1).split(",")
-        for label, args in commands(presets):
+        for label, args in commands(choices(["make-state", "--help"], workdir), choices(["--help"], workdir)):
             before = set(workdir.iterdir())
             proc = run(args, workdir)
             status = f"(exit {proc.returncode})"
