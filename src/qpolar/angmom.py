@@ -78,6 +78,11 @@ def _check_spin(name: str, value) -> HalfInt:
                      f"got {value!r}")
 
 
+def _check_two_s(name: str, value) -> int:
+    """`value` as an int if it is a 2S as a state file or --two-s gives it: an integer in [0, MAX_TWO_S]."""
+    return _check_int(name, value, 0, MAX_TWO_S, span="[0, MAX_TWO_S]")
+
+
 def _check_reals(name: str, value, shape: tuple | None = (), complex_ok: bool = False):
     """`value` as finite real (with complex_ok, complex) numbers: a float array of `shape`, a float for ().
 
@@ -288,8 +293,9 @@ def _jy_eigen(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(-twice_j, twice_j + 1, 2) / 2.0, np.linalg.eigh(_spin_arrays(twice_j)[1])[1]
 
 
-def _d_column(twice_j: int, col: int, theta) -> np.ndarray:
-    """Column `col` of d^j(theta) at every theta, as [..., m'] (m' descending), from Jy's eigenvectors."""
+def _d_column(twice_j: int, col, theta) -> np.ndarray:
+    """Column `col` of d^j(theta) at every theta, as [..., m'] (m' descending), from Jy's eigenvectors: the one
+    product that forms d^j, whose `col=slice(None)` at one theta is d^j transposed, as [m, m']."""
     lam, vecs = _jy_eigen(twice_j)
     theta = np.asarray(theta, dtype=float)[..., None]
     return ((np.exp(-1j * theta * lam) * vecs[col].conj()) @ vecs.T).real
@@ -303,10 +309,7 @@ def wigner_small_d(j, beta: float) -> np.ndarray:
     Real orthogonal (2j+1)x(2j+1) array, rows/columns indexed by m', m
     descending from +j.
     """
-    j = _check_spin("j", j)
-    beta = _check_reals("beta", beta)
-    lam, vecs = _jy_eigen(j.twice)
-    return ((vecs * np.exp(-1j * beta * lam)) @ vecs.conj().T).real
+    return _d_column(_check_spin("j", j).twice, slice(None), _check_reals("beta", beta)).T
 
 
 @_read_only

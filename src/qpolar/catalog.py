@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .angmom import MAX_TWO_S, _check_int, _check_reals
+from .angmom import _check_reals, _check_two_s
 from .states import Direction, SpinSector, diag_sector, pure_sector
 
 __all__ = [
@@ -79,7 +79,7 @@ def max_purity_second_order_diag() -> SpinSector:
 def _preset_coherent(args) -> dict:
     theta = args.get("theta", math.pi / 3)
     phi = args.get("phi", math.pi / 6)
-    two_s = _check_int("two_s", args.get("two_s", 3), 0, MAX_TWO_S, span="[0, MAX_TWO_S]")
+    two_s = _check_two_s("two_s", args.get("two_s", 3))
     Direction(theta, phi)  # validate early
     return {"two_S": two_s, "weight": 1.0, "form": "coherent",
             "data": {"theta": float(theta), "phi": float(phi)}}

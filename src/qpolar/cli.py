@@ -17,13 +17,14 @@ import sys
 import numpy as np
 
 from . import catalog
-from .angmom import MAX_TWO_S, IllConditionedError, InfeasibleError, SchemaError, _check_int
+from .angmom import IllConditionedError, InfeasibleError, SchemaError, _check_int, _check_two_s
 from .states import _CLASS_ALIASES, DEFAULT_ORDER_TOL, as_shells
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_INFEASIBLE = 3
 EXIT_TOLERANCE = 4
+_NUMBER_FLAGS = ("theta", "phi", "alpha", "beta", "lam")  # the make-state options that take a number
 
 
 class ToleranceFailure(RuntimeError):
@@ -36,11 +37,6 @@ def _parse_grid(text: str) -> tuple[int, int]:
         return int(a), int(b)
     except Exception as exc:
         raise ValueError(f"--grid expects NTHETAxNPHI, e.g. 64x128; got {text!r}") from exc
-
-
-def _bounded_two_s(two_s: int) -> int:
-    """A --two-s argument, refused outside the range that state files have."""
-    return _check_int("--two-s", two_s, 0, MAX_TWO_S, span="[0, MAX_TWO_S]")
 
 
 def _fmt(x: float) -> str:
@@ -143,7 +139,7 @@ def cmd_qfunc(args) -> int:
 def cmd_reconstruct(args) -> int:
     from . import stokes
 
-    spin = _bounded_two_s(args.two_s) / 2.0
+    spin = _check_two_s("--two-s", args.two_s) / 2.0
     samples = stokes.read_moments(args.moments)
     result = stokes.moments_to_multipoles(samples, spin, args.order)
     print(f"reconstruction two_S={args.two_s} K_max={args.order}: "
@@ -164,7 +160,7 @@ def cmd_reconstruct(args) -> int:
 def cmd_search(args) -> int:
     from . import search, stateio
 
-    spin = _bounded_two_s(args.two_s) / 2.0
+    spin = _check_two_s("--two-s", args.two_s) / 2.0
     if args.cls == "pure":
         result = search.pure_anticoherent_search(
             spin, args.order, restarts=args.restarts, seed=args.seed
@@ -235,14 +231,14 @@ def cmd_scan(args) -> int:
 
 def cmd_make_state(args) -> int:
     extra = {}
-    for key in ("theta", "phi", "alpha", "beta", "lam"):
+    for key in _NUMBER_FLAGS:
         v = getattr(args, key)
         if v is not None:
             if not np.isfinite(v):
                 raise ValueError(f"--{key} must be finite, got {v!r}")
             extra[key] = v
     if args.two_s is not None:
-        extra["two_s"] = _bounded_two_s(args.two_s)
+        extra["two_s"] = _check_two_s("--two-s", args.two_s)
     obj = catalog.preset_state(args.name, **extra)
     with open(args.out, "w") as fh:
         json.dump(obj, fh, indent=1)
@@ -298,11 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("name", choices=sorted(catalog.PRESETS))
     pm.add_argument("--out", required=True)
     pm.add_argument("--two-s", dest="two_s", type=int)
-    pm.add_argument("--theta", type=float)
-    pm.add_argument("--phi", type=float)
-    pm.add_argument("--alpha", type=float)
-    pm.add_argument("--beta", type=float)
-    pm.add_argument("--lam", type=float)
+    for key in _NUMBER_FLAGS:
+        pm.add_argument(f"--{key}", type=float)
     pm.set_defaults(func=cmd_make_state)
 
     return p

@@ -7,8 +7,8 @@ integrates it exactly with a wide margin; the normalization
 Fourier series with frequencies |q| <= 2S, so each theta costs 2S+1
 coefficients and the grid is one real product with a cos/sin table.  The
 coefficients at every theta are one gather of rho and one stacked product
-with a table of the products d_i d_j; a grid keeps its table when it holds at
-most angmom.MAX_ENTRIES / 8 entries, and no call builds more than MAX_ENTRIES at once.
+with a table of the products d_i d_j; a grid keeps its columns d_i, and its table when
+it holds at most angmom.MAX_ENTRIES / 8 entries, and no call builds more than MAX_ENTRIES at once.
 """
 
 from __future__ import annotations
@@ -81,21 +81,20 @@ def _pair_index(d: int) -> np.ndarray:
     return np.stack([np.where(rows, flat + part, 2 * d * d) for rows in (low, ~low) for part in (0, d * d)], axis=1)
 
 
-def _fourier(rho: np.ndarray, thetas: np.ndarray, pairs: np.ndarray | None = None) -> np.ndarray:
+def _fourier(rho: np.ndarray, col: np.ndarray, pairs: np.ndarray | None = None) -> np.ndarray:
     """Rows [2q + (re, im), theta] of w_q F_q, q = 0..2S: Q = sum_q w_q Re[F_q exp(-i q phi)].
 
-    F_q = sum_i d_i d_{i+q} H[i+q, i], with d_i = d^S_{m_i,S}(theta) and H = (rho + rho^dagger)/2
+    F_q = sum_i d_i d_{i+q} H[i+q, i], with col[i, theta] = d_i = d^S_{m_i,S}(theta) and H = (rho + rho^dagger)/2
     the part of rho that Re <n|rho|n> sees; w_0 = 1, and w_q = 2 pairs q with -q.  Every q comes from
-    one gather of H and one stacked product with `pairs`, the `_pair_table` at `thetas`, or, without
+    one gather of H and one stacked product with `pairs`, the `_pair_table` of `col`, or, without
     it, with tables built over blocks of thetas that hold at most MAX_ENTRIES entries each.
     """
     d = len(rho)
     h = rho + rho.conj().T  # 2H, which carries w_q for q > 0
     parts = np.concatenate([h.real.ravel(), h.imag.ravel(), [0.0]])[_pair_index(d)]
     if pairs is None:  # blocks of whole 8-theta tiles, which BLAS sums as in one product; one empty block for none
-        col = _d_column(d - 1, 0, thetas).T.copy()
         step = max(1, MAX_ENTRIES // (d * (d // 2 + 1)) // 8 * 8)
-        f = np.concatenate([parts @ _pair_table(col[:, k:k + step]) for k in range(0, len(thetas) or 1, step)], axis=2)
+        f = np.concatenate([parts @ _pair_table(col[:, k:k + step]) for k in range(0, col.shape[1] or 1, step)], axis=2)
     else:
         f = parts @ pairs
     # [q, (re, im), theta]; at even d, row d/2 holds diagonal d/2 twice, and its second copy is dropped
@@ -112,23 +111,24 @@ def _phases(t: int, phis: np.ndarray) -> np.ndarray:
 
 @_cache(8)
 def _grid_axes(t: int, n_theta: int, n_phi: int) -> tuple:
-    """Read-only Gauss-Legendre thetas (ascending) and weights, uniform phis, their phases and the pair table.
+    """Read-only Gauss-Legendre thetas (ascending) and weights, uniform phis, their phases, pair table and d-columns.
 
     The table is kept only when it holds at most MAX_ENTRIES / 8 entries, so the 8 entries of this cache
-    hold at most MAX_ENTRIES together; past that it is None and `_fourier` builds it block by block.
+    hold at most MAX_ENTRIES in tables; past that it is None and `_fourier` builds it from the columns.
     """
     x, w = np.polynomial.legendre.leggauss(n_theta)
     thetas, phis = np.arccos(x[::-1]), np.arange(n_phi) * (2.0 * math.pi / n_phi)
-    fits = (t + 1) * (t // 2 + 1) * n_theta <= MAX_ENTRIES // 8
-    pairs = _pair_table(_d_column(t, 0, thetas).T.copy()) if fits else None
-    return thetas, w[::-1].copy(), phis, _phases(t, phis), pairs
+    col = _d_column(t, 0, thetas).T.copy()
+    pairs = _pair_table(col) if (t + 1) * (t // 2 + 1) * n_theta <= MAX_ENTRIES // 8 else None
+    return thetas, w[::-1].copy(), phis, _phases(t, phis), pairs, col
 
 
 def q_values(sector: SpinSector, directions) -> np.ndarray:
     """Q at an arbitrary list of directions."""
     sector = _check_type("sector", sector, SpinSector)
     thetas, phis = _points(_check_each("directions", directions, Direction)).T
-    return np.einsum("kn,kn->n", _fourier(sector.rho, thetas), _phases(sector.spin.twice, phis))
+    t = sector.spin.twice
+    return np.einsum("kn,kn->n", _fourier(sector.rho, _d_column(t, 0, thetas).T.copy()), _phases(t, phis))
 
 
 def q_function(sector: SpinSector, grid: tuple[int, int] = (64, 128)) -> QGrid:
@@ -138,8 +138,8 @@ def q_function(sector: SpinSector, grid: tuple[int, int] = (64, 128)) -> QGrid:
         raise ValueError(f"grid must be a list of 2 entries, got {grid!r}")
     n_theta, n_phi = grid
     n_theta, n_phi = _check_int("grid size n_theta", n_theta, 1), _check_int("grid size n_phi", n_phi, 1)
-    thetas, weights, phis, table, pairs = _grid_axes(sector.spin.twice, n_theta, n_phi)
-    values = _fourier(sector.rho, thetas, pairs).T @ table
+    thetas, weights, phis, table, pairs, col = _grid_axes(sector.spin.twice, n_theta, n_phi)
+    values = _fourier(sector.rho, col, pairs).T @ table
     coarse = n_theta < sector.spin.twice + 1
     return QGrid(sector.spin, thetas, phis, weights, values, coarse)
 

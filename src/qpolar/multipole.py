@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .angmom import HalfInt, _cache, _check_int, _check_spin, _check_tol, _check_type, _Frozen, _is_int, _read_only
-from .states import DEFAULT_ORDER_TOL, SpinSector, as_shells
+from .states import DEFAULT_ORDER_TOL, SpinSector, as_shells, purity
 
 __all__ = [
     "tensor_matrix",
@@ -272,5 +272,4 @@ def analyze(obj, *, tol: float = DEFAULT_ORDER_TOL) -> PolarizationReport:
         cum = rep.spectrum.cumulative_all
         if len(cum):  # a 2S = 0 shell has no A_K; A_K saturates at A_2S above its top rank
             agg += rep.weight * cum[np.minimum(np.arange(k_top), len(cum) - 1)]
-    block = float(sum(w * w * rep.purity for (w, _), rep in zip(shells, reports)))
-    return PolarizationReport(reports, agg, _leading_within(agg, tol), block, tol)
+    return PolarizationReport(reports, agg, _leading_within(agg, tol), purity(obj), tol)

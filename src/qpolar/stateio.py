@@ -22,7 +22,7 @@ import json
 
 import numpy as np
 
-from .angmom import MAX_TWO_S, HalfInt, SchemaError, _check_int, _check_reals
+from .angmom import MAX_TWO_S, HalfInt, SchemaError, _check_int, _check_reals, _check_two_s
 from .states import (
     Direction,
     PolarizationState,
@@ -51,7 +51,7 @@ def _sector_from_entry(entry: dict) -> tuple[float, SpinSector]:
     _require(isinstance(entry, dict), "sector entry must be an object")
     for key in ("two_S", "weight", "form", "data"):
         _require(key in entry, f"sector entry missing {key!r}")
-    two_s = _check_int("two_S", entry["two_S"], 0, MAX_TWO_S, span="[0, MAX_TWO_S]")
+    two_s = _check_two_s("two_S", entry["two_S"])
     weight = _check_reals("weight", entry["weight"])
     form, data, d = entry["form"], entry["data"], two_s + 1
     _require(form in FORMS, f"unknown form {form!r}; expected one of {tuple(FORMS)}")

@@ -123,7 +123,7 @@ class ValidationReport:
 
 
 def _diagnose(rho: np.ndarray, tol: float) -> ValidationReport:
-    herm = float(np.max(np.abs(rho - rho.conj().T))) if rho.size else 0.0
+    herm = float(np.max(np.abs(rho - rho.conj().T)))
     trace = abs(complex(np.trace(rho)) - 1.0)
     sym = 0.5 * (rho + rho.conj().T)
     min_eig = float(np.linalg.eigvalsh(sym)[0])

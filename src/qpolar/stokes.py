@@ -5,7 +5,8 @@ Every moment routine reads one linear model: with s = max(S, 1),
 and rho_K0(n) = sum_q exp(i q phi) d^K_q0(theta) rho_Kq (K = 0 is the monopole).
 So isotropy of all moments up to order K is K-th-order unpolarization, and
 moments along enough directions determine the multipoles up to a chosen rank
-by least squares on the same rows.  A raw moment (scaled times s^l) past the float range is refused.
+by least squares on the same rows.  A raw moment (scaled times s^l) past the float range is refused, and so
+is an order whose moments [direction, l] or powers [m, l] would hold more than angmom.MAX_ENTRIES entries.
 The rows of a fit depend only on its layout, so `_layout` builds them once per layout and caches them
 read-only.  Its key is the spin, k_max, the bits of the directions' angles and the orders, never the
 measured values, and it holds at most 8 designs.
@@ -17,8 +18,8 @@ import math
 
 import numpy as np
 
-from .angmom import (HalfInt, IllConditionedError, _cache, _check_each, _check_int, _check_reals, _check_spin,
-                     _check_tol, _check_type, _Frozen, _is_int, _read_only, _spin_arrays)
+from .angmom import (MAX_ENTRIES, HalfInt, IllConditionedError, _cache, _check_each, _check_int, _check_reals,
+                     _check_spin, _check_tol, _check_type, _Frozen, _is_int, _read_only, _spin_arrays)
 from .multipole import _basis_diagonal, _components, _leading_within, _strengths_cumulative_degrees
 from .states import Direction, SpinSector, _points, as_shells
 
@@ -90,11 +91,27 @@ def _scaled_moments(sector: SpinSector, directions, max_ell: int) -> np.ndarray:
     return axial @ _z_table(t, k, max_ell)[:, 1:]
 
 
+def _check_orders(name: str, t: int, n: int, max_ell: int) -> None:
+    """Refuse `max_ell`, as `name`, if the moments [n, max_ell] or powers [t + 1, max_ell + 1] pass MAX_ENTRIES."""
+    if max(n * max_ell, (t + 1) * (max_ell + 1)) > MAX_ENTRIES:
+        raise ValueError(f"{name} must be small enough that the moments [{n}, {max_ell}] and powers [{t + 1}, "
+                         f"{max_ell + 1}] hold at most MAX_ENTRIES = {MAX_ENTRIES} entries each, got {max_ell}")
+
+
+def _raw_moments(name: str, sector: SpinSector, directions: list, max_ell: int) -> np.ndarray:
+    """<(n.S)^l>, l = 1..max_ell, as [direction, l - 1]; refused past the float range or the budget before any work."""
+    s = max(float(sector.spin), 1.0)
+    if max_ell * math.log(s) >= math.log(np.finfo(float).max):
+        raise ValueError(f"raw moments of order l = {max_ell} at spin {sector.spin} are past the float range")
+    _check_orders(name, sector.spin.twice, len(directions), max_ell)
+    return _scaled_moments(sector, directions, max_ell) * s ** np.arange(1.0, max_ell + 1)
+
+
 def directional_moment(obj, direction: Direction, ell: int) -> float:
     """Moment <(n.S)^ell>; shell results are weighted by P_S for multi-shell states."""
     ell = _check_int("ell", ell, 1)
     direction = _check_type("direction", direction, Direction)
-    return float(sum(w * sample_moments(sec, [direction], ell)[-1].value for w, sec in as_shells(obj)))
+    return float(sum(w * _raw_moments("ell", sec, [direction], ell)[0, -1] for w, sec in as_shells(obj)))
 
 
 def tomography_directions(n: int) -> list[Direction]:
@@ -121,6 +138,7 @@ def isotropy_order(sector: SpinSector, max_ell: int, tol: float = 1e-8, n_direct
     (positive and finite) across the directions.  Counts orders like the
     multipole classifier: <n.S> identically zero scores at least 1.
     The n_directions (default max(50, 2*max_ell+1)) form a deterministic spiral, so the verdict is reproducible.
+    Their moments [n_directions, max_ell] hold at most angmom.MAX_ENTRIES: by default, max_ell <= 999.
     Pass a SpinSector; multi-shell states should be classified shell by
     shell, where isotropy and vanishing multipoles are equivalent.
     """
@@ -129,6 +147,7 @@ def isotropy_order(sector: SpinSector, max_ell: int, tol: float = 1e-8, n_direct
     _check_tol(tol)
     n_directions = (max(50, 2 * max_ell + 1) if n_directions is None
                     else _check_int("n_directions", n_directions, 2 * max_ell + 1, span="2*max_ell+1"))
+    _check_orders("max_ell", sector.spin.twice, n_directions, max_ell)
     spread = np.ptp(_scaled_moments(sector, tomography_directions(n_directions), max_ell), axis=0)
     return _leading_within(spread, tol)  # the orders before the first anisotropic one
 
@@ -146,13 +165,10 @@ def sample_moments(sector: SpinSector, directions, max_ell: int) -> list[MomentS
     """Forward-compute noiseless moments l = 1..max_ell >= 1 along each direction."""
     sector = _check_type("sector", sector, SpinSector)
     max_ell = _check_int("max_ell", max_ell, 1)
-    s = max(float(sector.spin), 1.0)
-    if max_ell * math.log(s) >= math.log(np.finfo(float).max):
-        raise ValueError(f"raw moments of order l = {max_ell} at spin {sector.spin} are past the float range")
     directions = _check_each("directions", directions, Direction)
     if not directions:
         raise ValueError("sample_moments needs at least one direction")
-    vals = (_scaled_moments(sector, directions, max_ell) * s ** np.arange(1.0, max_ell + 1)).tolist()
+    vals = _raw_moments("max_ell", sector, directions, max_ell).tolist()
     return [MomentSample(d, ell, v) for d, row in zip(directions, vals) for ell, v in enumerate(row, 1)]
 
 

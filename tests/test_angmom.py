@@ -1,7 +1,9 @@
 """Exact Clebsch-Gordan values, Wigner matrices, and their group properties."""
 
+import ast
 import itertools
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -248,6 +250,25 @@ class TestWignerSmallD:
             closed = math.sqrt(math.comb(twice_j, k)) * ch**k * sh ** (twice_j - k)
             assert_allclose(d[i, 0], closed, rtol=0, atol=1e-13)
             assert_allclose(amps[i], closed * np.exp(-1j * float(m) * phi), rtol=0, atol=1e-13)
+
+
+def _callers(name: str) -> set[str]:
+    """module.function of every qpolar function that calls `name`, as `name(...)` or `x.name(...)`."""
+    found = set()
+    for path in pathlib.Path(angmom.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(c, ast.Call) and name in (getattr(c.func, "id", None), getattr(c.func, "attr", None))
+                    for c in ast.walk(fn)):
+                found.add(f"{path.stem}.{fn.name}")
+    return found
+
+
+def test_one_product_forms_d_and_q_grids_call_no_su2_function():
+    # the Jy eigenvectors are read by _d_column alone, and _fourier takes its d-columns from its caller
+    assert _callers("_jy_eigen") == {"angmom._d_column"}
+    for su2 in ("_jy_eigen", "_d_column", "wigner_small_d", "wigner_D", "coherent_amplitudes"):
+        assert "husimi._fourier" not in _callers(su2)
 
 
 class TestWignerD:

@@ -135,13 +135,16 @@ SWEEP = [
     Probe("states.random_sector", "rank", "rank", lambda v: random_sector(1, np.random.default_rng(0), v), past=(4,)),
     Probe("husimi.q_function", "grid", "grid size n_theta", lambda v: q_function(SECTOR, (v, 4))),
     Probe("husimi.q_function", "grid", "grid size n_phi", lambda v: q_function(SECTOR, (4, v))),
-    Probe("stokes.directional_moment", "ell", "ell", lambda v: directional_moment(SECTOR, Direction(0.3, 0.2), v)),
+    # the first orders past angmom.MAX_ENTRIES: powers [3, 666667] at 2S = 2, or moments [2001 directions, 1000]
+    Probe("stokes.directional_moment", "ell", "ell", lambda v: directional_moment(SECTOR, Direction(0.3, 0.2), v),
+          past=(666666,)),
     Probe("stokes.tomography_directions", "n", "n", tomography_directions),
-    Probe("stokes.isotropy_order", "max_ell", "max_ell", lambda v: isotropy_order(SECTOR, v)),
+    Probe("stokes.isotropy_order", "max_ell", "max_ell", lambda v: isotropy_order(SECTOR, v), past=(1000,)),
     _tol("stokes.isotropy_order", lambda v: isotropy_order(SECTOR, 1, tol=v)),
     Probe("stokes.isotropy_order", "n_directions", "n_directions", lambda v: isotropy_order(SECTOR, 1, n_directions=v),
           past=(2,)),
-    Probe("stokes.sample_moments", "max_ell", "max_ell", lambda v: sample_moments(SECTOR, [Direction(0.3, 0.2)], v)),
+    Probe("stokes.sample_moments", "max_ell", "max_ell", lambda v: sample_moments(SECTOR, [Direction(0.3, 0.2)], v),
+          past=(666666,)),
     Probe("stokes.moments_to_multipoles", "k_max", "k_max", lambda v: moments_to_multipoles(SAMPLES, 1, v), past=(3,)),
     Probe("search.SearchProblem", "order", "order", lambda v: SearchProblem(1, v), past=(3,)),
     Probe("search.SearchProblem", "restarts", "restarts", lambda v: SearchProblem(1, 1, restarts=v)),

@@ -173,6 +173,14 @@ class TestPairTable:
             grid = q_function(sec, (20, 30))
             assert_allclose(grid.values, q_grid_by_diagonals(sec.rho, grid.thetas, grid.phis), rtol=0, atol=ULP_OF_ONE)
 
+    def test_grids_past_the_budget_form_no_d_columns_once_warm(self, monkeypatch):
+        # 2S = 100: 101 * 51 * 64 table entries, more than MAX_ENTRIES / 8, so only the columns are cached
+        sec, calls = _sectors(100)[0], []
+        want = q_function(sec, (64, 128))
+        monkeypatch.setattr(husimi, "_d_column", lambda *args: calls.append(args) or _d_column(*args))
+        assert q_function(sec, (64, 128)).values.tobytes() == want.values.tobytes()
+        assert calls == [] and _grid_axes(100, 64, 128)[4] is None
+
     def test_only_tables_of_an_eighth_of_the_budget_are_cached(self):
         # 2S = 40: 41 * 21 * 64 entries; 2S = 200: 201 * 101 * 64, more than MAX_ENTRIES / 8
         assert _grid_axes(40, 64, 128)[4].shape == (21, 41, 64)

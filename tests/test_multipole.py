@@ -436,6 +436,16 @@ class TestAnalyze:
         assert rep.aggregate_order == 2
         assert_allclose(rep.block_purity, 7 / 18, atol=1e-14)
 
+    def test_block_purity_is_the_bits_of_purity(self):
+        from qpolar.states import assemble, purity
+
+        rng = np.random.default_rng(34)
+        state = assemble([(0.2, random_sector(0.5, rng)), (0.3, random_sector(1.5, rng)), (0.5, random_sector(4, rng))])
+        for obj in (state, random_sector(2.5, rng)):
+            rep = analyze(obj)
+            by_shell = float(sum(shell.weight * shell.weight * shell.purity for shell in rep.shells))
+            assert rep.block_purity.hex() == purity(obj).hex() == by_shell.hex()
+
     def test_multi_shell_aggregate(self):
         from qpolar.states import assemble
 

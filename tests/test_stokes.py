@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qpolar.catalog as catalog
+import qpolar.stokes as stokes
 from qpolar.angmom import _d_column, half
 from qpolar.multipole import components, cumulative, state_multipoles, unpolarization_order
 from qpolar.states import (
@@ -130,6 +131,16 @@ class TestDirectionalMoments:
                 directional_moment(sec, Direction(0.7, 0.2), 160)
             with pytest.raises(ValueError, match="order l = 160 at spin 100 are past the float range"):
                 sample_moments(sec, [Direction(0.7, 0.2)], 160)
+
+    def test_the_largest_orders_within_the_budget_run(self, monkeypatch):
+        # 2S = 2: powers [3, 666666] and, with the default 1999 directions, moments [1999, 999]
+        sec = maximally_mixed(1)
+        assert isotropy_order(sec, 999) == 999
+        assert directional_moment(sec, Direction(0.7, 0.2), 666665) == 0.0  # (1 + (-1)^l) / 3, 0 at odd l
+        monkeypatch.setattr(stokes, "MAX_ENTRIES", 300)  # moments [10, 30], then [10, 31]
+        assert len(sample_moments(sec, tomography_directions(10), 30)) == 300
+        with pytest.raises(ValueError, match=r"^max_ell must be .* MAX_ENTRIES = 300 entries each, got 31$"):
+            sample_moments(sec, tomography_directions(10), 31)
 
     @pytest.mark.parametrize("directions", [[], iter(())], ids=["list", "iterator"])
     def test_sample_moments_needs_a_direction(self, directions):

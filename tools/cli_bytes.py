@@ -8,8 +8,9 @@ shell as a `matrix` state file, a two-shell state file, and the directional mome
 directory and each in a fresh process with one BLAS thread, it runs `make-state` for every
 preset (and again with arguments for those that take some), `analyze --out` of every state
 file, `qfunc` (of the 2S = 25 state also on the default 64x128 grid), `reconstruct`, `search`
-for the diagonal, axial, general and pure classes, `scan` for the three families and, last,
-`--help` of qpolar and of each subcommand.  It prints one sha256 per stdout, per non-empty stderr and per
+for the diagonal, axial, general and pure classes, `scan` for the three families,
+`--help` of qpolar and of each subcommand and, last, `make-state` and `qfunc` of a 2S = 100 coherent
+state on the default grid.  It prints one sha256 per stdout, per non-empty stderr and per
 file a command writes, each with the command's exit status.  SRC, the directory that holds the
 qpolar package under test, defaults to this checkout's src/.  Two checkouts print the same
 lines exactly when their CLI outputs are byte-identical:
@@ -32,6 +33,7 @@ import numpy as np
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GINIBRE_2S = 25
 RECONSTRUCT_ORDER = 4
+LARGE_2S = 100  # its 64x128 table holds 101 * 51 * 64 entries, more than qpolar's MAX_ENTRIES / 8
 PRESET_ARGS = {  # a second make-state for each preset that reads arguments
     "eq15-coherent": ["--two-s", "5", "--theta", "0.4", "--phi", "2.0"],
     "eq23-pson": ["--alpha", "0.3", "--beta", "1.1"],
@@ -104,6 +106,10 @@ def commands(presets: list[str], subcommands: list[str]) -> list[tuple[str, list
     cmds += [(f"search {c}", ["search", "--class", c, *a, "--out", f"search_{c}.json"]) for c, a in SEARCHES.items()]
     cmds += [(f"scan {f}", ["scan", "--family", f, "--points", p, "--out", f"scan_{f}.csv"]) for f, p in SCANS.items()]
     cmds += [("--help", ["--help"])] + [(f"{s} --help", [s, "--help"]) for s in subcommands]
+    # a default grid whose pair table passes the cache budget, so that qfunc rebuilds it block by block
+    cmds += [(f"make-state eq15-coherent --two-s {LARGE_2S}",
+              ["make-state", "eq15-coherent", "--two-s", str(LARGE_2S), "--out", "coherent-large.json"]),
+             ("qfunc coherent-large.json 64x128", ["qfunc", "coherent-large.json", "--out", "q_coherent_large.csv"])]
     return cmds
 
 

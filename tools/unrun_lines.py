@@ -5,7 +5,8 @@
 Runs the test suite under `sys.settrace`. A `sitecustomize` module on PYTHONPATH installs the
 tracer in every Python process, the CLI and demo children included, and each process writes
 the src/ lines it ran next to that module at exit. A line is executable when the compiled
-code maps bytecode to it. Exits with the test run's status.
+code maps bytecode to it. Last, it prints the total line count of src/, the figure a change to
+the library quotes. Exits with the test run's status.
 """
 
 import json
@@ -49,14 +50,15 @@ def main(pytest_args: list[str]) -> int:
         status = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *pytest_args],
                                 cwd=ROOT, env=env, stdout=subprocess.DEVNULL).returncode
         ran = {tuple(r) for p in pathlib.Path(hook_dir).glob("ran-*.json") for r in json.loads(p.read_text())}
-    total = unrun = 0
+    total = unrun = length = 0
     for path in sorted(SRC.rglob("*.py")):
         lines, text = executable_lines(path), path.read_text().splitlines()
         missed = sorted(n for n in lines if (str(path), n) not in ran)
-        total, unrun = total + len(lines), unrun + len(missed)
+        total, unrun, length = total + len(lines), unrun + len(missed), length + len(text)
         for n in missed:
             print(f"{path.relative_to(ROOT)}:{n}: {text[n - 1].strip()}")
     print(f"{unrun} of {total} executable src/ lines never run")
+    print(f"{length} lines in src/, as `wc -l src/qpolar/*.py` counts them")
     return status
 
 
